@@ -42,18 +42,19 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1 (default 5)")
     args = ap.parse_args()
 
+    honored = compile_demo(strip_hide=False).unit
+    stripped = compile_demo(strip_hide=True).unit
+
     print("== hide annotations honored ==")
     for seed in range(args.seeds):
-        art = compile_demo(strip_hide=False)
-        res = interp.run(art.unit, seed=seed)
+        res = interp.run(honored, seed=seed)
         pushes = res.count_jp("method_execution BoundedStack.push/1 ")
         pops = res.count_jp("method_execution BoundedStack.pop/0 ")
         print(f"seed {seed}: {res.status}, pushes={pushes}, pops={pops}, steps={res.steps}")
 
     print("\n== hide annotations stripped ==")
     for seed in range(args.seeds):
-        art = compile_demo(strip_hide=True)
-        res = interp.run(art.unit, seed=seed)
+        res = interp.run(stripped, seed=seed)
         line = f"seed {seed}: {res.status}"
         if res.deadlock is not None:
             selfies = res.deadlock.self_edges()

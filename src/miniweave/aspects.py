@@ -38,9 +38,6 @@ class NamePattern:
     def __str__(self) -> str:
         return f"{self.cls}.{self.member}"
 
-    def cls_matches(self, name: str | None) -> bool:
-        return self.cls == "*" or self.cls == name
-
     def member_matches(self, name: str) -> bool:
         return self.member == "*" or self.member == name
 

@@ -2,6 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 any compile-stage error,
 and for `run`: 2 deadlock, 3 runtime error, 4 step limit exceeded.
+5 is an internal error: a failure the toolchain does not map to one of the
+codes above, reported as one `internal error: <Type>: <message>` line.
 All diagnostics go to standard error with file:line positions.
 """
 
@@ -19,6 +21,7 @@ EXIT_COMPILE = 1
 EXIT_DEADLOCK = 2
 EXIT_RUNTIME = 3
 EXIT_STEP_LIMIT = 4
+EXIT_INTERNAL = 5
 
 
 def _common_options(p: argparse.ArgumentParser) -> None:
@@ -75,14 +78,13 @@ def _options(args, relationships_path=None) -> pipeline.CompileOptions:
         strip_hide=args.strip_hide,
         messages_path=args.messages,
         relationships_path=relationships_path,
-        explain_hides=args.explain_hides,
     )
 
 
 def _compile(args, relationships_path=None) -> pipeline.CompileArtifacts:
     artifacts = pipeline.compile(args.inputs, _options(args, relationships_path))
     if args.explain_hides:
-        for line in artifacts.visible.diagnostics():
+        for line in artifacts.unit.visible.diagnostics():
             print(line)
     return artifacts
 
@@ -128,9 +130,10 @@ def main(argv=None) -> int:
     except CompileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_COMPILE
-
-
-cli_main = main
+    except Exception as e:  # last resort: one line, never a traceback
+        msg = str(e).replace("\n", " ")
+        print(f"internal error: {type(e).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError
 from .lexer import EOF, NAME, PUNCT
-from .values import format_message  # noqa: F401  (re-exported: shared with the runtime)
 
 TRANSITIONS = ("start", "finish", "interrupt", "pause", "resume")
 

@@ -125,15 +125,20 @@ class ExecutionResult:
 
 @dataclass
 class WovenUnit:
-    """Everything run() needs: the program, aspects, and the match relation."""
+    """Everything run() needs: the program, aspects, and the match relation.
+
+    `sites` maps id(node) of each visible shadow's AST node to that shadow
+    and its (before, after) advice sequences; the unit holds the nodes, so
+    the ids stay valid, and the AST itself carries no weaving state.
+    """
 
     program: ml.Program
     aspects: list[AspectDecl]
     precedence: list[str]
     all_shadows: ShadowTable
     visible: ShadowTable
-    hide_specs: list
     match_table: MatchTable
+    sites: dict[int, tuple]
 
     @classmethod
     def build(
@@ -158,7 +163,10 @@ class WovenUnit:
         table = jp.extract_shadows(program, aspects, generated_paths)
         visible = jp.apply_hide_filter(table, specs, strip_hide)
         mt = matching.build_match_table(aspects, visible, list(precedence))
-        return cls(program, aspects, list(precedence), table, visible, specs, mt)
+        sites = {
+            id(shadow.node): (shadow, *advice_sequence_at(shadow.sid, mt)) for shadow in visible
+        }
+        return cls(program, aspects, list(precedence), table, visible, mt, sites)
 
 
 @dataclass
@@ -233,7 +241,6 @@ class Interp:
         self.next_mon = 0
         self.aspect_instances: dict[str, AspectInstance] = {}
         self.classes = unit.program.by_name()
-        self._sequences: dict[int, tuple] = {}
 
     # -- events
 
@@ -356,7 +363,7 @@ class Interp:
                 self._pop_frame(frame)
             return None
 
-        yield from self.dispatch_jp(cls.static_sid, None, None, (), inner)
+        yield from self.dispatch_jp(cls.static_block, None, None, (), inner)
 
     def _spawned(self, recv, method_name: str, args, loc):
         yield from self.invoke(recv, method_name, args, loc)
@@ -414,19 +421,18 @@ class Interp:
 
     # -- join point dispatch
 
-    def dispatch_jp(self, sid: int | None, this_obj, target_obj, args, inner):
-        """Wrap `inner` with advice dispatch when the shadow is visible."""
-        mt = self.unit.match_table
-        if sid is None or sid not in mt.shadows:
+    def dispatch_jp(self, node, this_obj, target_obj, args, inner):
+        """Wrap `inner` with advice dispatch when `node` is a visible shadow's site."""
+        site = self.unit.sites.get(id(node))
+        if site is None:
             result = yield from inner()
             return result
-        shadow = mt.shadows[sid]
+        shadow, before, after = site
         yield None  # every woven join point is a scheduling point
-        self.emit("jp", f"{shadow.kind} {shadow.signature} @ {shadow.loc}")
+        self.emit("jp", shadow.describe())
         t = self.current
         t.cflow.append(CflowFrame(shadow, this_obj, target_obj, tuple(args)))
         try:
-            before, after = self._sequence(sid)
             for entry in before:
                 if eval_residue(entry.residue, this_obj, target_obj, args, t.cflow):
                     yield from self.run_advice(entry.advice, shadow, this_obj, target_obj, args)
@@ -437,13 +443,6 @@ class Interp:
         finally:
             t.cflow.pop()
         return result
-
-    def _sequence(self, sid: int):
-        seq = self._sequences.get(sid)
-        if seq is None:
-            seq = advice_sequence_at(sid, self.unit.match_table)
-            self._sequences[sid] = seq
-        return seq
 
     def run_advice(self, advice, shadow, this_obj, target_obj, args):
         inst = self.aspect_instances[advice.aspect_name]
@@ -496,7 +495,7 @@ class Interp:
                 self._pop_frame(frame)
             return None
 
-        yield from self.dispatch_jp(cls.pre_sid, obj, obj, args, run_preinit)
+        yield from self.dispatch_jp(cls, obj, obj, args, run_preinit)
 
         def run_ctor():
             if cls.ctor is None:
@@ -512,7 +511,7 @@ class Interp:
                 self._pop_frame(frame)
             return None
 
-        yield from self.dispatch_jp(cls.init_sid, obj, obj, args, run_ctor)
+        yield from self.dispatch_jp(cls.ctor, obj, obj, args, run_ctor)
         return obj
 
     def invoke(self, recv, name: str, args, loc: Loc):
@@ -546,7 +545,7 @@ class Interp:
                 self._pop_frame(frame)
             return None
 
-        result = yield from self.dispatch_jp(decl.exec_sid, recv, recv, args, run_body)
+        result = yield from self.dispatch_jp(decl, recv, recv, args, run_body)
         return result
 
     # -- statements
@@ -607,7 +606,7 @@ class Interp:
             return None
             yield  # pragma: no cover
 
-        yield from self.dispatch_jp(stmt.sid, env.this, obj, (value,), write)
+        yield from self.dispatch_jp(stmt, env.this, obj, (value,), write)
 
     # -- expressions
 
@@ -636,7 +635,7 @@ class Interp:
                 return self.field_read(obj, expr.name, expr.loc)
                 yield  # pragma: no cover
 
-            result = yield from self.dispatch_jp(expr.sid, env.this, obj, (), read)
+            result = yield from self.dispatch_jp(expr, env.this, obj, (), read)
             return result
         if isinstance(expr, ml.Index):
             seq = yield from self.eval_expr(expr.obj, env)
@@ -653,7 +652,7 @@ class Interp:
                 result = yield from self.invoke(recv, expr.name, args, expr.loc)
                 return result
 
-            result = yield from self.dispatch_jp(expr.sid, env.this, recv, args, do_call)
+            result = yield from self.dispatch_jp(expr, env.this, recv, args, do_call)
             return result
         if isinstance(expr, ml.BuiltinCall):
             result = yield from self.eval_builtin(expr, env)

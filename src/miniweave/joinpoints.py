@@ -49,6 +49,8 @@ class Shadow:
     within_member: str
     loc: Loc
     origin: str  # "base" | "generated"
+    # the AST node the interpreter dispatches this join point from
+    node: object = field(default=None, compare=False, repr=False)
 
     @property
     def signature(self) -> str:
@@ -142,20 +144,11 @@ class ShadowTable:
     def by_kind(self, kind: ShadowKind) -> list[Shadow]:
         return [s for s in self.shadows if s.kind == kind]
 
-    def by_signature(self, signature: str) -> list[Shadow]:
-        return [s for s in self.shadows if s.signature == signature]
-
-    def keys(self) -> set:
-        return {s.key for s in self.shadows}
-
     def diagnostics(self) -> list[str]:
-        lines = []
-        for shadow, spec, kind in self.suppressed:
-            lines.append(
-                f"HIDDEN {shadow.kind} {shadow.signature} @ {shadow.loc} "
-                f"by {spec.describe()} [{kind}]"
-            )
-        return lines
+        return [
+            f"HIDDEN {shadow.describe()} by {spec.describe()} [{kind}]"
+            for shadow, spec, kind in self.suppressed
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +159,14 @@ class ShadowTable:
 class _Extractor:
     def __init__(self, generated_paths: frozenset[str]):
         self.generated_paths = generated_paths
-        self.records: list[tuple[Loc, int, ShadowKind, dict, object, str]] = []
+        self.records: list[tuple[Loc, int, ShadowKind, object, dict]] = []
         self.seq = 0
 
     def origin_of(self, loc: Loc) -> str:
         return "generated" if loc.path in self.generated_paths else "base"
 
-    def add(self, kind: ShadowKind, loc: Loc, node, attr: str, **fields) -> None:
-        self.records.append((loc, self.seq, kind, fields, node, attr))
+    def add(self, kind: ShadowKind, loc: Loc, node, **fields) -> None:
+        self.records.append((loc, self.seq, kind, node, fields))
         self.seq += 1
 
     # -- receiver class inference: `this`, `new C(...)`, and locals that are
@@ -232,7 +225,6 @@ class _Extractor:
                     ShadowKind.FIELD_SET,
                     tgt.loc,
                     stmt,
-                    "sid",
                     cls=cls,
                     member=tgt.name,
                     arity=None,
@@ -267,7 +259,6 @@ class _Extractor:
                 ShadowKind.FIELD_GET,
                 expr.loc,
                 expr,
-                "sid",
                 cls=cls,
                 member=expr.name,
                 arity=None,
@@ -286,7 +277,6 @@ class _Extractor:
                 ShadowKind.METHOD_CALL,
                 expr.loc,
                 expr,
-                "sid",
                 cls=cls,
                 member=expr.name,
                 arity=len(expr.args),
@@ -328,7 +318,6 @@ class _Extractor:
                 ShadowKind.PRE_INITIALIZATION,
                 initialized[0].loc,
                 cls,
-                "pre_sid",
                 cls=cls.name,
                 member=None,
                 arity=None,
@@ -339,8 +328,7 @@ class _Extractor:
             self.add(
                 ShadowKind.INITIALIZATION,
                 cls.ctor.loc,
-                cls,
-                "init_sid",
+                cls.ctor,
                 cls=cls.name,
                 member=None,
                 arity=None,
@@ -351,8 +339,7 @@ class _Extractor:
             self.add(
                 ShadowKind.STATIC_INITIALIZATION,
                 cls.static_block.loc,
-                cls,
-                "static_sid",
+                cls.static_block,
                 cls=cls.name,
                 member=None,
                 arity=None,
@@ -381,7 +368,6 @@ class _Extractor:
                 ShadowKind.METHOD_EXECUTION,
                 m.loc,
                 m,
-                "exec_sid",
                 cls=cls.name,
                 member=m.name,
                 arity=len(m.params),
@@ -398,7 +384,6 @@ class _Extractor:
                 ShadowKind.METHOD_EXECUTION,
                 helper.loc,
                 helper,
-                "exec_sid",
                 cls=aspect.name,
                 member=helper.name,
                 arity=len(helper.params),
@@ -412,14 +397,12 @@ class _Extractor:
 
     def finish(self) -> ShadowTable:
         self.records.sort(key=lambda r: (r[0].path, r[0].line, r[0].col, r[1]))
-        shadows = []
-        for sid, (loc, _seq, kind, fields, node, attr) in enumerate(self.records):
-            shadow = Shadow(
-                sid=sid, kind=kind, loc=loc, origin=self.origin_of(loc), **fields
-            )
-            shadows.append(shadow)
-            setattr(node, attr, sid)
-        return ShadowTable(shadows)
+        return ShadowTable(
+            [
+                Shadow(sid, kind, loc=loc, origin=self.origin_of(loc), node=node, **fields)
+                for sid, (loc, _seq, kind, node, fields) in enumerate(self.records)
+            ]
+        )
 
 
 def extract_shadows(
@@ -427,9 +410,11 @@ def extract_shadows(
 ) -> ShadowTable:
     """Extract every join-point shadow from the program and aspect declarations.
 
-    Side effect: shadow ids are written back onto the AST nodes they arise
-    from, which is how the interpreter finds the match-table entry for a
-    site. Iteration order of the result is source order (path, line, col).
+    Each shadow carries the node it arises from (the expression or
+    statement for call/get/set, the method for execution, the class, its
+    constructor or its static block for the init kinds); the AST itself is
+    not modified. Iteration order of the result is source order (path,
+    line, col).
     """
     ex = _Extractor(frozenset(generated_paths))
     for cls in program.classes:

@@ -156,7 +156,6 @@ class MatchTable:
 
     entries: dict[int, tuple[MatchEntry, ...]]
     shadows: dict[int, Shadow]
-    precedence: list[str]
 
     def at(self, sid: int) -> tuple[MatchEntry, ...]:
         return self.entries.get(sid, ())
@@ -199,7 +198,7 @@ def build_match_table(
         if hits:
             hits.sort(key=lambda e: advice_sort_key(e.advice, precedence))
             entries[shadow.sid] = tuple(hits)
-    return MatchTable(entries, shadows, list(precedence))
+    return MatchTable(entries, shadows)
 
 
 def advice_sequence_at(sid: int, table: MatchTable):

@@ -108,7 +108,6 @@ class LocalRef(Node):
 class FieldGet(Node):
     obj: Node
     name: str
-    sid: int | None = None  # get-shadow id, assigned at extraction
 
 
 @dataclass
@@ -122,7 +121,6 @@ class MethodCall(Node):
     obj: Node
     name: str
     args: list
-    sid: int | None = None  # call-shadow id
 
 
 @dataclass
@@ -168,7 +166,6 @@ class VarDecl(Node):
 class Assign(Node):
     target: Node  # LocalRef | FieldGet | Index
     value: Node
-    sid: int | None = None  # set-shadow id when target is a FieldGet
 
 
 @dataclass
@@ -212,7 +209,6 @@ class MethodDecl:
     body: list
     annotations: list[Annotation]
     loc: Loc
-    exec_sid: int | None = None
     # function-scoped locals, filled in by resolution; the interpreter hoists
     # them to null so a var declared in one branch reads as null elsewhere
     local_names: tuple[str, ...] = ()
@@ -227,9 +223,6 @@ class ClassDecl:
     static_block: MethodDecl | None
     annotations: list[Annotation]
     loc: Loc
-    pre_sid: int | None = None
-    init_sid: int | None = None
-    static_sid: int | None = None
 
     def field_names(self) -> set[str]:
         return {f.name for f in self.fields}
@@ -654,7 +647,7 @@ def _collect_locals(body: list, acc: set[str]) -> None:
 class Resolver:
     """Rewrites bare identifiers and checks that every name resolves.
 
-    A bare name inside a method body resolves to a parameter or local first,
+    A bare name in a method body resolves to a parameter or local first,
     then to a field of the enclosing class (rewritten to an implicit
     `this.name` access). Anything else is a compile error. Methods are
     function-scoped: a `var` anywhere in the body introduces the name for

@@ -18,8 +18,6 @@ from . import minilang as ml
 from .aspects import AspectDecl, parse_aspect_file
 from .diagnostics import CompileError, Loc
 from .interp import WovenUnit
-from .joinpoints import ShadowTable
-from .matching import MatchTable
 
 
 @dataclass
@@ -45,7 +43,6 @@ class CompileOptions:
     strip_hide: bool = False
     messages_path: str | None = None
     relationships_path: str | None = None
-    explain_hides: bool = False
 
 
 @dataclass
@@ -53,12 +50,6 @@ class CompileArtifacts:
     inputs: list[str]
     effective_inputs: list[str]
     generated: list[GeneratedRecord]
-    program: ml.Program
-    aspects: list[AspectDecl]
-    precedence: list[str]
-    all_shadows: ShadowTable
-    visible: ShadowTable
-    match_table: MatchTable
     unit: WovenUnit
     relationships: dict | None = None
 
@@ -234,12 +225,6 @@ def compile(paths: list[str], options: CompileOptions | None = None) -> CompileA
         inputs=list(paths),
         effective_inputs=effective,
         generated=generated,
-        program=program,
-        aspects=aspects,
-        precedence=precedence,
-        all_shadows=unit.all_shadows,
-        visible=unit.visible,
-        match_table=unit.match_table,
         unit=unit,
         relationships=relationships,
     )

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DEMO_AUDIT, DEMO_STACK
 
-from miniweave.cli import main
+from miniweave.cli import EXIT_INTERNAL, main
 
 
 @pytest.fixture
@@ -63,6 +63,23 @@ def test_step_limit_exit_four(workdir, capsys):
     code = main(["run", "spin.ml0", "--step-limit", "50"])
     assert code == 4
     assert "step limit" in capsys.readouterr().err
+
+
+def test_internal_error_is_one_line_exit_five(workdir, capsys):
+    # deep MiniLang recursion exhausts the Python stack: no documented code
+    # covers it, so the last-resort guard reports it without a traceback
+    (workdir / "deep.ml0").write_text(
+        "class Main {\n"
+        "  def down(n) { if (n == 0) { return 0; } return this.down(n - 1); }\n"
+        "  def main() { print(this.down(2000)); }\n"
+        "}\n"
+    )
+    code = main(["run", "deep.ml0"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL == 5
+    assert err.startswith("internal error: RecursionError: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_relationships_subcommand_writes_json(workdir, capsys):

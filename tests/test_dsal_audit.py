@@ -11,13 +11,13 @@ import miniweave as mw
 from miniweave.aspects import parse_aspect_file
 from miniweave.diagnostics import CompileError, ParseError
 from miniweave.dsal_audit import (
-    format_message,
     gen_audit_aspect,
     load_catalog,
     parse_audit,
     parse_catalog,
     validate_audit,
 )
+from miniweave.values import format_message
 from miniweave.interp import run
 
 

@@ -106,18 +106,18 @@ def compile_demo(d, names, tmp_path, **kw):
 class TestCompile:
     def test_audit_demo_end_to_end(self, audit_dir, tmp_path):
         art = compile_demo(audit_dir, ["jobs.ml0", "jobs.audit"], tmp_path)
-        assert art.match_table.entries
+        assert art.unit.match_table.entries
         assert len(art.generated) == 1
         assert art.generated[0].dsal_path.endswith("jobs.audit")
-        gens = {s.origin for s in art.all_shadows}
+        gens = {s.origin for s in art.unit.all_shadows}
         assert gens == {"base", "generated"}
 
     def test_strip_hide_grows_visible_set(self, stack_dir, tmp_path):
         names = ["stack.ml0", "stack.cool", "auditor.ma0"]
         plain = compile_demo(stack_dir, names, tmp_path)
         strip = compile_demo(stack_dir, names, tmp_path, strip_hide=True)
-        assert len(strip.visible) >= len(plain.visible)
-        assert len(strip.visible) == len(strip.all_shadows)
+        assert len(strip.unit.visible) >= len(plain.unit.visible)
+        assert len(strip.unit.visible) == len(strip.unit.all_shadows)
 
     def test_strip_hide_leaves_generated_sources_identical(self, stack_dir, tmp_path):
         names = ["stack.ml0", "stack.cool"]

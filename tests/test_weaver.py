@@ -1,5 +1,7 @@
 """MiniAspect parsing, pointcut matching, and match-table construction."""
 
+import pickle
+
 import pytest
 
 import miniweave as mw
@@ -265,3 +267,52 @@ class TestAdviceSequence:
 def test_parse_aspect_requires_single_aspect():
     with pytest.raises(ParseError, match="exactly one aspect"):
         mw.parse_aspect("aspect A { } aspect B { }", "two.ma0")
+
+
+class TestUnitsShareProgram:
+    """Several units woven from one parsed Program stay independent."""
+
+    BASE = """
+    class C {
+      var n = 0;
+      def inc() { this.n = this.n + 1; return this.n; }
+    }
+    class Main {
+      def main() {
+        var c = new C();
+        var i = 0;
+        while (i < 3) { c.inc(); i = i + 1; }
+        print(c.n);
+      }
+    }
+    """
+    # "a.ma0" sorts before "z.ml0", so its shadows come first in source order
+    SPY = """
+    aspect Spy {
+      var calls = 0;
+      def note() { this.calls = this.calls + 1; }
+      before(): call(C.inc) { this.note(); }
+    }
+    """
+
+    def weave(self, program, with_spy: bool):
+        aspects = mw.parse_aspect_file(self.SPY, "a.ma0").aspects if with_spy else []
+        return mw.WovenUnit.build(program, aspects)
+
+    def fresh_trace(self, with_spy: bool) -> str:
+        unit = self.weave(mw.parse_base(self.BASE, "z.ml0"), with_spy)
+        return mw.run(unit).render_trace()
+
+    def test_second_unit_does_not_retarget_the_first(self):
+        program = mw.parse_base(self.BASE, "z.ml0")
+        u1 = self.weave(program, with_spy=False)
+        u2 = self.weave(program, with_spy=True)
+        assert mw.run(u1).render_trace() == self.fresh_trace(with_spy=False)
+        assert mw.run(u2).render_trace() == self.fresh_trace(with_spy=True)
+
+    def test_build_writes_nothing_to_the_ast(self):
+        program = mw.parse_base(self.BASE, "z.ml0")
+        self.weave(program, with_spy=False)
+        before = pickle.dumps(program)
+        self.weave(program, with_spy=True)
+        assert pickle.dumps(program) == before
