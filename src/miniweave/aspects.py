@@ -380,9 +380,9 @@ class AspectParser(ml.MiniParser):
 
     def parse_pc_unary(self):
         if self.ts.accept(PUNCT, "!"):
-            return PcNot(self.parse_pc_unary())
+            return PcNot(self.nested(self.parse_pc_unary))
         if self.ts.accept(PUNCT, "("):
-            pc = self.parse_pointcut()
+            pc = self.nested(self.parse_pointcut)
             self.ts.expect(PUNCT, ")")
             return pc
         return self.parse_pc_primitive()
@@ -412,7 +412,7 @@ class AspectParser(ml.MiniParser):
             self.ts.expect(PUNCT, ")")
             return PcArgs(int(pos_tok.text), value)
         if word == "cflow":
-            inner = self.parse_pointcut()
+            inner = self.nested(self.parse_pointcut)
             self.ts.expect(PUNCT, ")")
             return PcCflow(inner)
         raise ParseError(f"unknown pointcut primitive {word!r}", loc)

@@ -6,6 +6,16 @@ source order. Hide specs (from @hideField/@hideMethod/@hideType annotations)
 suppress shadows before matching; `within` suppression is positional (all
 shadows lexically inside the annotated member), the other kinds suppress by
 signature.
+
+Every (spec, kind) rule is an equality test on one key of the shadow:
+(kind, cls, member) for the signature kinds, (within_cls, within_member)
+for @hideMethod(within), and the same within key, for body kinds only, for
+@hideType(within_init, within_static_init). The filter builds one dict per
+key form and does at most three lookups per shadow. A shadow hidden by
+several rules is attributed to the first spec in declaration order and,
+within it, the first kind in the order written on the annotation: each
+dict entry keeps the smallest (spec index, kind index), and the filter
+takes the smallest of its hits.
 """
 
 from __future__ import annotations
@@ -140,9 +150,6 @@ class ShadowTable:
 
     def __len__(self) -> int:
         return len(self.shadows)
-
-    def by_kind(self, kind: ShadowKind) -> list[Shadow]:
-        return [s for s in self.shadows if s.kind == kind]
 
     def diagnostics(self) -> list[str]:
         return [
@@ -462,56 +469,48 @@ def collect_hide_specs(program: ml.Program, aspects=()) -> list[HideSpec]:
     return specs
 
 
-def _spec_hides(spec: HideSpec, kind: str, shadow: Shadow) -> bool:
-    if spec.target == "method":
-        if kind == "execution":
-            return (
-                shadow.kind == ShadowKind.METHOD_EXECUTION
-                and shadow.cls == spec.cls
-                and shadow.member == spec.member
-            )
-        if kind == "call":
-            # signature-based: only call sites whose receiver class resolved
-            return (
-                shadow.kind == ShadowKind.METHOD_CALL
-                and shadow.cls == spec.cls
-                and shadow.member == spec.member
-            )
-        if kind == "within":
-            return shadow.within_cls == spec.cls and shadow.within_member == spec.member
-    elif spec.target == "field":
-        if kind == "get":
-            return (
-                shadow.kind == ShadowKind.FIELD_GET
-                and shadow.cls == spec.cls
-                and shadow.member == spec.member
-            )
-        if kind == "set":
-            return (
-                shadow.kind == ShadowKind.FIELD_SET
-                and shadow.cls == spec.cls
-                and shadow.member == spec.member
-            )
-    elif spec.target == "type":
-        if kind == "pre_init":
-            return shadow.kind == ShadowKind.PRE_INITIALIZATION and shadow.cls == spec.cls
-        if kind == "init":
-            return shadow.kind == ShadowKind.INITIALIZATION and shadow.cls == spec.cls
-        if kind == "static_init":
-            return shadow.kind == ShadowKind.STATIC_INITIALIZATION and shadow.cls == spec.cls
-        if kind == "within_init":
-            return (
-                shadow.kind in _BODY_KINDS
-                and shadow.within_cls == spec.cls
-                and shadow.within_member == INIT_MEMBER
-            )
-        if kind == "within_static_init":
-            return (
-                shadow.kind in _BODY_KINDS
-                and shadow.within_cls == spec.cls
-                and shadow.within_member == STATIC_MEMBER
-            )
-    return False
+# (spec target, kind) -> the shadow kind a signature rule hides; the key is
+# (shadow kind, cls, member), with member None for the type kinds
+_SIGNATURE_RULES = {
+    ("method", "execution"): ShadowKind.METHOD_EXECUTION,
+    # signature-based: only call sites whose receiver class resolved
+    ("method", "call"): ShadowKind.METHOD_CALL,
+    ("field", "get"): ShadowKind.FIELD_GET,
+    ("field", "set"): ShadowKind.FIELD_SET,
+    ("type", "pre_init"): ShadowKind.PRE_INITIALIZATION,
+    ("type", "init"): ShadowKind.INITIALIZATION,
+    ("type", "static_init"): ShadowKind.STATIC_INITIALIZATION,
+}
+
+# (spec target, kind) -> the enclosing member a type spec hides the body
+# shadows of; the key is (within_cls, within_member)
+_BODY_WITHIN_RULES = {
+    ("type", "within_init"): INIT_MEMBER,
+    ("type", "within_static_init"): STATIC_MEMBER,
+}
+
+
+def _hide_index(specs: list[HideSpec]):
+    """Index every (spec, kind) rule under the one key it tests for equality.
+
+    Returns three dicts: (kind, cls, member) for signature rules,
+    (within_cls, within_member) for @hideMethod(within), and the same key
+    for the type-level within rules, which hide body kinds only. Each key
+    keeps the smallest (spec index, kind index) that hides it.
+    """
+    by_signature: dict[tuple, tuple[int, int]] = {}
+    by_within: dict[tuple, tuple[int, int]] = {}
+    by_body_within: dict[tuple, tuple[int, int]] = {}
+    for i, spec in enumerate(specs):
+        for j, kind in enumerate(spec.kinds):
+            rule = (spec.target, kind)
+            if rule in _SIGNATURE_RULES:
+                by_signature.setdefault((_SIGNATURE_RULES[rule], spec.cls, spec.member), (i, j))
+            elif rule == ("method", "within"):
+                by_within.setdefault((spec.cls, spec.member), (i, j))
+            elif rule in _BODY_WITHIN_RULES:
+                by_body_within.setdefault((spec.cls, _BODY_WITHIN_RULES[rule]), (i, j))
+    return by_signature, by_within, by_body_within
 
 
 def apply_hide_filter(
@@ -521,23 +520,23 @@ def apply_hide_filter(
 
     Each suppressed shadow is attributed to exactly one (spec, kind) pair:
     the first match in spec declaration order, kinds in the order listed on
-    the annotation. strip_hide=True returns the input unchanged.
+    the annotation (see the module docstring for the index that finds it).
+    strip_hide=True returns the input unchanged.
     """
-    if strip_hide:
+    if strip_hide or not specs:
         return ShadowTable(list(table.shadows))
+    by_signature, by_within, by_body_within = _hide_index(specs)
     visible: list[Shadow] = []
     suppressed: list[tuple[Shadow, HideSpec, str]] = []
     for shadow in table.shadows:
-        hit = None
-        for spec in specs:
-            for kind in spec.kinds:
-                if _spec_hides(spec, kind, shadow):
-                    hit = (spec, kind)
-                    break
-            if hit is not None:
-                break
+        within = (shadow.within_cls, shadow.within_member)
+        hits = [by_signature.get((shadow.kind, shadow.cls, shadow.member)), by_within.get(within)]
+        if shadow.kind in _BODY_KINDS:
+            hits.append(by_body_within.get(within))
+        hit = min((h for h in hits if h is not None), default=None)
         if hit is None:
             visible.append(shadow)
         else:
-            suppressed.append((shadow, hit[0], hit[1]))
+            spec = specs[hit[0]]
+            suppressed.append((shadow, spec, spec.kinds[hit[1]]))
     return ShadowTable(visible, suppressed)

@@ -5,6 +5,15 @@ shadow; this/target/args/cflow tests are collected into a residue that the
 interpreter evaluates at dispatch time. When a call/get/set shadow's
 receiver class could not be resolved statically, a concrete class segment
 in the pattern also becomes a residue (a runtime target-class test).
+
+The match table is built with kinded fast-match: `check_matchable`
+guarantees every top-level disjunct a positive execution/call/get/set
+atom, and a shadow can only match that disjunct if its kind and member
+agree with the atom. Each advice is indexed under (ShadowKind, member) of
+one such atom per disjunct, with member "*" for a wildcard, so a shadow
+runs the full `match` only on the advice filed under its (kind, member)
+or (kind, "*"). The advice is sorted into precedence order once per
+build, and the index keeps that order.
 """
 
 from __future__ import annotations
@@ -112,22 +121,29 @@ def render_residue(residue) -> str:
 # ---------------------------------------------------------------------------
 
 
-def advice_sort_key(advice: AdviceDecl, precedence: list[str]):
+def precedence_ranks(precedence: list[str]) -> dict[str, int]:
+    """Aspect name -> position of its first mention in a precedence list."""
+    ranks: dict[str, int] = {}
+    for pos, name in enumerate(precedence):
+        ranks.setdefault(name, pos)
+    return ranks
+
+
+def advice_sort_key(advice: AdviceDecl, precedence: list[str] | dict[str, int]):
     """Total order on advice: @order value (missing sorts last), then the
     global precedence declaration (listed aspects before unlisted), then
     aspect name, then declaration index.
 
+    `precedence` is the declaration list or its `precedence_ranks` map.
     Lexicographic keying keeps the order transitive even when @order and
     aspect-level rules disagree pairwise.
     """
+    ranks = precedence if isinstance(precedence, dict) else precedence_ranks(precedence)
     order = advice.order if advice.order is not None else inf
-    try:
-        pos = precedence.index(advice.aspect_name)
-        listed = 0
-    except ValueError:
-        pos = 0
-        listed = 1
-    return (order, listed, pos, advice.aspect_name, advice.index)
+    pos = ranks.get(advice.aspect_name)
+    if pos is None:
+        return (order, 1, 0, advice.aspect_name, advice.index)
+    return (order, 0, pos, advice.aspect_name, advice.index)
 
 
 def compare_advice(a: AdviceDecl, b: AdviceDecl, precedence: list[str]) -> int:
@@ -181,22 +197,72 @@ class MatchTable:
         return out
 
 
+def _anchor(conjunct):
+    """A positive execution/call/get/set atom every match of `conjunct` needs."""
+    if type(conjunct) in _KIND_FOR_PRIM:
+        return conjunct
+    if type(conjunct) is PcAnd:
+        for part in conjunct.parts:
+            atom = _anchor(part)
+            if atom is not None:
+                return atom
+    return None
+
+
+def _index_advice(ordered: list[AdviceDecl]) -> dict[ShadowKind, dict[str, list[int]]]:
+    """ShadowKind -> member or "*" -> positions in `ordered`, ascending.
+
+    A member's list also holds the kind's "*" positions, so one lookup, with
+    "*" as the fallback, gives a shadow its candidates. A disjunct without
+    an anchor (which `check_matchable` rejects in parsed aspects) is filed
+    under "*" for every kind, so it stays a candidate everywhere.
+    """
+    index: dict[ShadowKind, dict[str, list[int]]] = {}
+    for pos, adv in enumerate(ordered):
+        pc = adv.pointcut
+        for disjunct in pc.parts if type(pc) is PcOr else (pc,):
+            atom = _anchor(disjunct)
+            if atom is None:
+                keys = [(kind, "*") for kind in ShadowKind]
+            else:
+                keys = [(_KIND_FOR_PRIM[type(atom)], atom.pattern.member)]
+            for kind, member in keys:
+                bucket = index.setdefault(kind, {}).setdefault(member, [])
+                if not bucket or bucket[-1] != pos:
+                    bucket.append(pos)
+    for by_member in index.values():
+        wild = by_member.get("*")
+        if wild:
+            for member, bucket in by_member.items():
+                by_member[member] = sorted({*bucket, *wild})
+    return index
+
+
 def build_match_table(
     aspects: list[AspectDecl], visible: ShadowTable, precedence: list[str]
 ) -> MatchTable:
-    """Match every advice against every visible shadow and sort by precedence."""
-    all_advice = [adv for aspect in aspects for adv in aspect.advice]
+    """Match each visible shadow against its fast-match candidates, in
+    precedence order."""
+    ranks = precedence_ranks(precedence)
+    ordered = sorted(
+        (adv for aspect in aspects for adv in aspect.advice),
+        key=lambda adv: advice_sort_key(adv, ranks),
+    )
+    index = _index_advice(ordered)
     entries: dict[int, tuple[MatchEntry, ...]] = {}
     shadows: dict[int, Shadow] = {}
     for shadow in visible:
+        shadows[shadow.sid] = shadow
+        by_member = index.get(shadow.kind)
+        if by_member is None:
+            continue
         hits = []
-        for adv in all_advice:
+        for pos in by_member.get(shadow.member) or by_member.get("*", ()):
+            adv = ordered[pos]
             residue = match(adv.pointcut, shadow)
             if residue is not None:
                 hits.append(MatchEntry(adv, residue))
-        shadows[shadow.sid] = shadow
         if hits:
-            hits.sort(key=lambda e: advice_sort_key(e.advice, precedence))
             entries[shadow.sid] = tuple(hits)
     return MatchTable(entries, shadows)
 

@@ -247,12 +247,30 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
+# Deepest nesting of parentheses, unary operators, brackets, argument lists
+# and blocks the parser accepts. Each level costs up to ten Python frames
+# here and more in the passes after parsing, so the limit keeps every pass
+# well inside Python's default recursion limit.
+MAX_NESTING = 64
+
+
 class MiniParser:
     """Recursive-descent parser for MiniLang; subclassed by the aspect parser."""
 
     def __init__(self, text: str, path: str):
         self.ts = TokenStream(lexer.tokenize(text, path), path)
         self.path = path
+        self.depth = 0
+
+    def nested(self, parse):
+        """Run `parse` one nesting level deeper; past MAX_NESTING, a ParseError."""
+        if self.depth == MAX_NESTING:
+            raise self.ts.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     # -- annotations
 
@@ -437,7 +455,7 @@ class MiniParser:
             self.ts.expect(PUNCT, "(")
             cond = self.parse_expr()
             self.ts.expect(PUNCT, ")")
-            body = self.parse_block()
+            body = self.nested(self.parse_block)
             return While(loc, cond, body)
         if self.ts.at_name("return"):
             self.ts.advance()
@@ -462,13 +480,13 @@ class MiniParser:
         self.ts.expect(PUNCT, "(")
         cond = self.parse_expr()
         self.ts.expect(PUNCT, ")")
-        then = self.parse_block()
+        then = self.nested(self.parse_block)
         orelse: list = []
         if self.ts.accept(NAME, "else"):
             if self.ts.at_name("if"):
                 orelse = [self.parse_if()]
             else:
-                orelse = self.parse_block()
+                orelse = self.nested(self.parse_block)
         return If(loc, cond, then, orelse)
 
     # -- expressions (precedence climbing)
@@ -527,9 +545,9 @@ class MiniParser:
     def parse_unary(self) -> Node:
         loc = self.ts.loc()
         if self.ts.accept(PUNCT, "!"):
-            return Unary(loc, "!", self.parse_unary())
+            return Unary(loc, "!", self.nested(self.parse_unary))
         if self.ts.accept(PUNCT, "-"):
-            return Unary(loc, "-", self.parse_unary())
+            return Unary(loc, "-", self.nested(self.parse_unary))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Node:
@@ -546,7 +564,7 @@ class MiniParser:
             elif self.ts.at_punct("["):
                 loc = self.ts.loc()
                 self.ts.advance()
-                index = self.parse_expr()
+                index = self.nested(self.parse_expr)
                 self.ts.expect(PUNCT, "]")
                 expr = Index(loc, expr, index)
             else:
@@ -556,7 +574,7 @@ class MiniParser:
         args = []
         if not self.ts.at_punct(")"):
             while True:
-                args.append(self.parse_expr())
+                args.append(self.nested(self.parse_expr))
                 if not self.ts.accept(PUNCT, ","):
                     break
         self.ts.expect(PUNCT, ")")
@@ -575,7 +593,7 @@ class MiniParser:
             return StrLit(loc, tok.text)
         if self.ts.at_punct("("):
             self.ts.advance()
-            expr = self.parse_expr()
+            expr = self.nested(self.parse_expr)
             self.ts.expect(PUNCT, ")")
             return expr
         if self.ts.at_punct("["):
@@ -583,7 +601,7 @@ class MiniParser:
             items = []
             if not self.ts.at_punct("]"):
                 while True:
-                    items.append(self.parse_expr())
+                    items.append(self.nested(self.parse_expr))
                     if not self.ts.accept(PUNCT, ","):
                         break
             self.ts.expect(PUNCT, "]")
@@ -610,7 +628,7 @@ class MiniParser:
                 return New(loc, cls, args)
             if word == "spawn":
                 self.ts.advance()
-                call = self.parse_postfix()
+                call = self.nested(self.parse_postfix)
                 if not isinstance(call, MethodCall):
                     raise ParseError("spawn expects a method call", loc)
                 return Spawn(loc, call)

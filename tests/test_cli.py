@@ -82,6 +82,25 @@ def test_internal_error_is_one_line_exit_five(workdir, capsys):
     assert "Traceback" not in err
 
 
+def test_deep_parenthesis_nesting_is_parse_error_exit_one(workdir, capsys):
+    # 400 nested parentheses exceed the parser's nesting limit: a compile
+    # error at the token's file:line, not a RecursionError
+    depth = 400
+    (workdir / "nest.ml0").write_text(
+        "class Main {\n"
+        "  def main() {\n"
+        f"    print({'(' * depth}1{')' * depth});\n"
+        "  }\n"
+        "}\n"
+    )
+    for command in ("compile", "run"):
+        code = main([command, "nest.ml0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: nest.ml0:3: nesting deeper than")
+        assert "internal error" not in err and "Traceback" not in err
+
+
 def test_relationships_subcommand_writes_json(workdir, capsys):
     code = main(
         ["relationships", "demo/jobs.ml0", "demo/jobs.audit", "-o", "rel.json"]

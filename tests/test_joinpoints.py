@@ -55,10 +55,10 @@ class TestExtraction:
         with open(os.path.join(DEMO_STACK, "stack.ml0")) as fh:
             src = fh.read()
         _, table = shadows_of(src, "demo_stack/stack.ml0")
-        execs = {s.signature for s in table.by_kind(ShadowKind.METHOD_EXECUTION)}
+        execs = {s.signature for s in table if s.kind is ShadowKind.METHOD_EXECUTION}
         assert {"BoundedStack.push/1", "BoundedStack.pop/0"} <= execs
-        gets = {s.signature for s in table.by_kind(ShadowKind.FIELD_GET)}
-        sets = {s.signature for s in table.by_kind(ShadowKind.FIELD_SET)}
+        gets = {s.signature for s in table if s.kind is ShadowKind.FIELD_GET}
+        sets = {s.signature for s in table if s.kind is ShadowKind.FIELD_SET}
         assert "BoundedStack.usedSlots" in gets
         assert {"BoundedStack.usedSlots", "BoundedStack.buffer"} & sets
         # the init-kind shadows exist for the constructors in the demo
@@ -88,7 +88,7 @@ class TestExtraction:
             }
             """
         )
-        calls = {s.signature for s in table.by_kind(ShadowKind.METHOD_CALL)}
+        calls = {s.signature for s in table if s.kind is ShadowKind.METHOD_CALL}
         assert "A.f/1" in calls  # this receiver
         assert "B.g/0" in calls  # var o = new B()
         assert "?.g/0" in calls  # field and param receivers stay unknown
@@ -128,7 +128,7 @@ class TestExtraction:
             }
             """
         )
-        assert table.by_kind(ShadowKind.METHOD_CALL) == []
+        assert [s for s in table if s.kind is ShadowKind.METHOD_CALL] == []
 
 
 def ann(name, args=None):
@@ -325,6 +325,71 @@ def test_filter_matches_bruteforce_oracle(seed):
     expected_hidden = oracle_hidden_sids(table, specs)
     assert {s.sid for s in out} == {s.sid for s in table} - expected_hidden
     assert {s.sid for s, _, _ in out.suppressed} == expected_hidden
+
+
+def oracle_first_hit(shadow, specs):
+    """The (spec, kind) a shadow is attributed to: the first covering spec in
+    declaration order, and within it the first kind as written."""
+    for spec in specs:
+        for kind in spec.kinds:
+            if _covers(spec, kind, shadow):
+                return spec, kind
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_filter_attribution_matches_bruteforce_first_hit(seed):
+    table, specs = _random_case(seed)
+    out = apply_hide_filter(table, specs)
+    for shadow, spec, kind in out.suppressed:
+        first = oracle_first_hit(shadow, specs)
+        assert first is not None
+        assert first[0] is spec and first[1] == kind
+
+
+class TestAttribution:
+    def diagnostics(self, src: str) -> list[str]:
+        prog, table = shadows_of(src)
+        return apply_hide_filter(table, collect_hide_specs(prog)).diagnostics()
+
+    def test_field_get_inside_hidden_method_names_the_earlier_spec(self):
+        # the get is covered by @hideField(get) and by @hideMethod(within);
+        # the field's spec is declared first, so the HIDDEN line names it
+        src = (
+            "class A {\n"
+            "  @hideField(get)\n"
+            "  var x = 0;\n"
+            "  @hideMethod(within)\n"
+            "  def f() { return this.x; }\n"
+            "}\n"
+        )
+        assert self.diagnostics(src) == [
+            "HIDDEN method_execution A.f/0 @ t.ml0:5 by @hideMethod(within) A.f [within]",
+            "HIDDEN field_get A.x @ t.ml0:5 by @hideField(get) A.x [get]",
+        ]
+
+    def test_within_spec_declared_first_wins_over_field_spec(self):
+        src = (
+            "class A {\n"
+            "  @hideMethod(within)\n"
+            "  def f() { return new B().y; }\n"
+            "}\n"
+            "class B {\n"
+            "  @hideField(get)\n"
+            "  var y = 0;\n"
+            "}\n"
+        )
+        assert self.diagnostics(src) == [
+            "HIDDEN method_execution A.f/0 @ t.ml0:3 by @hideMethod(within) A.f [within]",
+            "HIDDEN field_get B.y @ t.ml0:3 by @hideMethod(within) A.f [within]",
+        ]
+
+    def test_kind_order_on_the_annotation_decides_within_one_spec(self):
+        src = "class A {\n  @hideMethod(execution, within)\n  def f() { }\n}\n"
+        assert self.diagnostics(src) == [
+            "HIDDEN method_execution A.f/0 @ t.ml0:3 by @hideMethod(execution, within) A.f [execution]",
+        ]
 
 
 @settings(max_examples=40, deadline=None)

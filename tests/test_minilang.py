@@ -43,6 +43,68 @@ class TestParser:
             build_unit("class A { def f() { return zap; } }")
 
 
+class TestNestingLimit:
+    """Nesting is bounded by MAX_NESTING: deeper input is a ParseError at
+    the offending token, never a Python RecursionError."""
+
+    SHAPES = {
+        "parentheses": lambda n: "(" * n + "1" + ")" * n,
+        "minus": lambda n: "-" * n + "1",
+        "not": lambda n: "!" * n + "true",
+        "list": lambda n: "[" * n + "1" + "]" * n,
+        "call_args": lambda n: "this.f(" * n + "1" + ")" * n,
+        "index": lambda n: "xs[" * n + "0" + "]" * n,
+    }
+
+    def source(self, expr: str) -> str:
+        return (
+            "class Main {\n"
+            "  def f(x) { return x; }\n"
+            "  def main() {\n"
+            "    var xs = [0];\n"
+            f"    var v = {expr};\n"
+            "  }\n"
+            "}\n"
+        )
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_limit_is_exact(self, shape):
+        from miniweave.minilang import MAX_NESTING
+
+        make = self.SHAPES[shape]
+        mw.parse_base(self.source(make(MAX_NESTING)), "n.ml0")
+        with pytest.raises(ParseError, match="nesting deeper than") as exc:
+            mw.parse_base(self.source(make(MAX_NESTING + 1)), "n.ml0")
+        assert exc.value.loc.path == "n.ml0" and exc.value.loc.line == 5
+
+    def test_blocks_count_too(self):
+        from miniweave.minilang import MAX_NESTING
+
+        def nest(n):
+            return "class A { def f() { " + "if (true) { " * n + "}" * n + " } }"
+
+        mw.parse_base(nest(MAX_NESTING), "b.ml0")
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            mw.parse_base(nest(MAX_NESTING + 1), "b.ml0")
+
+    def test_at_the_limit_runs(self):
+        from miniweave.minilang import MAX_NESTING
+
+        expr = "(" * (MAX_NESTING - 1) + "1 + 1" + ")" * (MAX_NESTING - 1)
+        res = run_src(f"class Main {{ def main() {{ print({expr}); }} }}")
+        assert res.output == ["2"]
+
+    def test_aspect_parser_inherits_the_limit(self):
+        from miniweave.minilang import MAX_NESTING
+
+        deep = "!" * (MAX_NESTING + 1) + "this(A)"
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            mw.parse_aspect(f"aspect T {{ before(): execution(*.f) && {deep} {{ }} }}", "t.ma0")
+        body = "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            mw.parse_aspect(f"aspect T {{ before(): execution(*.f) {{ print({body}); }} }}", "t.ma0")
+
+
 class TestRun:
     def test_hello_world_any_seed(self):
         for seed in (0, 1, 7):

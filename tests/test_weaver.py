@@ -1,8 +1,12 @@
 """MiniAspect parsing, pointcut matching, and match-table construction."""
 
+import math
 import pickle
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import miniweave as mw
 import miniweave.minilang as ml
@@ -18,10 +22,13 @@ from miniweave.aspects import (
     PcWithin,
     parse_aspect,
     parse_aspect_file,
+    resolve_aspects,
 )
 from miniweave.diagnostics import CompileError, ParseError
-from miniweave.joinpoints import ShadowKind, extract_shadows
+from miniweave.joinpoints import ShadowKind, apply_hide_filter, collect_hide_specs, extract_shadows
 from miniweave.matching import TRUE, build_match_table, match, render_residue
+
+from randprog import random_program_source
 
 
 class TestParseAspect:
@@ -224,6 +231,160 @@ class TestBuildMatchTable:
         mt = build_match_table(aspects, visible, [])
         matched = {visible.shadows and mt.shadows[sid].signature for sid in mt.entries}
         assert matched == {"A.g/0"}
+
+
+# ---------------------------------------------------------------------------
+# Property: the indexed match table equals the all-pairs definition
+# ---------------------------------------------------------------------------
+
+
+def reference_sort_key(adv, precedence: list[str]):
+    """@order (missing last), then first position in the precedence list
+    (listed before unlisted), then aspect name, then declaration index."""
+    order = adv.order if adv.order is not None else math.inf
+    if adv.aspect_name in precedence:
+        return (order, 0, precedence.index(adv.aspect_name), adv.aspect_name, adv.index)
+    return (order, 1, 0, adv.aspect_name, adv.index)
+
+
+def all_pairs_match_table(aspects, visible, precedence):
+    """Every advice against every visible shadow, hits sorted by precedence."""
+    all_advice = [adv for aspect in aspects for adv in aspect.advice]
+    entries = {}
+    for s in visible:
+        hits = []
+        for adv in all_advice:
+            residue = match(adv.pointcut, s)
+            if residue is not None:
+                hits.append((adv, residue))
+        if hits:
+            hits.sort(key=lambda hit: reference_sort_key(hit[0], precedence))
+            entries[s.sid] = hits
+    return entries
+
+
+class RandomPointcuts:
+    """Pointcut sources over one program's names: `*` and bare members,
+    `||` across kinds, `!`, within, this/target/args and nested cflow."""
+
+    KINDS = ("execution", "call", "get", "set")
+
+    def __init__(self, rng, classes, methods, fields, aspects):
+        self.rng = rng
+        self.types = classes + aspects
+        self.members = {
+            "execution": methods + ["probe"],
+            "call": methods + ["probe"],
+            "get": fields + ["n"],
+            "set": fields + ["n"],
+        }
+
+    def atom(self) -> str:
+        rng = self.rng
+        kind = rng.choice(self.KINDS)
+        member = rng.choice(self.members[kind] + ["*", "*", "nope"])
+        if rng.random() < 0.2:
+            return f"{kind}({member})"
+        return f"{kind}({rng.choice(self.types + ['*', '*'])}.{member})"
+
+    def extra(self, depth: int) -> str:
+        rng = self.rng
+        t = rng.choice(self.types)
+        choices = [
+            f"within({t})",
+            f"!within({t})",
+            f"this({t})",
+            f"target({t})",
+            f"args(0, {rng.choice(['*', '1', 'null', '-2', 'true'])})",
+            f"!{self.atom()}",
+            f"({self.atom()} || {self.atom()})",
+        ]
+        if depth < 2:
+            choices += [f"cflow({self.conjunct(depth + 1)})", f"!cflow({self.conjunct(depth + 1)})"]
+        return rng.choice(choices)
+
+    def conjunct(self, depth: int = 0) -> str:
+        rng = self.rng
+        anchor = self.atom()
+        if rng.random() < 0.25:
+            anchor = f"({anchor} && {self.extra(depth)})"
+        parts = [anchor] + [self.extra(depth) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(parts)
+        return " && ".join(parts)
+
+    def pointcut(self) -> str:
+        return " || ".join(self.conjunct() for _ in range(self.rng.randint(1, 3)))
+
+
+def random_weave(seed: int):
+    """A randprog program plus random aspects; returns (aspects, visible, precedence)."""
+    rng = random.Random(seed)
+    prog = mw.parse_base(random_program_source(rng), "rand.ml0")
+    ml.resolve_program(prog)
+    classes = [c.name for c in prog.classes]
+    methods = sorted({m.name for c in prog.classes for m in c.methods})
+    fields = sorted({f.name for c in prog.classes for f in c.fields})
+    names = [f"T{i}" for i in range(rng.randint(1, 3))]
+    gen = RandomPointcuts(rng, classes, methods, fields, names)
+    parts = []
+    # two statements may list one aspect twice: its first mention counts
+    for _ in range(rng.randint(0, 2)):
+        listed = rng.sample(names + ["Unknown"], rng.randint(1, len(names) + 1))
+        parts.append(f"precedence {', '.join(listed)};\n")
+    for name in names:
+        parts.append(f"aspect {name} {{\n  var n = 0;\n")
+        # a parameter receiver stays unresolved: its shadows have cls None
+        parts.append("  def probe(o) { o.m0(); o.f0 = o.f0; this.n = this.n + 1; }\n")
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:
+                parts.append(f"  @order({rng.choice([1, 2])})\n")
+            kind = rng.choice(["before", "after"])
+            parts.append(f"  {kind}(): {gen.pointcut()} {{ this.probe(null); }}\n")
+        parts.append("}\n")
+    aspect_file = mw.parse_aspect_file("".join(parts), "rand.ma0")
+    resolve_aspects(aspect_file.aspects, set(classes))
+    table = extract_shadows(prog, aspect_file.aspects)
+    visible = apply_hide_filter(table, collect_hide_specs(prog, aspect_file.aspects))
+    return aspect_file.aspects, visible, aspect_file.precedence
+
+
+def flat_entries(entries):
+    return [(sid, [(id(adv), residue) for adv, residue in hits]) for sid, hits in entries.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_match_table_equals_all_pairs_reference(seed):
+    aspects, visible, precedence = random_weave(seed)
+    mt = build_match_table(aspects, visible, precedence)
+    got = {sid: [(e.advice, e.residue) for e in es] for sid, es in mt.entries.items()}
+    assert flat_entries(got) == flat_entries(all_pairs_match_table(aspects, visible, precedence))
+    assert list(mt.shadows) == [s.sid for s in visible]
+
+
+def test_random_weaves_cover_the_pointcut_features():
+    # the property above is only as strong as its inputs: across a few
+    # seeds the tables must hold every kind of residue and ordering ties
+    residues = set()
+    kinds = set()
+    unresolved = tied = False
+    for seed in range(30):
+        aspects, visible, precedence = random_weave(seed)
+        mt = build_match_table(aspects, visible, precedence)
+        for s, entry in mt.pairs():
+            residues.add(render_residue(entry.residue))
+            kinds.add(s.kind)
+            unresolved = unresolved or (s.cls is None and "target(" in render_residue(entry.residue))
+        for es in mt.entries.values():
+            orders = [e.advice.order for e in es]
+            tied = tied or len(orders) != len(set(orders))
+    text = " ".join(residues)
+    for feature in ("target(", "this(", "args(", "cflow(", "!", "||", "&&"):
+        assert feature in text, feature
+    assert "" in residues
+    assert {ShadowKind.METHOD_EXECUTION, ShadowKind.METHOD_CALL, ShadowKind.FIELD_GET,
+            ShadowKind.FIELD_SET} <= kinds
+    assert tied and unresolved
 
 
 class TestAdviceSequence:
