@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError
 from .lexer import EOF, NAME, PUNCT
+from .render import escape_string
+from .values import _PLACEHOLDER
 
 TRANSITIONS = ("start", "finish", "interrupt", "pause", "resume")
 
@@ -142,9 +144,7 @@ def load_catalog(path: str) -> dict[str, str]:
 
 
 def _max_placeholder(template: str) -> int:
-    import re
-
-    indexes = [int(m) for m in re.findall(r"\{(\d+)\}", template)]
+    indexes = [int(m) for m in _PLACEHOLDER.findall(template)]
     return max(indexes) if indexes else -1
 
 
@@ -193,10 +193,6 @@ def validate_audit(model: AuditModel, catalog: dict[str, str], program: ml.Progr
 # ---------------------------------------------------------------------------
 
 
-def _escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-
-
 def gen_audit_aspect(model: AuditModel, catalog: dict[str, str]) -> str:
     """Emit the `Logs` MiniAspect: one after-execution advice per audited
     (type, transition) pair, body a top-down first-match case chain."""
@@ -235,7 +231,7 @@ def gen_audit_aspect(model: AuditModel, catalog: dict[str, str]) -> str:
             for case in cases:
                 cond = " && ".join(f"targetObject.{g}" for g in case.guards) or "true"
                 args = "".join(f", targetObject.{v}" for v in case.values)
-                template = _escape(catalog[case.message])
+                template = escape_string(catalog[case.message])
                 out.append(f"{indent}if ({cond}) {{")
                 out.append(f'{indent}  this.audit(format("{template}"{args}));')
                 out.append(f"{indent}  return;")

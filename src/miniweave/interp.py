@@ -6,10 +6,12 @@ run seed, so a fixed (unit, entry, seed, step_limit) always produces a
 byte-identical event trace. Monitors are non-reentrant and frame-scoped:
 whatever a frame still holds when it unwinds is released.
 
-At every visible join point the interpreter consults the match table and
-runs the residue-passing advice: before-advice in precedence order,
-after-advice in reverse precedence order. Hidden shadows neither emit
-events nor maintain cflow state.
+Each join-point site looks its AST node up in the unit's `sites` and, for
+a visible shadow, brackets its own work with `_jp_enter` (scheduling
+point, `jp` event, cflow push, before-advice in precedence order) and
+`_jp_exit` (after-advice in reverse precedence order, cflow pop). Hidden
+shadows have no site: no events, no cflow state. A thread holding
+MAX_CALL_DEPTH MiniLang frames ends the run with a runtime error.
 """
 
 from __future__ import annotations
@@ -36,6 +38,16 @@ from .values import (
 )
 
 DEFAULT_STEP_LIMIT = 1_000_000
+
+# MiniLang frames (method, constructor, static, advice, initializer) per
+# thread; keeps deep recursion inside Python's own recursion limit
+MAX_CALL_DEPTH = 100
+
+# argument counts of the builtins; `format` takes a template and any number of values
+_BUILTIN_ARITY = {
+    "print": 1, "len": 1, "push_back": 2, "audit_emit": 1, "make_monitor": 0,
+    "monitor_acquire": 1, "monitor_release": 1, "monitor_wait": 1, "monitor_notify_all": 1,
+}
 
 RUNNABLE = "runnable"
 BLOCKED = "blocked"
@@ -130,6 +142,7 @@ class WovenUnit:
     `sites` maps id(node) of each visible shadow's AST node to that shadow
     and its (before, after) advice sequences; the unit holds the nodes, so
     the ids stay valid, and the AST itself carries no weaving state.
+    `build` also checks that class and aspect names are unique across inputs.
     """
 
     program: ml.Program
@@ -150,13 +163,19 @@ class WovenUnit:
         generated_paths: frozenset[str] = frozenset(),
     ) -> "WovenUnit":
         aspects = list(aspects)
-        class_names = set()
+        class_names: set[str] = set()
         for c in program.classes:
+            if c.name in class_names:
+                raise CompileError(f"duplicate class {c.name!r}", c.loc)
             class_names.add(c.name)
+        aspect_names: set[str] = set()
+        for a in aspects:
+            if a.name in aspect_names:
+                raise CompileError(f"duplicate aspect {a.name!r}", a.loc)
+            aspect_names.add(a.name)
         for a in aspects:
             if a.name in class_names:
                 raise CompileError(f"aspect {a.name!r} collides with a class name", a.loc)
-            class_names.add(a.name)
         ml.resolve_program(program)
         resolve_aspects(aspects, set(program.by_name()))
         specs = jp.collect_hide_specs(program, aspects)
@@ -338,7 +357,7 @@ class Interp:
             self.aspect_instances[aspect.name] = inst
             for f in aspect.fields:
                 if f.init is not None:
-                    frame = self._push_frame()
+                    frame = self._push_frame(f.loc)
                     try:
                         inst.fields[f.name] = yield from self.eval_expr(
                             f.init, _Env({}, inst, frame)
@@ -352,27 +371,29 @@ class Interp:
         yield from self.invoke(obj, entry_method, [], entry_cls.loc)
 
     def _run_static(self, cls):
-        def inner():
-            frame = self._push_frame()
-            env = _Env(_frame_locals(cls.static_block, {}), None, frame)
-            try:
-                yield from self.exec_block(cls.static_block.body, env)
-            except _ReturnSignal:
-                pass
-            finally:
-                self._pop_frame(frame)
-            return None
-
-        yield from self.dispatch_jp(cls.static_block, None, None, (), inner)
-
-    def _spawned(self, recv, method_name: str, args, loc):
-        yield from self.invoke(recv, method_name, args, loc)
+        block = cls.static_block
+        site = self.unit.sites.get(id(block))
+        if site is not None:
+            yield from self._jp_enter(site, None, None, ())
+        frame = self._push_frame(block.loc)
+        env = _Env(_frame_locals(block, {}), None, frame)
+        try:
+            yield from self.exec_block(block.body, env)
+        except _ReturnSignal:
+            pass
+        finally:
+            self._pop_frame(frame)
+        if site is not None:
+            yield from self._jp_exit(site, None, None, ())
 
     # -- frames and monitors
 
-    def _push_frame(self) -> _Frame:
+    def _push_frame(self, loc: Loc) -> _Frame:
+        frames = self.current.frames
+        if len(frames) >= MAX_CALL_DEPTH:
+            raise MiniRuntimeError(f"call depth exceeds {MAX_CALL_DEPTH}", loc)
         frame = _Frame(self.current)
-        self.current.frames.append(frame)
+        frames.append(frame)
         return frame
 
     def _pop_frame(self, frame: _Frame) -> None:
@@ -421,28 +442,27 @@ class Interp:
 
     # -- join point dispatch
 
-    def dispatch_jp(self, node, this_obj, target_obj, args, inner):
-        """Wrap `inner` with advice dispatch when `node` is a visible shadow's site."""
-        site = self.unit.sites.get(id(node))
-        if site is None:
-            result = yield from inner()
-            return result
-        shadow, before, after = site
+    # No try/finally pops the cflow frame: a MiniRuntimeError ends the run,
+    # and a _ReturnSignal never crosses a join point, because invoke,
+    # constructors, static blocks and run_advice catch it.
+
+    def _jp_enter(self, site, this_obj, target_obj, args):
+        shadow, before, _ = site
         yield None  # every woven join point is a scheduling point
         self.emit("jp", shadow.describe())
-        t = self.current
-        t.cflow.append(CflowFrame(shadow, this_obj, target_obj, tuple(args)))
-        try:
-            for entry in before:
-                if eval_residue(entry.residue, this_obj, target_obj, args, t.cflow):
-                    yield from self.run_advice(entry.advice, shadow, this_obj, target_obj, args)
-            result = yield from inner()
-            for entry in after:
-                if eval_residue(entry.residue, this_obj, target_obj, args, t.cflow):
-                    yield from self.run_advice(entry.advice, shadow, this_obj, target_obj, args)
-        finally:
-            t.cflow.pop()
-        return result
+        cflow = self.current.cflow
+        cflow.append(CflowFrame(shadow, this_obj, target_obj, tuple(args)))
+        for entry in before:
+            if eval_residue(entry.residue, this_obj, target_obj, args, cflow):
+                yield from self.run_advice(entry.advice, shadow, this_obj, target_obj, args)
+
+    def _jp_exit(self, site, this_obj, target_obj, args):
+        shadow, _, after = site
+        cflow = self.current.cflow
+        for entry in after:
+            if eval_residue(entry.residue, this_obj, target_obj, args, cflow):
+                yield from self.run_advice(entry.advice, shadow, this_obj, target_obj, args)
+        cflow.pop()
 
     def run_advice(self, advice, shadow, this_obj, target_obj, args):
         inst = self.aspect_instances[advice.aspect_name]
@@ -456,7 +476,7 @@ class Interp:
             member=shadow.member or "",
             arity=shadow.arity if shadow.arity is not None else len(args),
         )
-        frame = self._push_frame()
+        frame = self._push_frame(shadow.loc)
         bound = {
             "thisObject": this_obj,
             "targetObject": target_obj,
@@ -483,35 +503,35 @@ class Interp:
             )
         obj = MObject(cls, self.next_obj)
         self.next_obj += 1
-
-        def run_preinit():
-            frame = self._push_frame()
-            env = _Env({}, obj, frame)
-            try:
-                for f in cls.fields:
-                    if f.init is not None:
-                        obj.fields[f.name] = yield from self.eval_expr(f.init, env)
-            finally:
-                self._pop_frame(frame)
-            return None
-
-        yield from self.dispatch_jp(cls, obj, obj, args, run_preinit)
-
-        def run_ctor():
-            if cls.ctor is None:
-                return None
-                yield  # pragma: no cover - makes this a generator
-            frame = self._push_frame()
-            env = _Env(_frame_locals(cls.ctor, dict(zip(cls.ctor.params, args))), obj, frame)
-            try:
-                yield from self.exec_block(cls.ctor.body, env)
-            except _ReturnSignal:
-                pass
-            finally:
-                self._pop_frame(frame)
-            return None
-
-        yield from self.dispatch_jp(cls.ctor, obj, obj, args, run_ctor)
+        site = self.unit.sites.get(id(cls))
+        if site is not None:
+            yield from self._jp_enter(site, obj, obj, args)
+        frame = self._push_frame(loc)
+        env = _Env({}, obj, frame)
+        try:
+            for f in cls.fields:
+                if f.init is not None:
+                    obj.fields[f.name] = yield from self.eval_expr(f.init, env)
+        finally:
+            self._pop_frame(frame)
+        if site is not None:
+            yield from self._jp_exit(site, obj, obj, args)
+        ctor = cls.ctor
+        if ctor is None:
+            return obj
+        site = self.unit.sites.get(id(ctor))
+        if site is not None:
+            yield from self._jp_enter(site, obj, obj, args)
+        frame = self._push_frame(loc)
+        env = _Env(_frame_locals(ctor, dict(zip(ctor.params, args))), obj, frame)
+        try:
+            yield from self.exec_block(ctor.body, env)
+        except _ReturnSignal:
+            pass
+        finally:
+            self._pop_frame(frame)
+        if site is not None:
+            yield from self._jp_exit(site, obj, obj, args)
         return obj
 
     def invoke(self, recv, name: str, args, loc: Loc):
@@ -533,19 +553,20 @@ class Interp:
                 f"got {len(args)}",
                 loc,
             )
-
-        def run_body():
-            frame = self._push_frame()
-            env = _Env(_frame_locals(decl, dict(zip(decl.params, args))), recv, frame)
-            try:
-                yield from self.exec_block(decl.body, env)
-            except _ReturnSignal as sig:
-                return sig.value
-            finally:
-                self._pop_frame(frame)
-            return None
-
-        result = yield from self.dispatch_jp(decl, recv, recv, args, run_body)
+        site = self.unit.sites.get(id(decl))
+        if site is not None:
+            yield from self._jp_enter(site, recv, recv, args)
+        frame = self._push_frame(loc)
+        env = _Env(_frame_locals(decl, dict(zip(decl.params, args))), recv, frame)
+        result = None
+        try:
+            yield from self.exec_block(decl.body, env)
+        except _ReturnSignal as sig:
+            result = sig.value
+        finally:
+            self._pop_frame(frame)
+        if site is not None:
+            yield from self._jp_exit(site, recv, recv, args)
         return result
 
     # -- statements
@@ -600,13 +621,12 @@ class Interp:
         # field set join point
         obj = yield from self.eval_expr(target.obj, env)
         value = yield from self.eval_expr(stmt.value, env)
-
-        def write():
-            self.field_write(obj, target.name, value, target.loc)
-            return None
-            yield  # pragma: no cover
-
-        yield from self.dispatch_jp(stmt, env.this, obj, (value,), write)
+        site = self.unit.sites.get(id(stmt))
+        if site is not None:
+            yield from self._jp_enter(site, env.this, obj, (value,))
+        self.field_write(obj, target.name, value, target.loc)
+        if site is not None:
+            yield from self._jp_exit(site, env.this, obj, (value,))
 
     # -- expressions
 
@@ -630,12 +650,12 @@ class Interp:
             return items
         if isinstance(expr, ml.FieldGet):
             obj = yield from self.eval_expr(expr.obj, env)
-
-            def read():
-                return self.field_read(obj, expr.name, expr.loc)
-                yield  # pragma: no cover
-
-            result = yield from self.dispatch_jp(expr, env.this, obj, (), read)
+            site = self.unit.sites.get(id(expr))
+            if site is not None:
+                yield from self._jp_enter(site, env.this, obj, ())
+            result = self.field_read(obj, expr.name, expr.loc)
+            if site is not None:
+                yield from self._jp_exit(site, env.this, obj, ())
             return result
         if isinstance(expr, ml.Index):
             seq = yield from self.eval_expr(expr.obj, env)
@@ -647,12 +667,12 @@ class Interp:
             args = []
             for a in expr.args:
                 args.append((yield from self.eval_expr(a, env)))
-
-            def do_call():
-                result = yield from self.invoke(recv, expr.name, args, expr.loc)
-                return result
-
-            result = yield from self.dispatch_jp(expr, env.this, recv, args, do_call)
+            site = self.unit.sites.get(id(expr))
+            if site is not None:
+                yield from self._jp_enter(site, env.this, recv, args)
+            result = yield from self.invoke(recv, expr.name, args, expr.loc)
+            if site is not None:
+                yield from self._jp_exit(site, env.this, recv, args)
             return result
         if isinstance(expr, ml.BuiltinCall):
             result = yield from self.eval_builtin(expr, env)
@@ -672,7 +692,7 @@ class Interp:
                 args.append((yield from self.eval_expr(a, env)))
             if not isinstance(recv, (MObject, AspectInstance)):
                 raise MiniRuntimeError("spawn needs an object receiver", expr.loc)
-            tid = self.add_thread(self._spawned(recv, call.name, args, call.loc))
+            tid = self.add_thread(self.invoke(recv, call.name, args, call.loc))
             self.emit("spawn", f"t{tid}")
             return tid
         if isinstance(expr, ml.Unary):
@@ -733,24 +753,19 @@ class Interp:
         for a in expr.args:
             args.append((yield from self.eval_expr(a, env)))
         loc = expr.loc
-
-        def need(n: int) -> None:
-            if len(args) != n:
-                raise MiniRuntimeError(f"{name} expects {n} argument(s)", loc)
-
+        arity = _BUILTIN_ARITY.get(name)
+        if arity is not None and len(args) != arity:
+            raise MiniRuntimeError(f"{name} expects {arity} argument(s)", loc)
         if name == "print":
-            need(1)
             text = render_value(args[0])
             self.output.append(text)
             self.emit("print", text)
             return None
         if name == "len":
-            need(1)
             if isinstance(args[0], (list, str)):
                 return len(args[0])
             raise MiniRuntimeError("len expects a list or string", loc)
         if name == "push_back":
-            need(2)
             if not isinstance(args[0], list):
                 raise MiniRuntimeError("push_back expects a list", loc)
             args[0].append(args[1])
@@ -763,7 +778,6 @@ class Interp:
             except MiniRuntimeError as e:
                 raise MiniRuntimeError(e.msg, loc) from None
         if name == "audit_emit":
-            need(1)
             if not isinstance(args[0], str):
                 raise MiniRuntimeError("audit_emit expects a string", loc)
             self.audit_lines.append(args[0])
@@ -771,12 +785,10 @@ class Interp:
             self.emit("audit", args[0])
             return None
         if name == "make_monitor":
-            need(0)
             mon = Monitor(self.next_mon, loc)
             self.next_mon += 1
             return mon
         # monitor operations
-        need(1)
         mon = args[0]
         if not isinstance(mon, Monitor):
             raise MiniRuntimeError(f"{name} expects a monitor", loc)

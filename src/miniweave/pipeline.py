@@ -195,17 +195,6 @@ def compile(paths: list[str], options: CompileOptions | None = None) -> CompileA
             raise CompileError(f"{path}: unsupported input (no transformation registered)")
 
     program = ml.Program(classes)
-    seen: dict[str, Loc] = {}
-    for cls in program.classes:
-        if cls.name in seen:
-            raise CompileError(f"duplicate class {cls.name!r}", cls.loc)
-        seen[cls.name] = cls.loc
-    seen_aspects: set[str] = set()
-    for aspect in aspects:
-        if aspect.name in seen_aspects:
-            raise CompileError(f"duplicate aspect {aspect.name!r}", aspect.loc)
-        seen_aspects.add(aspect.name)
-
     for rec in generated:
         rec.validate(program)
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from . import minilang as ml
 
 
-def _escape(s: str) -> str:
+def escape_string(s: str) -> str:
+    """Escape `s` for a MiniLang string literal."""
     return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
 
 
@@ -21,7 +22,7 @@ def render_expr(e) -> str:
     if isinstance(e, ml.BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, ml.StrLit):
-        return f'"{_escape(e.value)}"'
+        return f'"{escape_string(e.value)}"'
     if isinstance(e, ml.NullLit):
         return "null"
     if isinstance(e, ml.ListLit):

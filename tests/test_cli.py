@@ -8,6 +8,7 @@ import pytest
 
 from conftest import DEMO_AUDIT, DEMO_STACK
 
+from miniweave import interp
 from miniweave.cli import EXIT_INTERNAL, main
 
 
@@ -65,9 +66,26 @@ def test_step_limit_exit_four(workdir, capsys):
     assert "step limit" in capsys.readouterr().err
 
 
-def test_internal_error_is_one_line_exit_five(workdir, capsys):
-    # deep MiniLang recursion exhausts the Python stack: no documented code
-    # covers it, so the last-resort guard reports it without a traceback
+def test_internal_error_is_one_line_exit_five(workdir, capsys, monkeypatch):
+    # a failure no documented code covers reaches the last-resort guard,
+    # which reports it on one line without a traceback
+    (workdir / "ok.ml0").write_text("class Main { def main() { } }")
+
+    def broken_run(*args):
+        raise RuntimeError("interpreter broke\nhalfway")
+
+    with monkeypatch.context() as m:
+        m.setattr(interp, "run", broken_run)
+        code = main(["run", "ok.ml0"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL == 5
+    assert err.startswith("internal error: RuntimeError: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_deep_recursion_is_runtime_error_exit_three(workdir, capsys):
+    # 2000-deep MiniLang recursion stops at the call-depth limit, at the call
     (workdir / "deep.ml0").write_text(
         "class Main {\n"
         "  def down(n) { if (n == 0) { return 0; } return this.down(n - 1); }\n"
@@ -76,10 +94,26 @@ def test_internal_error_is_one_line_exit_five(workdir, capsys):
     )
     code = main(["run", "deep.ml0"])
     err = capsys.readouterr().err
-    assert code == EXIT_INTERNAL == 5
-    assert err.startswith("internal error: RecursionError: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert code == 3
+    assert err == f"runtime error: deep.ml0:2: call depth exceeds {interp.MAX_CALL_DEPTH}\n"
+
+
+@pytest.mark.parametrize(
+    "ext, decl, message",
+    [
+        ("ml0", "class Twice { }", "duplicate class 'Twice'"),
+        ("ma0", "aspect Twice { }", "duplicate aspect 'Twice'"),
+    ],
+    ids=["class", "aspect"],
+)
+def test_name_declared_in_two_files_exit_one(workdir, capsys, ext, decl, message):
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / f"a.{ext}").write_text(decl + "\n")
+    (workdir / f"b.{ext}").write_text("\n" + decl + "\n")
+    code = main(["compile", "main.ml0", f"a.{ext}", f"b.{ext}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: b.{ext}:2: {message}\n"
 
 
 def test_deep_parenthesis_nesting_is_parse_error_exit_one(workdir, capsys):

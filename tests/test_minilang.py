@@ -6,7 +6,7 @@ from conftest import build_unit, run_src
 
 import miniweave as mw
 from miniweave.diagnostics import ParseError
-from miniweave.interp import run
+from miniweave.interp import MAX_CALL_DEPTH, run
 from miniweave.values import format_message, render_value
 
 
@@ -167,6 +167,8 @@ class TestRun:
             "null deref": "class Main { def main() { var o = null; o.f(); } }",
             "unknown member": "class A { } class Main { def main() { var a = new A(); print(a.zip); } }",
             "list bounds": "class Main { def main() { var xs = []; print(xs[0]); } }",
+            "builtin arity": "class Main { def main() { print(1, 2); } }",
+            "monitor arity": "class Main { def main() { monitor_release(); } }",
         }
         for src in cases.values():
             res = run_src(src)
@@ -187,6 +189,38 @@ class TestRun:
             run(unit)
         with pytest.raises(mw.CompileError, match="not found"):
             run(build_unit("class Main { def main() { } }"), entry="Nope.main")
+
+
+DEEP = """class Main {
+  def down(n) {
+    if (n == 0) { return 0; }
+    return 1 + this.down(n - 1);
+  }
+  def main() { print(this.down(%d)); }
+}
+"""
+
+SPY = """aspect Spy {
+  var seen = 0;
+  before(): call(*.*) && !cflow(within(Spy)) { this.seen = this.seen + 1; }
+}
+"""
+
+
+@pytest.mark.parametrize("aspects", [(), (SPY,)], ids=["plain", "spy"])
+class TestCallDepth:
+    # main's frame plus down(n) ... down(0) is n + 2 frames; the spy's advice
+    # frame is popped before the advised call pushes its own
+    def test_recursion_to_the_limit_completes(self, aspects):
+        n = MAX_CALL_DEPTH - 2
+        res = run_src(DEEP % n, *aspects)
+        assert res.status == "completed"
+        assert res.output == [str(n)]
+
+    def test_one_level_more_is_a_runtime_error_at_the_call(self, aspects):
+        res = run_src(DEEP % (MAX_CALL_DEPTH - 1), *aspects)
+        assert res.status == "runtime-error"
+        assert res.error == f"base.ml0:4: call depth exceeds {MAX_CALL_DEPTH}"
 
 
 class TestThreads:
