@@ -9,7 +9,7 @@ analog: an `advises` list keyed by advice handle plus the transposed
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .aspects import AdviceDecl
 from .matching import MatchTable, render_residue
@@ -45,7 +45,29 @@ def build_relationship_map(table: MatchTable) -> dict:
 
 
 def render_relationship_map(rel: dict) -> str:
-    return json.dumps(rel, indent=2) + "\n"
+    """The bytes of `json.dumps(rel, indent=2) + "\\n"` for a map of record lists.
+
+    Each record is a non-empty flat dict of strings. `indent` would select
+    json's pure-Python encoder, so the fixed layout is written here and each
+    string goes through the C string encoder. Both lists of a built map hold
+    the same record objects, so each record is rendered once.
+    """
+    enc = encode_basestring_ascii
+    blocks: dict[int, str] = {}
+    sections = []
+    for key, records in rel.items():
+        if not records:
+            sections.append(f"  {enc(key)}: []")
+            continue
+        items = []
+        for r in records:
+            block = blocks.get(id(r))
+            if block is None:
+                fields = ",\n".join([f"      {enc(k)}: {enc(v)}" for k, v in r.items()])
+                block = blocks[id(r)] = f"    {{\n{fields}\n    }}"
+            items.append(block)
+        sections.append(f"  {enc(key)}: [\n" + ",\n".join(items) + "\n  ]")
+    return "{\n" + ",\n".join(sections) + "\n}\n"
 
 
 def emit_relationship_map(table: MatchTable, out_path: str) -> dict:

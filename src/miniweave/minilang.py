@@ -7,6 +7,14 @@ are var/assign/if/while/return/expression; expressions cover literals,
 lists, `new`, member access, method calls, `spawn`, and a fixed set of
 builtins. Declarations may carry `@hideField` / `@hideMethod` /
 `@hideType` annotations.
+
+`MiniParser` is recursive descent over `lexer.tokenize`'s tokens; the
+aspect, COOL and audit parsers subclass it. Binary expressions are parsed
+by precedence climbing over `_BINARY_PREC` (`||` < `&&` < `== !=` <
+`< <= > >=` < `+ -` < `* / %`, all left-associative), so a chain of
+operators costs a loop, not a Python frame per operand. Nesting of
+parentheses, prefix operators, brackets, argument lists and blocks is
+bounded by `MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -253,6 +261,14 @@ class Program:
 # well inside Python's default recursion limit.
 MAX_NESTING = 64
 
+# Binding strength of each binary operator, loosest first; a higher number
+# binds tighter.
+_BINARY_PREC = {
+    op: prec
+    for prec, ops in enumerate(("||", "&&", "== !=", "< <= > >=", "+ -", "* / %"), 1)
+    for op in ops.split()
+}
+
 
 class MiniParser:
     """Recursive-descent parser for MiniLang; subclassed by the aspect parser."""
@@ -491,63 +507,28 @@ class MiniParser:
 
     # -- expressions (precedence climbing)
 
-    def parse_expr(self) -> Node:
-        return self.parse_or()
+    def parse_expr(self, min_prec: int = 0) -> Node:
+        """An expression whose binary operators all bind tighter than `min_prec`.
 
-    def parse_or(self) -> Node:
-        left = self.parse_and()
-        while self.ts.at_punct("||"):
-            loc = self.ts.loc()
-            self.ts.advance()
-            left = Binary(loc, "||", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Node:
-        left = self.parse_equality()
-        while self.ts.at_punct("&&"):
-            loc = self.ts.loc()
-            self.ts.advance()
-            left = Binary(loc, "&&", left, self.parse_equality())
-        return left
-
-    def parse_equality(self) -> Node:
-        left = self.parse_relational()
-        while self.ts.at_punct("==") or self.ts.at_punct("!="):
-            loc = self.ts.loc()
-            op = self.ts.advance().text
-            left = Binary(loc, op, left, self.parse_relational())
-        return left
-
-    def parse_relational(self) -> Node:
-        left = self.parse_additive()
-        while any(self.ts.at_punct(p) for p in ("<", "<=", ">", ">=")):
-            loc = self.ts.loc()
-            op = self.ts.advance().text
-            left = Binary(loc, op, left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> Node:
-        left = self.parse_multiplicative()
-        while self.ts.at_punct("+") or self.ts.at_punct("-"):
-            loc = self.ts.loc()
-            op = self.ts.advance().text
-            left = Binary(loc, op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> Node:
+        Every binary operator is left-associative, so a chain of operators at
+        one level is a loop here, and only a tighter operand recurses.
+        """
         left = self.parse_unary()
-        while any(self.ts.at_punct(p) for p in ("*", "/", "%")):
-            loc = self.ts.loc()
-            op = self.ts.advance().text
-            left = Binary(loc, op, left, self.parse_unary())
-        return left
+        ts = self.ts
+        while True:
+            tok = ts.cur
+            prec = _BINARY_PREC.get(tok.text, 0) if tok.kind == PUNCT else 0
+            if prec <= min_prec:
+                return left
+            ts.advance()
+            right = self.parse_expr(prec)
+            left = Binary(tok.loc(self.path), tok.text, left, right)
 
     def parse_unary(self) -> Node:
-        loc = self.ts.loc()
-        if self.ts.accept(PUNCT, "!"):
-            return Unary(loc, "!", self.nested(self.parse_unary))
-        if self.ts.accept(PUNCT, "-"):
-            return Unary(loc, "-", self.nested(self.parse_unary))
+        tok = self.ts.cur
+        if tok.kind == PUNCT and (tok.text == "!" or tok.text == "-"):
+            self.ts.advance()
+            return Unary(tok.loc(self.path), tok.text, self.nested(self.parse_unary))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Node:
@@ -581,8 +562,13 @@ class MiniParser:
         return args
 
     def parse_primary(self) -> Node:
-        loc = self.ts.loc()
         tok = self.ts.cur
+        if self.ts.at_punct("("):
+            self.ts.advance()
+            expr = self.nested(self.parse_expr)
+            self.ts.expect(PUNCT, ")")
+            return expr
+        loc = tok.loc(self.path)
         if tok.kind == INT:
             self.ts.advance()
             return IntLit(loc, int(tok.text))
@@ -591,11 +577,6 @@ class MiniParser:
         if tok.kind == STRING:
             self.ts.advance()
             return StrLit(loc, tok.text)
-        if self.ts.at_punct("("):
-            self.ts.advance()
-            expr = self.nested(self.parse_expr)
-            self.ts.expect(PUNCT, ")")
-            return expr
         if self.ts.at_punct("["):
             self.ts.advance()
             items = []

@@ -343,7 +343,8 @@ def test_criterion_6_bridged_relationships(tmp_path, monkeypatch):
         relationships_path=rel_path,
     )
     art = pipeline_compile(["demo/jobs.ml0", "demo/jobs.audit"], opts)
-    rel = json.loads(open(rel_path).read())
+    with open(rel_path) as fh:
+        rel = json.loads(fh.read())
 
     from miniweave.dsal_audit import parse_audit
 
@@ -448,7 +449,8 @@ def test_criterion_8_determinism(tmp_path):
         art = _audit_artifacts(tmp_path, rel_path)
         res = run(art.unit, seed=0)
         audit_traces.append((res.render_trace(), "\n".join(res.audit_lines)))
-        rel_bytes.append(open(rel_path, "rb").read())
+        with open(rel_path, "rb") as fh:
+            rel_bytes.append(fh.read())
     assert audit_traces[0] == audit_traces[1] == audit_traces[2]
     assert rel_bytes[0] == rel_bytes[1] == rel_bytes[2]
     ok(8, "three identical-seed runs: byte-identical traces, audit output, reports")

@@ -3,6 +3,9 @@
 import json
 import os
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import build_unit
 
 from miniweave.aspects import AdviceDecl, SourceBridge, parse_aspect
@@ -104,3 +107,18 @@ class TestRelationshipMap:
         emit_relationship_map(build_unit(BASE, LOGS).match_table, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text())["advises"]
+
+
+# quotes, backslashes, control characters and non-ASCII text, besides plain ASCII
+_JSON_TEXT = st.text(
+    st.sampled_from('ab Z0:,{}[]"\\/\b\f\n\r\t\x00\x1f\x7f\x80é\u2028中😀'), max_size=12
+)
+_RECORDS = st.lists(st.dictionaries(_JSON_TEXT, _JSON_TEXT, min_size=1, max_size=5), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RECORDS, _RECORDS)
+def test_render_equals_json_dumps_indent_2(advises, others):
+    # like a built map, the second list holds the first list's records too
+    rel = {"advises": advises, "advised_by": others + advises[::-1]}
+    assert render_relationship_map(rel) == json.dumps(rel, indent=2) + "\n"

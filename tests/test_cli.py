@@ -135,6 +135,25 @@ def test_deep_parenthesis_nesting_is_parse_error_exit_one(workdir, capsys):
         assert "internal error" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, text, digit",
+    [
+        ("sup.ml0", "class Digits {\n  def f() { print(²); }\n}\n", "²"),
+        ("arabic.ml0", "class Digits {\n  def f() { print(٣); }\n}\n", "٣"),
+        ("sup.ma0", "aspect A {\n  before(): call(*.f) && args(0², 1) { }\n}\n", "²"),
+    ],
+    ids=["superscript-ml0", "arabic-indic-ml0", "superscript-ma0"],
+)
+def test_non_ascii_digit_is_parse_error_exit_one(workdir, capsys, name, text, digit):
+    # literals are ASCII 0-9; another digit is a character no token starts with
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / name).write_text(text, encoding="utf-8")
+    code = main(["compile", "main.ml0", name])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {name}:2: unexpected character {digit!r}\n"
+
+
 def test_relationships_subcommand_writes_json(workdir, capsys):
     code = main(
         ["relationships", "demo/jobs.ml0", "demo/jobs.audit", "-o", "rel.json"]

@@ -1,11 +1,14 @@
 """Base-language parser and interpreter behavior."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_unit, run_src
 
 import miniweave as mw
-from miniweave.diagnostics import ParseError
+from miniweave.diagnostics import Loc, ParseError
+from miniweave.lexer import tokenize
 from miniweave.interp import MAX_CALL_DEPTH, run
 from miniweave.values import format_message, render_value
 
@@ -103,6 +106,224 @@ class TestNestingLimit:
         body = "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)
         with pytest.raises(ParseError, match="nesting deeper than"):
             mw.parse_aspect(f"aspect T {{ before(): execution(*.f) {{ print({body}); }} }}", "t.ma0")
+
+
+def reference_tokenize(src: str, path: str) -> list[tuple]:
+    """The character-at-a-time tokenizer the regex lexer replaced, kept as
+    the oracle; it returns (kind, text, line, col) tuples."""
+    tokens = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(src)
+    escapes = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+    def err(msg):
+        return ParseError(msg, Loc(path, line, col))
+
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            if j + 1 < n and src[j] == "." and src[j + 1].isdigit():
+                j += 1
+                while j < n and src[j].isdigit():
+                    j += 1
+                tokens.append(("float", src[i:j], line, start_col))
+            else:
+                tokens.append(("int", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch == '"':
+            j = i + 1
+            buf = []
+            while True:
+                if j >= n or src[j] == "\n":
+                    raise err("unterminated string literal")
+                c = src[j]
+                if c == '"':
+                    j += 1
+                    break
+                if c == "\\":
+                    if j + 1 >= n or src[j + 1] not in escapes:
+                        raise err("bad string escape")
+                    buf.append(escapes[src[j + 1]])
+                    j += 2
+                    continue
+                buf.append(c)
+                j += 1
+            tokens.append(("string", "".join(buf), line, start_col))
+            col += j - i
+            i = j
+            continue
+        two = src[i : i + 2]
+        if two in ("&&", "||", "==", "!=", "<=", ">="):
+            tokens.append(("punct", two, line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "{}()[];,.=<>+-*/%!@:&|":
+            tokens.append(("punct", ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise err(f"unexpected character {ch!r}")
+
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def token_tuples(src: str, path: str) -> list[tuple]:
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src, path)]
+
+
+def lex_outcome(lex, src: str):
+    try:
+        return lex(src, "t.ml0")
+    except ParseError as e:
+        return ("error", e.msg, e.loc)
+
+
+# Source text built from pieces that exercise every lexical rule: names with
+# non-ASCII letters, numbers, all punctuation, blanks, comments, and string
+# literals with good and bad escapes (a bare quote leaves one unterminated).
+_PIECES = st.one_of(
+    st.sampled_from(
+        ["x", "_a1", "éte", "ß", "Ω9", "中文", "ǅ", "ª", "x²", "12", "0", "3.25", "7."]
+        + [".5", "&&", "||", "==", "!=", "<=", ">=", "&", "|", "=", "!", "<", ">", "/", "//", "@"]
+        + [":", "{", "}", "(", ")", "[", "]", ";", ",", ".", "+", "-", "*", "%"]
+        + [" ", "  ", "\t", "\r", "\n", "\r\n", '"', "\\", "#", "$", "`", "~"]
+        + ["½", "Ⅷ", "\u00a0", "\x0c", "e\u0301"]
+    ),
+    st.builds(lambda body: "//" + body, st.text(st.sampled_from('ab "\\/\t\r'), max_size=6)),
+    st.builds(
+        lambda parts: '"' + "".join(parts) + '"',
+        st.lists(
+            st.sampled_from(
+                ["a", " ", "é", "\t", "\r", "//", "\\n", "\\t", '\\"', "\\\\", "\\q", "\\"]
+            ),
+            max_size=5,
+        ),
+    ),
+    st.text(
+        st.characters(blacklist_categories=("Cs",)).filter(
+            lambda c: c.isascii() or not c.isdigit()
+        ),
+        max_size=3,
+    ),
+)
+
+
+class TestLexer:
+    """The regex lexer gives the reference tokenizer's tokens or error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_PIECES, max_size=25).map("".join))
+    def test_matches_the_reference_tokenizer(self, src):
+        want = lex_outcome(reference_tokenize, src)
+        got = lex_outcome(token_tuples, src)
+        if want[0] == "error" or got[0] == "error":
+            assert got == want
+            return
+        assert got[:-1] == want[:-1]
+        # EOF sits after the last character of the last line; the reference
+        # left its column at the start of a trailing `//` comment
+        last = src.split("\n")[-1]
+        assert got[-1] == ("eof", "", want[-1][2], len(last) + 1)
+        if want[-1] != got[-1]:
+            assert "//" in last
+
+    @pytest.mark.parametrize("digit", ["²", "٣", "１"])
+    def test_non_ascii_digits_are_not_literals(self, digit):
+        # the reference read these as int literals, which int() may then reject
+        assert reference_tokenize(f"x = {digit};", "d.ml0")[2] == ("int", digit, 1, 5)
+        with pytest.raises(ParseError) as exc:
+            tokenize(f"x = {digit};", "d.ml0")
+        assert exc.value.msg == f"unexpected character {digit!r}"
+        assert exc.value.loc == Loc("d.ml0", 1, 5)
+        with pytest.raises(ParseError, match="unexpected character"):
+            tokenize(f"x = 1{digit};", "d.ml0")
+
+
+# The binding strength of each binary operator as the language defines it,
+# loosest first; every operator is left-associative.
+PRECEDENCE = [["||"], ["&&"], ["==", "!="], ["<", "<=", ">", ">="], ["+", "-"], ["*", "/", "%"]]
+PREC = {op: level for level, ops in enumerate(PRECEDENCE) for op in ops}
+
+
+def bracketed(operands: list[str], ops: list[str]) -> str:
+    """Fully parenthesize a chain: split at the last of its loosest operators."""
+    if not ops:
+        return operands[0]
+    loosest = min(PREC[op] for op in ops)
+    i = max(k for k, op in enumerate(ops) if PREC[op] == loosest)
+    left = bracketed(operands[: i + 1], ops[:i])
+    right = bracketed(operands[i + 1 :], ops[i + 1 :])
+    return f"({left} {ops[i]} {right})"
+
+
+def shape(node):
+    """An expression tree without its locations."""
+    if isinstance(node, mw.minilang.Binary):
+        return (node.op, shape(node.left), shape(node.right))
+    if isinstance(node, mw.minilang.Unary):
+        return (node.op, shape(node.operand))
+    if isinstance(node, mw.minilang.IntLit):
+        return node.value
+    return node.name
+
+
+def parse_return(expr: str):
+    prog = mw.parse_base(f"class A {{ def f() {{ return {expr}; }} }}", "p.ml0")
+    return prog.classes[0].methods[0].body[0].value
+
+
+_OPERAND = st.builds(
+    lambda prefix, atom: "".join(prefix) + atom,
+    st.lists(st.sampled_from(["!", "-"]), max_size=3),
+    st.sampled_from(["1", "2", "30", "a", "b", "zz"]),
+)
+
+
+class TestPrecedence:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_chain_parses_as_its_bracketed_form(self, data):
+        operands = data.draw(st.lists(_OPERAND, min_size=2, max_size=12))
+        ops = data.draw(st.lists(st.sampled_from(sorted(PREC)), min_size=len(operands) - 1,
+                                 max_size=len(operands) - 1))
+        flat = operands[0] + "".join(f" {op} {x}" for op, x in zip(ops, operands[1:]))
+        assert shape(parse_return(flat)) == shape(parse_return(bracketed(operands, ops)))
+
+    def test_operator_location_is_the_operator_token(self):
+        expr = parse_return("a -\n b * c")
+        assert (expr.op, expr.loc.line, expr.loc.col) == ("-", 1, 30)
+        assert (expr.right.op, expr.right.loc.line, expr.right.loc.col) == ("*", 2, 4)
 
 
 class TestRun:
