@@ -8,6 +8,10 @@ annotations), the auditor advises a coordinator-internal call made while
 the coordinator monitor is held; its logging push re-enters the monitor
 and the run self-deadlocks at a seed-stable step.
 
+Exits 1 unless both hold for every seed: the honored run completes with
+pushes=20 and pops=20, and the stripped run deadlocks with a thread that
+re-entered a monitor it holds.
+
 Usage: python3 scripts/hide_experiment.py [--seeds N]
 """
 
@@ -45,17 +49,20 @@ def main() -> int:
     honored = compile_demo(strip_hide=False).unit
     stripped = compile_demo(strip_hide=True).unit
 
+    ok = True
     print("== hide annotations honored ==")
     for seed in range(args.seeds):
         res = interp.run(honored, seed=seed)
         pushes = res.count_jp("method_execution BoundedStack.push/1 ")
         pops = res.count_jp("method_execution BoundedStack.pop/0 ")
         print(f"seed {seed}: {res.status}, pushes={pushes}, pops={pops}, steps={res.steps}")
+        ok = ok and (res.status, pushes, pops) == ("completed", 20, 20)
 
     print("\n== hide annotations stripped ==")
     for seed in range(args.seeds):
         res = interp.run(stripped, seed=seed)
         line = f"seed {seed}: {res.status}"
+        selfies = []
         if res.deadlock is not None:
             selfies = res.deadlock.self_edges()
             line += f" at step {res.deadlock.step}"
@@ -63,7 +70,8 @@ def main() -> int:
                 s = selfies[0]
                 line += f"; t{s.tid} re-entered {s.monitor} (created at {s.monitor.created_at})"
         print(line)
-    return 0
+        ok = ok and res.status == "deadlock" and bool(selfies)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

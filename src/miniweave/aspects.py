@@ -480,16 +480,13 @@ def resolve_aspects(aspects: list[AspectDecl], class_names: set[str]) -> None:
     fields (implicit `this.f`). Advice bodies additionally see the implicit
     runtime bindings. `new` refers to base-program classes only.
     """
-    dummy = ml.Program([])
     for aspect in aspects:
-        resolver = ml.Resolver(dummy, set(class_names))
-        for f in aspect.fields:
-            if f.init is not None:
-                f.init = resolver.resolve_expr(f.init, aspect, set(), has_this=True)
+        resolver = ml.Resolver(aspect, set(class_names))
+        resolver.resolve_inits(aspect.fields)
         for helper in aspect.helpers:
-            resolver.resolve_method(helper, aspect, has_this=True)
+            resolver.resolve_method(helper, has_this=True)
         for adv in aspect.advice:
             scope = set(ADVICE_BINDINGS)
             ml._collect_locals(adv.body, scope)
             adv.local_names = tuple(sorted(scope - set(ADVICE_BINDINGS)))
-            resolver.resolve_block(adv.body, aspect, scope, has_this=True)
+            resolver.resolve(adv.body, scope, has_this=True)

@@ -178,80 +178,55 @@ def validate_cool(coord: CoordinatorDecl, program: ml.Program) -> None:
     target_fields = cls.field_names()
     state = set(coord.state_names())
     for name, init, nloc in coord.conditions + coord.fields:
-        _check_cool_expr(init, set(), set(), target_fields, allow_state=False)
+        _check_cool(init, set(), set(), target_fields)
     for add in coord.additions.values():
         if add.requires is not None:
-            _check_cool_expr(add.requires, set(), state, target_fields, allow_state=True)
+            _check_cool(add.requires, set(), state, target_fields)
         for block in (add.on_entry, add.on_exit):
             scope: set[str] = set()
             ml._collect_locals(block, scope)
             for name in scope & _RESERVED_COOL:
                 raise CompileError(f"{name!r} is reserved in coordinator code", add.loc)
-            for st in block:
-                _check_cool_stmt(st, scope, state, target_fields)
+            _check_cool(block, scope, state, target_fields)
 
 
-def _check_cool_stmt(st, scope, state, target_fields) -> None:
-    if isinstance(st, ml.VarDecl):
-        if st.init is not None:
-            _check_cool_expr(st.init, scope, state, target_fields, True)
-    elif isinstance(st, ml.Assign):
-        if not isinstance(st.target, ml.LocalRef):
-            raise CompileError("coordinator code can only assign to names", st.loc)
-        name = st.target.name
-        if name not in scope and name not in state:
-            raise CompileError(
-                f"cannot assign to {name!r}: not a condition, coordinator field, or local",
-                st.loc,
-            )
-        _check_cool_expr(st.value, scope, state, target_fields, True)
-    elif isinstance(st, ml.If):
-        _check_cool_expr(st.cond, scope, state, target_fields, True)
-        for s in st.then:
-            _check_cool_stmt(s, scope, state, target_fields)
-        for s in st.orelse:
-            _check_cool_stmt(s, scope, state, target_fields)
-    elif isinstance(st, ml.While):
-        _check_cool_expr(st.cond, scope, state, target_fields, True)
-        for s in st.body:
-            _check_cool_stmt(s, scope, state, target_fields)
-    elif isinstance(st, ml.ExprStmt):
-        _check_cool_expr(st.expr, scope, state, target_fields, True)
-    elif isinstance(st, ml.Return):
-        raise CompileError("return is not allowed in coordinator code", st.loc)
-    else:
-        raise CompileError("statement not allowed in coordinator code", st.loc)
+# what coordinator code may contain besides names, assignments and `len`
+_COOL_NODES = (
+    ml.IntLit, ml.BoolLit, ml.StrLit, ml.NullLit, ml.Unary, ml.Binary, ml.ListLit, ml.Index,
+    ml.VarDecl, ml.If, ml.While, ml.ExprStmt,
+)
 
 
-def _check_cool_expr(e, scope, state, target_fields, allow_state: bool) -> None:
-    if isinstance(e, (ml.IntLit, ml.BoolLit, ml.StrLit, ml.NullLit)):
-        return
-    if isinstance(e, ml.LocalRef):
-        if e.name in scope or e.name in target_fields or (allow_state and e.name in state):
-            return
-        raise CompileError(f"unknown name {e.name!r} in coordinator code", e.loc)
-    if isinstance(e, ml.Unary):
-        _check_cool_expr(e.operand, scope, state, target_fields, allow_state)
-        return
-    if isinstance(e, ml.Binary):
-        _check_cool_expr(e.left, scope, state, target_fields, allow_state)
-        _check_cool_expr(e.right, scope, state, target_fields, allow_state)
-        return
-    if isinstance(e, ml.BuiltinCall):
-        if e.name in ("len",):
-            for a in e.args:
-                _check_cool_expr(a, scope, state, target_fields, allow_state)
-            return
-        raise CompileError(f"builtin {e.name!r} not allowed in coordinator code", e.loc)
-    if isinstance(e, ml.ListLit):
-        for a in e.items:
-            _check_cool_expr(a, scope, state, target_fields, allow_state)
-        return
-    if isinstance(e, ml.Index):
-        _check_cool_expr(e.obj, scope, state, target_fields, allow_state)
-        _check_cool_expr(e.index, scope, state, target_fields, allow_state)
-        return
-    raise CompileError("expression not allowed in coordinator code", e.loc)
+def _check_cool(roots, scope, state, target_fields) -> None:
+    """Check coordinator code in one walk; the first fault in source order raises.
+
+    Names may be locals in `scope`, fields of the target class, or the
+    conditions and coordinator fields in `state`; assignments may target
+    only locals and `state`.
+    """
+    for node in ml.walk(roots):
+        kind = type(node)
+        if kind is ml.LocalRef:
+            name = node.name
+            if name not in scope and name not in target_fields and name not in state:
+                raise CompileError(f"unknown name {name!r} in coordinator code", node.loc)
+        elif kind is ml.Assign:
+            if type(node.target) is not ml.LocalRef:
+                raise CompileError("coordinator code can only assign to names", node.loc)
+            name = node.target.name
+            if name not in scope and name not in state:
+                raise CompileError(
+                    f"cannot assign to {name!r}: not a condition, coordinator field, or local",
+                    node.loc,
+                )
+        elif kind is ml.Return:
+            raise CompileError("return is not allowed in coordinator code", node.loc)
+        elif kind is ml.BuiltinCall:
+            if node.name != "len":
+                msg = f"builtin {node.name!r} not allowed in coordinator code"
+                raise CompileError(msg, node.loc)
+        elif kind not in _COOL_NODES:
+            raise CompileError("expression not allowed in coordinator code", node.loc)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +363,8 @@ class _Rewriter:
             )
             return ml.Assign(s.loc, slot, value)
         if isinstance(s, ml.If):
-            return ml.If(
-                s.loc, self.expr(s.cond, scope), self.block(s.then, scope), self.block(s.orelse, scope)
-            )
+            arms = [(self.expr(cond, scope), self.block(body, scope)) for cond, body in s.arms]
+            return ml.If(s.loc, arms, self.block(s.orelse, scope))
         if isinstance(s, ml.While):
             return ml.While(s.loc, self.expr(s.cond, scope), self.block(s.body, scope))
         if isinstance(s, ml.ExprStmt):
@@ -404,7 +378,8 @@ def _mutates_state(block, state: set[str]) -> bool:
             if s.target.name in state:
                 return True
         elif isinstance(s, ml.If):
-            if _mutates_state(s.then, state) or _mutates_state(s.orelse, state):
+            blocks = [body for _, body in s.arms] + [s.orelse]
+            if any(_mutates_state(b, state) for b in blocks):
                 return True
         elif isinstance(s, ml.While):
             if _mutates_state(s.body, state):

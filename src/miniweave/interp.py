@@ -49,6 +49,8 @@ _BUILTIN_ARITY = {
     "monitor_acquire": 1, "monitor_release": 1, "monitor_wait": 1, "monitor_notify_all": 1,
 }
 
+_LITERALS = (ml.IntLit, ml.BoolLit, ml.StrLit)  # evaluate to their `value`
+
 RUNNABLE = "runnable"
 BLOCKED = "blocked"
 WAITING = "waiting"
@@ -585,9 +587,15 @@ class Interp:
         elif isinstance(stmt, ml.Assign):
             yield from self.exec_assign(stmt, env)
         elif isinstance(stmt, ml.If):
-            cond = yield from self.eval_expr(stmt.cond, env)
-            branch = stmt.then if self.as_bool(cond, stmt.loc) else stmt.orelse
-            yield from self.exec_block(branch, env)
+            later = False
+            for test, body in stmt.arms:
+                if later:
+                    yield None  # the step of the nested `if` an `else if` abbreviates
+                cond = yield from self.eval_expr(test, env)
+                if self.as_bool(cond, test.loc if later else stmt.loc):
+                    return (yield from self.exec_block(body, env))
+                later = True
+            yield from self.exec_block(stmt.orelse, env)
         elif isinstance(stmt, ml.While):
             while True:
                 yield None
@@ -631,11 +639,7 @@ class Interp:
     # -- expressions
 
     def eval_expr(self, expr, env: _Env):
-        if isinstance(expr, ml.IntLit):
-            return expr.value
-        if isinstance(expr, ml.BoolLit):
-            return expr.value
-        if isinstance(expr, ml.StrLit):
+        if isinstance(expr, _LITERALS):
             return expr.value
         if isinstance(expr, ml.NullLit):
             return None
@@ -675,15 +679,13 @@ class Interp:
                 yield from self._jp_exit(site, env.this, recv, args)
             return result
         if isinstance(expr, ml.BuiltinCall):
-            result = yield from self.eval_builtin(expr, env)
-            return result
+            return (yield from self.eval_builtin(expr, env))
         if isinstance(expr, ml.New):
             cls = self.classes[expr.class_name]
             args = []
             for a in expr.args:
                 args.append((yield from self.eval_expr(a, env)))
-            obj = yield from self.instantiate(cls, args, expr.loc)
-            return obj
+            return (yield from self.instantiate(cls, args, expr.loc))
         if isinstance(expr, ml.Spawn):
             call = expr.call
             recv = yield from self.eval_expr(call.obj, env)
@@ -701,8 +703,7 @@ class Interp:
                 return not self.as_bool(value, expr.loc)
             return -self.as_int(value, expr.loc)
         if isinstance(expr, ml.Binary):
-            result = yield from self.eval_binary(expr, env)
-            return result
+            return (yield from self.eval_binary(expr, env))
         raise MiniRuntimeError(f"cannot evaluate {type(expr).__name__}", expr.loc)
 
     def eval_binary(self, expr: ml.Binary, env: _Env):
@@ -794,17 +795,15 @@ class Interp:
             raise MiniRuntimeError(f"{name} expects a monitor", loc)
         if name == "monitor_acquire":
             yield from self._acquire(mon, env)
-            return None
-        if name == "monitor_release":
+        elif name == "monitor_release":
             self._release(mon, loc)
-            return None
-        if name == "monitor_wait":
+        elif name == "monitor_wait":
             yield from self._wait(mon, loc)
-            return None
-        if name == "monitor_notify_all":
+        elif name == "monitor_notify_all":
             self._notify_all(mon, loc)
-            return None
-        raise MiniRuntimeError(f"unknown builtin {name!r}", loc)
+        else:
+            raise MiniRuntimeError(f"unknown builtin {name!r}", loc)
+        return None
 
     # -- value helpers
 

@@ -1,10 +1,15 @@
 """Join-point shadow model: extraction from compilation units and @hide filtering.
 
-A shadow is the static location a join point arises from. Extraction walks
-the parsed base program and any aspect declarations, producing one table in
-source order. Hide specs (from @hideField/@hideMethod/@hideType annotations)
-suppress shadows before matching; `within` suppression is positional (all
-shadows lexically inside the annotated member), the other kinds suppress by
+A shadow is the static location a join point arises from. Extraction
+makes one `minilang.walk` over each body of the resolved base program and
+the aspect declarations: each field get, method call and field set it meets
+is a shadow, except the field an assignment writes (the set is its shadow)
+and the call a `spawn` launches. Method executions and the init kinds come
+from the declarations. The result is one table in source order.
+
+Hide specs (from @hideField/@hideMethod/@hideType annotations) suppress
+shadows before matching; `within` suppression is positional (all shadows
+lexically inside the annotated member), the other kinds suppress by
 signature.
 
 Every (spec, kind) rule is an equality test on one key of the shadow:
@@ -196,7 +201,8 @@ class _Extractor:
                     if isinstance(st.target, ml.LocalRef):
                         reassigned.add(st.target.name)
                 elif isinstance(st, ml.If):
-                    scan(st.then)
+                    for _, block in st.arms:
+                        scan(block)
                     scan(st.orelse)
                 elif isinstance(st, ml.While):
                     scan(st.body)
@@ -213,108 +219,37 @@ class _Extractor:
             return locals_map.get(expr.name)
         return None
 
-    # -- walking
+    def take_body(self, roots, self_cls: str, within_member: str, locals_map) -> None:
+        """Add the call, get and set shadows under `roots`, in one walk."""
+        within = {"within_cls": self_cls, "within_member": within_member}
+        # an assignment's target and a spawn's call are not shadows of their
+        # own; the walk yields each right after its parent
+        skip = None
+        for node in ml.walk(roots):
+            kind = type(node)
+            if kind is ml.FieldGet:
+                if node is not skip:
+                    cls = self.receiver_class(node.obj, self_cls, locals_map)
+                    self.add(ShadowKind.FIELD_GET, node.loc, node, cls=cls, member=node.name,
+                             arity=None, **within)
+            elif kind is ml.MethodCall:
+                if node is not skip:
+                    cls = self.receiver_class(node.obj, self_cls, locals_map)
+                    self.add(ShadowKind.METHOD_CALL, node.loc, node, cls=cls, member=node.name,
+                             arity=len(node.args), **within)
+            elif kind is ml.Assign:
+                target = skip = node.target
+                if type(target) is ml.FieldGet:
+                    cls = self.receiver_class(target.obj, self_cls, locals_map)
+                    self.add(ShadowKind.FIELD_SET, target.loc, node, cls=cls, member=target.name,
+                             arity=None, **within)
+            elif kind is ml.Spawn:
+                # spawn is a thread-launch primitive, not a call site: only
+                # the execution join point on the new thread exists
+                skip = node.call
 
-    def walk_body(self, body: list, ctx: dict) -> None:
-        for stmt in body:
-            self.walk_stmt(stmt, ctx)
-
-    def walk_stmt(self, stmt, ctx: dict) -> None:
-        if isinstance(stmt, ml.VarDecl):
-            if stmt.init is not None:
-                self.walk_expr(stmt.init, ctx)
-        elif isinstance(stmt, ml.Assign):
-            if isinstance(stmt.target, ml.FieldGet):
-                tgt = stmt.target
-                self.walk_expr(tgt.obj, ctx)
-                cls = self.receiver_class(tgt.obj, ctx["self_cls"], ctx["locals"])
-                self.add(
-                    ShadowKind.FIELD_SET,
-                    tgt.loc,
-                    stmt,
-                    cls=cls,
-                    member=tgt.name,
-                    arity=None,
-                    within_cls=ctx["within_cls"],
-                    within_member=ctx["within_member"],
-                )
-            elif isinstance(stmt.target, ml.Index):
-                self.walk_expr(stmt.target.obj, ctx)
-                self.walk_expr(stmt.target.index, ctx)
-            self.walk_expr(stmt.value, ctx)
-        elif isinstance(stmt, ml.If):
-            self.walk_expr(stmt.cond, ctx)
-            self.walk_body(stmt.then, ctx)
-            self.walk_body(stmt.orelse, ctx)
-        elif isinstance(stmt, ml.While):
-            self.walk_expr(stmt.cond, ctx)
-            self.walk_body(stmt.body, ctx)
-        elif isinstance(stmt, ml.Return):
-            if stmt.value is not None:
-                self.walk_expr(stmt.value, ctx)
-        elif isinstance(stmt, ml.ExprStmt):
-            self.walk_expr(stmt.expr, ctx)
-
-    def walk_expr(self, expr, ctx: dict) -> None:
-        if isinstance(expr, ml.ListLit):
-            for item in expr.items:
-                self.walk_expr(item, ctx)
-        elif isinstance(expr, ml.FieldGet):
-            self.walk_expr(expr.obj, ctx)
-            cls = self.receiver_class(expr.obj, ctx["self_cls"], ctx["locals"])
-            self.add(
-                ShadowKind.FIELD_GET,
-                expr.loc,
-                expr,
-                cls=cls,
-                member=expr.name,
-                arity=None,
-                within_cls=ctx["within_cls"],
-                within_member=ctx["within_member"],
-            )
-        elif isinstance(expr, ml.Index):
-            self.walk_expr(expr.obj, ctx)
-            self.walk_expr(expr.index, ctx)
-        elif isinstance(expr, ml.MethodCall):
-            self.walk_expr(expr.obj, ctx)
-            for a in expr.args:
-                self.walk_expr(a, ctx)
-            cls = self.receiver_class(expr.obj, ctx["self_cls"], ctx["locals"])
-            self.add(
-                ShadowKind.METHOD_CALL,
-                expr.loc,
-                expr,
-                cls=cls,
-                member=expr.name,
-                arity=len(expr.args),
-                within_cls=ctx["within_cls"],
-                within_member=ctx["within_member"],
-            )
-        elif isinstance(expr, ml.BuiltinCall):
-            for a in expr.args:
-                self.walk_expr(a, ctx)
-        elif isinstance(expr, ml.New):
-            for a in expr.args:
-                self.walk_expr(a, ctx)
-        elif isinstance(expr, ml.Spawn):
-            # spawn is a thread-launch primitive, not a call site: only the
-            # execution join point on the new thread exists
-            self.walk_expr(expr.call.obj, ctx)
-            for a in expr.call.args:
-                self.walk_expr(a, ctx)
-        elif isinstance(expr, ml.Unary):
-            self.walk_expr(expr.operand, ctx)
-        elif isinstance(expr, ml.Binary):
-            self.walk_expr(expr.left, ctx)
-            self.walk_expr(expr.right, ctx)
-
-    def body_ctx(self, self_cls: str, within_member: str, body: list) -> dict:
-        return {
-            "self_cls": self_cls,
-            "within_cls": self_cls,
-            "within_member": within_member,
-            "locals": self.local_classes(body, self_cls),
-        }
+    def take_method(self, m, self_cls: str, within_member: str) -> None:
+        self.take_body(m.body, self_cls, within_member, self.local_classes(m.body, self_cls))
 
     def take_class(self, cls: ml.ClassDecl) -> None:
         # init-kind shadows exist only where their span does: a field-initializer
@@ -355,21 +290,11 @@ class _Extractor:
             )
         # field initializers are evaluated as part of instance initialization,
         # so their shadows sit within <init> (same as constructor-body shadows)
-        init_ctx = {
-            "self_cls": cls.name,
-            "within_cls": cls.name,
-            "within_member": INIT_MEMBER,
-            "locals": {},
-        }
-        for f in cls.fields:
-            if f.init is not None:
-                self.walk_expr(f.init, init_ctx)
+        self.take_body([f.init for f in initialized], cls.name, INIT_MEMBER, {})
         if cls.ctor is not None:
-            ctx = self.body_ctx(cls.name, INIT_MEMBER, cls.ctor.body)
-            self.walk_body(cls.ctor.body, ctx)
+            self.take_method(cls.ctor, cls.name, INIT_MEMBER)
         if cls.static_block is not None:
-            ctx = self.body_ctx(cls.name, STATIC_MEMBER, cls.static_block.body)
-            self.walk_body(cls.static_block.body, ctx)
+            self.take_method(cls.static_block, cls.name, STATIC_MEMBER)
         for m in cls.methods:
             self.add(
                 ShadowKind.METHOD_EXECUTION,
@@ -381,7 +306,7 @@ class _Extractor:
                 within_cls=cls.name,
                 within_member=m.name,
             )
-            self.walk_body(m.body, self.body_ctx(cls.name, m.name, m.body))
+            self.take_method(m, cls.name, m.name)
 
     def take_aspect(self, aspect) -> None:
         # aspect fields are initialized by the runtime outside any join point
@@ -397,10 +322,9 @@ class _Extractor:
                 within_cls=aspect.name,
                 within_member=helper.name,
             )
-            self.walk_body(helper.body, self.body_ctx(aspect.name, helper.name, helper.body))
+            self.take_method(helper, aspect.name, helper.name)
         for adv in aspect.advice:
-            ctx = self.body_ctx(aspect.name, adv.member_name, adv.body)
-            self.walk_body(adv.body, ctx)
+            self.take_method(adv, aspect.name, adv.member_name)
 
     def finish(self) -> ShadowTable:
         self.records.sort(key=lambda r: (r[0].path, r[0].line, r[0].col, r[1]))

@@ -8,13 +8,20 @@ lists, `new`, member access, method calls, `spawn`, and a fixed set of
 builtins. Declarations may carry `@hideField` / `@hideMethod` /
 `@hideType` annotations.
 
+Every node class names its child fields in `child_fields`, and `walk`
+yields the nodes under a body in source order from an explicit stack; the
+resolver here, shadow extraction and the COOL checker each make one such
+walk per body instead of spelling out the AST in their own recursion. An
+`if` with its `else if` chain is one `If` node holding a list of
+(cond, body) arms.
+
 `MiniParser` is recursive descent over `lexer.tokenize`'s tokens; the
 aspect, COOL and audit parsers subclass it. Binary expressions are parsed
 by precedence climbing over `_BINARY_PREC` (`||` < `&&` < `== !=` <
 `< <= > >=` < `+ -` < `* / %`, all left-associative), so a chain of
-operators costs a loop, not a Python frame per operand. Nesting of
-parentheses, prefix operators, brackets, argument lists and blocks is
-bounded by `MAX_NESTING`.
+operators costs a loop, not a Python frame per operand, and so does an
+`else if` chain. Nesting of parentheses, prefix operators, brackets,
+argument lists and blocks is bounded by `MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -73,6 +80,11 @@ class Annotation:
 class Node:
     loc: Loc
 
+    # the fields holding child nodes, in source order; each holds a node,
+    # None, or a list (or tuple) of them, possibly nested. This table is the
+    # one place the AST's shape is spelled out: `walk` follows it.
+    child_fields = ()
+
 
 # -- expressions
 
@@ -101,6 +113,8 @@ class NullLit(Node):
 class ListLit(Node):
     items: list
 
+    child_fields = ("items",)
+
 
 @dataclass
 class ThisRef(Node):
@@ -117,11 +131,15 @@ class FieldGet(Node):
     obj: Node
     name: str
 
+    child_fields = ("obj",)
+
 
 @dataclass
 class Index(Node):
     obj: Node
     index: Node
+
+    child_fields = ("obj", "index")
 
 
 @dataclass
@@ -130,11 +148,15 @@ class MethodCall(Node):
     name: str
     args: list
 
+    child_fields = ("obj", "args")
+
 
 @dataclass
 class BuiltinCall(Node):
     name: str
     args: list
+
+    child_fields = ("args",)
 
 
 @dataclass
@@ -142,10 +164,14 @@ class New(Node):
     class_name: str
     args: list
 
+    child_fields = ("args",)
+
 
 @dataclass
 class Spawn(Node):
     call: MethodCall
+
+    child_fields = ("call",)
 
 
 @dataclass
@@ -153,12 +179,16 @@ class Unary(Node):
     op: str
     operand: Node
 
+    child_fields = ("operand",)
+
 
 @dataclass
 class Binary(Node):
     op: str
     left: Node
     right: Node
+
+    child_fields = ("left", "right")
 
 
 # -- statements
@@ -169,18 +199,23 @@ class VarDecl(Node):
     name: str
     init: Node | None
 
+    child_fields = ("init",)
+
 
 @dataclass
 class Assign(Node):
     target: Node  # LocalRef | FieldGet | Index
     value: Node
 
+    child_fields = ("target", "value")
+
 
 @dataclass
 class If(Node):
-    cond: Node
-    then: list
+    arms: list  # [(cond, body)]: `if` and each `else if`, tried in order
     orelse: list
+
+    child_fields = ("arms", "orelse")
 
 
 @dataclass
@@ -188,15 +223,21 @@ class While(Node):
     cond: Node
     body: list
 
+    child_fields = ("cond", "body")
+
 
 @dataclass
 class Return(Node):
     value: Node | None
 
+    child_fields = ("value",)
+
 
 @dataclass
 class ExprStmt(Node):
     expr: Node
+
+    child_fields = ("expr",)
 
 
 # -- declarations
@@ -250,6 +291,28 @@ class Program:
         return {c.name: c for c in self.classes}
 
 
+def walk(roots):
+    """Yield every node under `roots` (a node or a list of nodes), pre-order.
+
+    Nodes come in source order, each before its children, from an explicit
+    stack: a long operator chain or `else if` chain costs no Python frames.
+    A node's children are read when the walk resumes after yielding it, so a
+    pass may replace them first and the walk follows the replacements.
+    """
+    stack = [roots]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        item = pop()
+        kind = type(item)
+        if kind is list or kind is tuple:
+            stack.extend(reversed(item))
+        elif item is not None:
+            yield item
+            for name in reversed(kind.child_fields):
+                push(getattr(item, name))
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -257,8 +320,11 @@ class Program:
 
 # Deepest nesting of parentheses, unary operators, brackets, argument lists
 # and blocks the parser accepts. Each level costs up to ten Python frames
-# here and more in the passes after parsing, so the limit keeps every pass
-# well inside Python's default recursion limit.
+# here, and the passes that still recurse by nesting (the block scans such
+# as `_collect_locals`, rendering, the interpreter) take more, so the limit
+# keeps them well inside Python's default recursion limit. Operator and
+# `else if` chains are not nesting: the parser loops over them and `walk`
+# needs no frames for them.
 MAX_NESTING = 64
 
 # Binding strength of each binary operator, loosest first; a higher number
@@ -493,17 +559,16 @@ class MiniParser:
     def parse_if(self) -> Node:
         loc = self.ts.loc()
         self.ts.expect(NAME, "if")
-        self.ts.expect(PUNCT, "(")
-        cond = self.parse_expr()
-        self.ts.expect(PUNCT, ")")
-        then = self.nested(self.parse_block)
-        orelse: list = []
-        if self.ts.accept(NAME, "else"):
-            if self.ts.at_name("if"):
-                orelse = [self.parse_if()]
-            else:
-                orelse = self.nested(self.parse_block)
-        return If(loc, cond, then, orelse)
+        arms = []
+        while True:
+            self.ts.expect(PUNCT, "(")
+            cond = self.parse_expr()
+            self.ts.expect(PUNCT, ")")
+            arms.append((cond, self.nested(self.parse_block)))
+            if not self.ts.accept(NAME, "else"):
+                return If(loc, arms, [])
+            if not self.ts.accept(NAME, "if"):
+                return If(loc, arms, self.nested(self.parse_block))
 
     # -- expressions (precedence climbing)
 
@@ -637,7 +702,8 @@ def _collect_locals(body: list, acc: set[str]) -> None:
         if isinstance(stmt, VarDecl):
             acc.add(stmt.name)
         elif isinstance(stmt, If):
-            _collect_locals(stmt.then, acc)
+            for _, block in stmt.arms:
+                _collect_locals(block, acc)
             _collect_locals(stmt.orelse, acc)
         elif isinstance(stmt, While):
             _collect_locals(stmt.body, acc)
@@ -647,120 +713,82 @@ class Resolver:
     """Rewrites bare identifiers and checks that every name resolves.
 
     A bare name in a method body resolves to a parameter or local first,
-    then to a field of the enclosing class (rewritten to an implicit
-    `this.name` access). Anything else is a compile error. Methods are
-    function-scoped: a `var` anywhere in the body introduces the name for
-    the whole body.
+    then to a field of the enclosing class or aspect `owner` (rewritten to
+    an implicit `this.name` access). Anything else is a compile error, and
+    the first one in source order is raised. Methods are function-scoped: a
+    `var` anywhere in the body introduces the name for the whole body.
     """
 
-    def __init__(self, program: Program, class_names: set[str] | None = None):
-        self.program = program
-        self.class_names = class_names if class_names is not None else set(program.by_name())
+    def __init__(self, owner, class_names: set[str]):
+        self.fields = owner.field_names()
+        self.class_names = class_names
 
-    def run(self) -> None:
-        for cls in self.program.classes:
-            for f in cls.fields:
-                if f.init is not None:
-                    f.init = self.resolve_expr(f.init, cls, set(), has_this=True)
-            for m in cls.methods:
-                self.resolve_method(m, cls, has_this=True)
-            if cls.ctor is not None:
-                self.resolve_method(cls.ctor, cls, has_this=True)
-            if cls.static_block is not None:
-                self.resolve_method(cls.static_block, cls, has_this=False)
+    def resolve_inits(self, fields: list) -> None:
+        """Resolve the field initializers, which see `this` and no locals."""
+        inits = [f for f in fields if f.init is not None]
+        roots = [f.init for f in inits]
+        self.resolve(roots, set(), has_this=True)
+        for f, init in zip(inits, roots):
+            f.init = init
 
-    def resolve_method(self, m: MethodDecl, cls, has_this: bool) -> None:
+    def resolve_method(self, m: MethodDecl, has_this: bool) -> None:
         scope = set(m.params)
         _collect_locals(m.body, scope)
         m.local_names = tuple(sorted(scope - set(m.params)))
-        self.resolve_block(m.body, cls, scope, has_this)
+        self.resolve(m.body, scope, has_this)
 
-    def resolve_block(self, body: list, cls, scope: set[str], has_this: bool) -> None:
-        for i, stmt in enumerate(body):
-            body[i] = self.resolve_stmt(stmt, cls, scope, has_this)
+    def resolve(self, roots: list, scope: set[str], has_this: bool) -> None:
+        """Resolve every node under `roots` in one walk, rewriting in place."""
+        # a bare name in `bare` becomes `this.name` in its parent before the
+        # walk reaches it
+        bare = self.fields - scope if has_this else ()
+        _bind(roots, bare)
+        for node in walk(roots):
+            kind = type(node)
+            if kind is LocalRef:
+                if node.name not in scope:
+                    raise CompileError(f"unresolved name {node.name!r}", node.loc)
+                continue
+            if kind is ThisRef:
+                if not has_this:
+                    raise CompileError("'this' is not available here", node.loc)
+                continue
+            if kind is BuiltinCall:
+                if node.name not in BUILTINS:
+                    raise CompileError(f"unknown function {node.name!r}", node.loc)
+            elif kind is New:
+                if node.class_name not in self.class_names:
+                    raise CompileError(f"unknown class {node.class_name!r}", node.loc)
+            if not bare:
+                continue
+            if kind is If:
+                conds = [cond for cond, _ in node.arms]
+                _bind(conds, bare)
+                node.arms = [(cond, body) for cond, (_, body) in zip(conds, node.arms)]
+                continue
+            for name in kind.child_fields:
+                child = getattr(node, name)
+                if type(child) is list:
+                    _bind(child, bare)
+                elif type(child) is LocalRef and child.name in bare:
+                    setattr(node, name, FieldGet(child.loc, ThisRef(child.loc), child.name))
 
-    def resolve_stmt(self, stmt, cls, scope: set[str], has_this: bool):
-        if isinstance(stmt, VarDecl):
-            if stmt.init is not None:
-                stmt.init = self.resolve_expr(stmt.init, cls, scope, has_this)
-            return stmt
-        if isinstance(stmt, Assign):
-            stmt.target = self.resolve_expr(stmt.target, cls, scope, has_this)
-            stmt.value = self.resolve_expr(stmt.value, cls, scope, has_this)
-            if isinstance(stmt.target, (MethodCall, BuiltinCall)):
-                raise CompileError("cannot assign to a call", stmt.loc)
-            return stmt
-        if isinstance(stmt, If):
-            stmt.cond = self.resolve_expr(stmt.cond, cls, scope, has_this)
-            self.resolve_block(stmt.then, cls, scope, has_this)
-            self.resolve_block(stmt.orelse, cls, scope, has_this)
-            return stmt
-        if isinstance(stmt, While):
-            stmt.cond = self.resolve_expr(stmt.cond, cls, scope, has_this)
-            self.resolve_block(stmt.body, cls, scope, has_this)
-            return stmt
-        if isinstance(stmt, Return):
-            if stmt.value is not None:
-                stmt.value = self.resolve_expr(stmt.value, cls, scope, has_this)
-            return stmt
-        if isinstance(stmt, ExprStmt):
-            stmt.expr = self.resolve_expr(stmt.expr, cls, scope, has_this)
-            return stmt
-        raise CompileError(f"unknown statement {type(stmt).__name__}")
 
-    def field_of(self, cls, name: str) -> bool:
-        return name in cls.field_names()
-
-    def resolve_expr(self, expr, cls, scope: set[str], has_this: bool):
-        if isinstance(expr, (IntLit, BoolLit, StrLit, NullLit)):
-            return expr
-        if isinstance(expr, ListLit):
-            expr.items = [self.resolve_expr(e, cls, scope, has_this) for e in expr.items]
-            return expr
-        if isinstance(expr, ThisRef):
-            if not has_this:
-                raise CompileError("'this' is not available here", expr.loc)
-            return expr
-        if isinstance(expr, LocalRef):
-            if expr.name in scope:
-                return expr
-            if has_this and self.field_of(cls, expr.name):
-                return FieldGet(expr.loc, ThisRef(expr.loc), expr.name)
-            raise CompileError(f"unresolved name {expr.name!r}", expr.loc)
-        if isinstance(expr, FieldGet):
-            expr.obj = self.resolve_expr(expr.obj, cls, scope, has_this)
-            return expr
-        if isinstance(expr, Index):
-            expr.obj = self.resolve_expr(expr.obj, cls, scope, has_this)
-            expr.index = self.resolve_expr(expr.index, cls, scope, has_this)
-            return expr
-        if isinstance(expr, MethodCall):
-            expr.obj = self.resolve_expr(expr.obj, cls, scope, has_this)
-            expr.args = [self.resolve_expr(a, cls, scope, has_this) for a in expr.args]
-            return expr
-        if isinstance(expr, BuiltinCall):
-            if expr.name not in BUILTINS:
-                raise CompileError(f"unknown function {expr.name!r}", expr.loc)
-            expr.args = [self.resolve_expr(a, cls, scope, has_this) for a in expr.args]
-            return expr
-        if isinstance(expr, New):
-            if expr.class_name not in self.class_names:
-                raise CompileError(f"unknown class {expr.class_name!r}", expr.loc)
-            expr.args = [self.resolve_expr(a, cls, scope, has_this) for a in expr.args]
-            return expr
-        if isinstance(expr, Spawn):
-            expr.call = self.resolve_expr(expr.call, cls, scope, has_this)
-            return expr
-        if isinstance(expr, Unary):
-            expr.operand = self.resolve_expr(expr.operand, cls, scope, has_this)
-            return expr
-        if isinstance(expr, Binary):
-            expr.left = self.resolve_expr(expr.left, cls, scope, has_this)
-            expr.right = self.resolve_expr(expr.right, cls, scope, has_this)
-            return expr
-        raise CompileError(f"unknown expression {type(expr).__name__}")
+def _bind(nodes: list, bare) -> None:
+    """Replace each bare name in `bare` among `nodes` by `this.name`."""
+    for i, node in enumerate(nodes):
+        if type(node) is LocalRef and node.name in bare:
+            nodes[i] = FieldGet(node.loc, ThisRef(node.loc), node.name)
 
 
 def resolve_program(program: Program, extra_class_names: set[str] = frozenset()) -> None:
     names = set(program.by_name()) | set(extra_class_names)
-    Resolver(program, names).run()
+    for cls in program.classes:
+        resolver = Resolver(cls, names)
+        resolver.resolve_inits(cls.fields)
+        for m in cls.methods:
+            resolver.resolve_method(m, has_this=True)
+        if cls.ctor is not None:
+            resolver.resolve_method(cls.ctor, has_this=True)
+        if cls.static_block is not None:
+            resolver.resolve_method(cls.static_block, has_this=False)

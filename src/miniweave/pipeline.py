@@ -47,8 +47,6 @@ class CompileOptions:
 
 @dataclass
 class CompileArtifacts:
-    inputs: list[str]
-    effective_inputs: list[str]
     generated: list[GeneratedRecord]
     unit: WovenUnit
     relationships: dict | None = None
@@ -210,10 +208,4 @@ def compile(paths: list[str], options: CompileOptions | None = None) -> CompileA
         relationships = bridge.emit_relationship_map(
             unit.match_table, options.relationships_path
         )
-    return CompileArtifacts(
-        inputs=list(paths),
-        effective_inputs=effective,
-        generated=generated,
-        unit=unit,
-        relationships=relationships,
-    )
+    return CompileArtifacts(generated, unit, relationships)

@@ -1,9 +1,12 @@
 """Render MiniLang AST fragments back to source text.
 
 Used by the DSAL transformers to splice rewritten coordinator expressions
-and blocks into generated aspect code. Compound subexpressions are always
-parenthesized; the output is machine-written code, so regularity beats
-minimality.
+and blocks into generated aspect code. A binary operand is parenthesized
+only where `minilang._BINARY_PREC` needs it, and an `else if` chain is
+rendered flat, so an operator chain or an `else if` chain adds no nesting
+for the parser's `MAX_NESTING` to count. The operand of a prefix operator
+and the receiver of a member access are parenthesized whenever they are
+compound.
 """
 
 from __future__ import annotations
@@ -49,8 +52,18 @@ def render_expr(e) -> str:
     if isinstance(e, ml.Unary):
         return f"{e.op}{_wrap(e.operand)}"
     if isinstance(e, ml.Binary):
-        return f"{_wrap(e.left)} {e.op} {_wrap(e.right)}"
+        prec = ml._BINARY_PREC[e.op]
+        # every binary operator is left-associative: the right operand needs
+        # parentheses at the operator's own level too
+        return f"{_operand(e.left, prec)} {e.op} {_operand(e.right, prec + 1)}"
     raise TypeError(f"cannot render {type(e).__name__}")
+
+
+def _operand(e, min_prec: int) -> str:
+    text = render_expr(e)
+    if isinstance(e, ml.Binary) and ml._BINARY_PREC[e.op] < min_prec:
+        return f"({text})"
+    return text
 
 
 def _wrap(e) -> str:
@@ -75,8 +88,11 @@ def render_stmt(s, indent: str = "") -> list[str]:
     if isinstance(s, ml.Assign):
         return [f"{indent}{render_expr(s.target)} = {render_expr(s.value)};"]
     if isinstance(s, ml.If):
-        lines = [f"{indent}if ({render_expr(s.cond)}) {{"]
-        lines += render_block(s.then, indent + "  ")
+        lines = []
+        for i, (cond, body) in enumerate(s.arms):
+            head = "} else if" if i else "if"
+            lines.append(f"{indent}{head} ({render_expr(cond)}) {{")
+            lines += render_block(body, indent + "  ")
         if s.orelse:
             lines.append(f"{indent}}} else {{")
             lines += render_block(s.orelse, indent + "  ")

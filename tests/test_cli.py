@@ -211,3 +211,61 @@ def test_unwritable_report_path_is_cli_error(workdir, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "cannot write" in err
+
+
+# Long chains are ordinary code, not nesting: neither the passes after
+# parsing nor the code a DSAL generates from them may turn a chain into
+# Python recursion or into nesting past the parser's limit.
+
+
+def test_long_operator_chain_compiles(workdir, capsys):
+    (workdir / "chain.ml0").write_text(
+        "class Main { def main() { print(" + " + ".join(["1"] * 3000) + "); } }\n"
+    )
+    assert main(["compile", "chain.ml0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_long_else_if_chain_compiles_and_runs(workdir, capsys):
+    arms = " else ".join(f"if (x == {i}) {{ print({i}); }}" for i in range(1000))
+    (workdir / "arms.ml0").write_text(f"class Main {{ def main() {{ var x = 999; {arms} }} }}\n")
+    assert main(["compile", "arms.ml0"]) == 0
+    assert main(["run", "arms.ml0"]) == 0
+    assert capsys.readouterr().out == "999\n"
+
+
+COOL_HEAD = """coordinator BoundedStack {
+  selfex {push, pop};
+  mutex {push, pop};
+  condition full = false, empty = true;
+  var top = 0;
+  pop:
+    requires (!empty);
+    on_entry { top = top - 1; }
+    on_exit { full = false; if (top == 0) { empty = true; } }
+"""
+
+
+def test_cool_requires_with_a_71_term_chain_runs(workdir, capsys):
+    chain = " + ".join(["top"] * 71)
+    (workdir / "demo_stack" / "chain.cool").write_text(
+        COOL_HEAD
+        + f"  push:\n    requires (!full && {chain} >= 0);\n"
+        + "    on_entry { top = top + 1; }\n"
+        + "    on_exit { empty = false; if (top == len(buffer)) { full = true; } }\n}\n"
+    )
+    assert main(["run", "demo_stack/stack.ml0", "demo_stack/chain.cool"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cool_on_exit_with_a_70_arm_else_if_chain_runs(workdir, capsys):
+    arms = " else ".join(f"if (top == {i + 100}) {{ full = true; }}" for i in range(69))
+    (workdir / "demo_stack" / "arms.cool").write_text(
+        COOL_HEAD
+        + "  push:\n    requires (!full);\n    on_entry { top = top + 1; }\n"
+        + f"    on_exit {{ empty = false; {arms}"
+        + " else if (top == len(buffer)) { full = true; } }\n"
+        + "}\n"
+    )
+    assert main(["run", "demo_stack/stack.ml0", "demo_stack/arms.cool"]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,5 +1,6 @@
 """Audit DSAL: parsing, message formatting, generation, and runtime behavior."""
 
+import hashlib
 import os
 import re
 
@@ -131,6 +132,15 @@ class TestGeneratedAspect:
             assert adv.bridge is not None
             assert adv.bridge.file == "demo/jobs.audit"
             assert adv.bridge.module == "jobs.audit"
+
+    def test_demo_output_is_pinned(self):
+        srcs = demo_sources()
+        model = parse_audit(srcs["jobs.audit"], "demo/jobs.audit")
+        catalog = parse_catalog(srcs["messages.txt"], "messages.txt")
+        src = gen_audit_aspect(model, catalog)
+        assert hashlib.sha256(src.encode("utf-8")).hexdigest() == (
+            "9f09a352d9355b785cdb82d1cb303df0c37c6bc5ada8a2f211e0c8024264c38c"
+        )
 
     def test_loc_lines_are_case_lines_within_source(self):
         srcs = demo_sources()

@@ -1,5 +1,6 @@
 """Coordination DSAL: parsing, guard semantics, and the generated protocol."""
 
+import hashlib
 import itertools
 import os
 
@@ -100,6 +101,51 @@ class TestValidate:
             validate_cool(coord, prog)
 
 
+    @pytest.mark.parametrize(
+        "clause, message",
+        [
+            ("push: requires (this.ok());", "expression not allowed in coordinator code"),
+            ("push: requires (full && nope);", "unknown name 'nope' in coordinator code"),
+            ("push: on_entry { print(top); }", "builtin 'print' not allowed in coordinator code"),
+            (
+                "push: on_exit { top = top + 1; return; }",
+                "return is not allowed in coordinator code",
+            ),
+            (
+                "push: on_exit { if (top == 0) { } else if (buffer.x) { } }",
+                "expression not allowed in coordinator code",
+            ),
+            (
+                "push: on_exit { if (top == 0) { } else if (top == 1) { return; }"
+                " else { nope = 1; } }",
+                "return is not allowed in coordinator code",
+            ),
+            ("push: on_entry { top = zap + new X(); }", "unknown name 'zap' in coordinator code"),
+        ],
+    )
+    def test_first_fault_in_source_order_is_reported(self, clause, message):
+        base, _ = demo_sources()
+        prog = mw.parse_base(base, "stack.ml0")
+        coord = parse_cool(
+            "coordinator BoundedStack {\n  condition full = false, empty = true;\n"
+            f"  var top = 0;\n  {clause}\n}}\n",
+            "x.cool",
+        )
+        with pytest.raises(CompileError) as exc:
+            validate_cool(coord, prog)
+        assert (exc.value.msg, exc.value.loc.line) == (message, 4)
+
+    def test_allowed_coordinator_code_validates(self):
+        base, _ = demo_sources()
+        prog = mw.parse_base(base, "stack.ml0")
+        coord = parse_cool(
+            "coordinator BoundedStack { condition full = false, empty = true; var top = 0;"
+            " push: on_entry { var k = [top, len(buffer)][0]; k = -k; full = !empty; } }",
+            "x.cool",
+        )
+        validate_cool(coord, prog)
+
+
 class TestCanEnter:
     def coord(self):
         _, cool = demo_sources()
@@ -166,6 +212,14 @@ class TestGeneratedAspect:
             assert adv.bridge is not None
             assert adv.bridge.file == "demo_stack/stack.cool"
             assert adv.bridge.module == "stack.cool"
+
+    def test_demo_output_is_pinned(self):
+        # the renderer must not change a byte of the demo's generated aspect
+        _, cool = demo_sources()
+        src = gen_cool_aspect(parse_cool(cool, "demo_stack/stack.cool"))
+        assert hashlib.sha256(src.encode("utf-8")).hexdigest() == (
+            "b4d168ec84fa885185e95c610dca490983ec086bab05cb0040ae3fd957a3f703"
+        )
 
     def test_transform_is_pure(self):
         _, cool = demo_sources()

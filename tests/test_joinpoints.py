@@ -1,5 +1,6 @@
 """Shadow extraction and @hide filtering, including the randomized properties."""
 
+import dataclasses
 import random
 
 import pytest
@@ -129,6 +130,31 @@ class TestExtraction:
             """
         )
         assert [s for s in table if s.kind is ShadowKind.METHOD_CALL] == []
+
+
+    def test_else_if_arms_yield_their_shadows_in_source_order(self):
+        _, table = shadows_of(
+            """
+            class A {
+              var f = 0;
+              def g() { }
+              def m(x) {
+                if (x == 0) { this.g(); }
+                else if (x == this.f) { this.f = 1; }
+                else if (x == 2) { spawn this.g(); }
+                else { this.g(); }
+              }
+            }
+            """
+        )
+        body = [(str(s.kind), s.loc.line) for s in table if s.within_member == "m"]
+        assert body == [
+            ("method_execution", 5),
+            ("method_call", 6),
+            ("field_get", 7),
+            ("field_set", 7),
+            ("method_call", 9),
+        ]
 
 
 def ann(name, args=None):
@@ -460,20 +486,127 @@ def test_hide_method_on_advice_hides_body_shadows():
     assert (calls[0].within_cls, calls[0].within_member) == ("A", "advice#1")
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_render_parse_round_trip(seed):
-    # rendering a parsed body and reparsing it reaches a fixed point; the
-    # renderer backs the coordinator code generator, so drift here would
-    # silently corrupt generated aspects
+_RT = Loc("rt.ml0", 1)
+_RT_OPS = sorted(ml._BINARY_PREC)
+
+
+def _rt_expr(rng: random.Random, depth: int):
+    """A random expression at most `depth` levels deep (Locs are dummies)."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            lambda: ml.IntLit(_RT, rng.randint(0, 99)),
+            lambda: ml.BoolLit(_RT, rng.random() < 0.5),
+            lambda: ml.StrLit(_RT, "".join(rng.choices('ab "\\\n\t', k=rng.randint(0, 3)))),
+            lambda: ml.NullLit(_RT),
+            lambda: ml.ThisRef(_RT),
+            lambda: ml.LocalRef(_RT, rng.choice("abc")),
+        ])()
+    sub = lambda: _rt_expr(rng, depth - 1)  # noqa: E731
+    subs = lambda: [sub() for _ in range(rng.randint(0, 2))]  # noqa: E731
+    call = lambda: ml.MethodCall(_RT, sub(), rng.choice("fg"), subs())  # noqa: E731
+    return rng.choice([
+        # operator chains are the common case: weight them up
+        lambda: ml.Binary(_RT, rng.choice(_RT_OPS), sub(), sub()),
+        lambda: ml.Binary(_RT, rng.choice(_RT_OPS), sub(), sub()),
+        lambda: ml.Binary(_RT, rng.choice(_RT_OPS), sub(), sub()),
+        lambda: ml.Unary(_RT, rng.choice("!-"), sub()),
+        lambda: ml.FieldGet(_RT, sub(), rng.choice("fg")),
+        lambda: ml.Index(_RT, sub(), sub()),
+        call,
+        lambda: ml.ListLit(_RT, subs()),
+        lambda: ml.BuiltinCall(_RT, rng.choice(["len", "print"]), subs()),
+        lambda: ml.New(_RT, "C", subs()),
+        lambda: ml.Spawn(_RT, call()),
+    ])()
+
+
+def _rt_block(rng: random.Random, depth: int) -> list:
+    """Random statements; `if` gets `else if` arms, and an `else` block that
+    holds just an `if` stays a nested statement."""
+    expr = lambda: _rt_expr(rng, 4)  # noqa: E731
+    block = lambda: _rt_block(rng, depth - 1)  # noqa: E731
+    kinds = [
+        lambda: ml.VarDecl(_RT, rng.choice("abc"), expr() if rng.random() < 0.7 else None),
+        lambda: ml.Assign(_RT, rng.choice([
+            lambda: ml.LocalRef(_RT, rng.choice("abc")),
+            lambda: ml.FieldGet(_RT, expr(), "f"),
+            lambda: ml.Index(_RT, expr(), expr()),
+        ])(), expr()),
+        lambda: ml.Return(_RT, expr() if rng.random() < 0.7 else None),
+        lambda: ml.ExprStmt(_RT, expr()),
+    ]
+    if depth > 0:
+        kinds += [
+            lambda: ml.If(_RT, [(expr(), block()) for _ in range(rng.randint(1, 4))],
+                          rng.choice([[], block(), [ml.If(_RT, [(expr(), block())], [])]])),
+            lambda: ml.While(_RT, expr(), block()),
+        ]
+    return [rng.choice(kinds)() for _ in range(rng.randint(0, 3))]
+
+
+def _shape(x):
+    """The AST under `x` with every Loc dropped, for structural comparison."""
+    if isinstance(x, ml.Node):
+        fields = [f.name for f in dataclasses.fields(x) if f.name != "loc"]
+        return (type(x).__name__, *(_shape(getattr(x, name)) for name in fields))
+    if isinstance(x, (list, tuple)):
+        return [_shape(item) for item in x]
+    return x
+
+
+def _reparse_body(stmts):
     from miniweave.render import render_block
 
-    src = random_program_source(random.Random(seed))
-    prog = mw.parse_base(src, "rt.ml0")
-    for cls in prog.classes:
-        for m in cls.methods:
-            text1 = "\n".join(render_block(m.body, "  "))
-            wrapped = f"class W {{\n def probe() {{\n{text1}\n }}\n}}"
-            reparsed = mw.parse_base(wrapped, "rt2.ml0")
-            text2 = "\n".join(render_block(reparsed.classes[0].methods[0].body, "  "))
-            assert text1 == text2
+    text = "\n".join(render_block(stmts, "    "))
+    prog = mw.parse_base(f"class W {{\n  def probe() {{\n{text}\n  }}\n}}\n", "rt2.ml0")
+    return prog.classes[0].methods[0].body
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_render_parse_round_trip(seed):
+    # parsing what the renderer writes gives back the same tree: a dropped
+    # parenthesis or a mis-rendered `else if` changes the shape. The
+    # renderer backs the coordinator code generator, so drift here would
+    # silently corrupt generated aspects.
+    stmts = _rt_block(random.Random(seed), 3)
+    assert _shape(_reparse_body(stmts)) == _shape(stmts)
+
+
+@pytest.mark.parametrize(
+    "source, rendered",
+    [
+        ("a - (b - c)", "a - (b - c)"),
+        ("(a - b) - c", "a - b - c"),
+        ("a * (b + c) % d", "a * (b + c) % d"),
+        ("(a || b) && !(c == d)", "(a || b) && !(c == d)"),
+        ("!a && -b < -(-c)", "!a && -b < -(-c)"),
+        ("(a + b).f[(c)]", "(a + b).f[c]"),
+    ],
+)
+def test_render_parenthesizes_by_precedence(source, rendered):
+    from miniweave.render import render_expr
+
+    body = mw.parse_base(f"class W {{ def probe() {{ return {source}; }} }}", "p.ml0")
+    assert render_expr(body.classes[0].methods[0].body[0].value) == rendered
+
+
+def test_render_else_if_chain_is_flat():
+    from miniweave.render import render_block
+
+    src = (
+        "class W { def probe() { if (a) { f(); } else if (b) { } else if (c) { g(); }"
+        " else { if (d) { } } } }"
+    )
+    body = mw.parse_base(src, "p.ml0").classes[0].methods[0].body
+    assert render_block(body) == [
+        "if (a) {",
+        "  f();",
+        "} else if (b) {",
+        "} else if (c) {",
+        "  g();",
+        "} else {",
+        "  if (d) {",
+        "  }",
+        "}",
+    ]

@@ -46,6 +46,99 @@ class TestParser:
             build_unit("class A { def f() { return zap; } }")
 
 
+class TestResolution:
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("class Main { def main() { print(new Nope(), y); } }", "unknown class 'Nope'"),
+            ("class Main { def main() { print(y, new Nope()); } }", "unresolved name 'y'"),
+            ("class Main { def main() { var a = zap(y); } }", "unknown function 'zap'"),
+            (
+                "class Main { def main() { var a = 1 + 2 * q - new Nope(); } }",
+                "unresolved name 'q'",
+            ),
+            (
+                "class Main { def main() { if (true) { } else if (new Nope() == y) { } } }",
+                "unknown class 'Nope'",
+            ),
+            (
+                "class Main { var f = 1; def main() { if (f) { } else if (f == g) { zap(); } } }",
+                "unresolved name 'g'",
+            ),
+            ("class Main { var f = y; def main() { zap(); } }", "unresolved name 'y'"),
+            ("class Main { static { print(f); this.m(); } var f = 1; def main() { } }",
+             "unresolved name 'f'"),
+            ("class Main { static { this.m(f); } var f = 1; def main() { } }",
+             "'this' is not available here"),
+        ],
+    )
+    def test_first_fault_in_source_order_is_reported(self, src, message):
+        with pytest.raises(mw.CompileError) as exc:
+            build_unit(src)
+        assert exc.value.msg == message
+
+    def test_field_names_in_else_if_conditions_resolve(self):
+        res = run_src(
+            "class Main { var f = 2;\n"
+            "  def main() { if (f == 1) { print(1); } else if (f == 2) { print(f); } }\n"
+            "}"
+        )
+        assert res.output == ["2"]
+
+
+class TestElseIfChain:
+    CHAIN = """class Main {
+  def pick(x) {
+    var r = 0;
+    if (x == 0) {
+      r = 10;
+    } else if (x == 1) {
+      r = 11;
+    } else if (x == 2) {
+      r = 12;
+    } else {
+      r = 13;
+    }
+    return r;
+  }
+  def main() {
+    print(this.pick(%s));
+  }
+}
+"""
+
+    def test_chain_is_one_node_with_arms(self):
+        body = mw.parse_base(self.CHAIN % "0", "c.ml0").classes[0].methods[0].body
+        chain = body[1]
+        assert len(chain.arms) == 3 and len(chain.orelse) == 1
+        nested = mw.parse_base(
+            "class A { def f() { if (true) { } else { if (false) { } } } }", "n.ml0"
+        ).classes[0].methods[0].body[0]
+        assert len(nested.arms) == 1 and len(nested.orelse[0].arms) == 1
+
+    # the same chain spelled as nested `else { if ... }` blocks, line for line
+    NESTED = (
+        CHAIN.replace("} else if (x == 1) {", "} else { if (x == 1) {")
+        .replace("} else if (x == 2) {", "} else { if (x == 2) {")
+        .replace("      r = 13;\n    }\n", "      r = 13;\n    } } }\n")
+    )
+
+    @pytest.mark.parametrize("arg, output, steps", [(0, "10", 9), (1, "11", 10), (2, "12", 11),
+                                                    (3, "13", 11)])
+    def test_each_arm_takes_the_steps_of_nested_ifs(self, arg, output, steps):
+        # an `else if` keeps the scheduling point of the nested `if` it
+        # abbreviates, so step numbers do not depend on the spelling
+        chain, nested = run_src(self.CHAIN % arg), run_src(self.NESTED % arg)
+        assert chain.output == nested.output == [output]
+        assert chain.steps == nested.steps == steps
+
+    @pytest.mark.parametrize("spelling", ["CHAIN", "NESTED"])
+    def test_non_bool_condition_names_its_arm(self, spelling):
+        res = run_src(getattr(self, spelling).replace("x == 2", "x") % 2)
+        assert res.status == "runtime-error"
+        assert res.error == "base.ml0:8: expected a bool, got 2"
+
+
 class TestNestingLimit:
     """Nesting is bounded by MAX_NESTING: deeper input is a ParseError at
     the offending token, never a Python RecursionError."""
