@@ -310,22 +310,23 @@ def _eval_guard(e, env: dict, target_fields: dict):
 
 
 class _Rewriter:
-    """Compile coordinator names: conditions/fields -> state-list slots,
-    target-class fields -> reads off the bound target object `t`."""
+    """Rename coordinator names: conditions/fields -> state-list slots,
+    other free names -> reads off the bound target object `t`. Everything
+    else is kept as written: `validate_cool` alone decides what coordinator
+    code may contain, and it runs before the generated aspect is woven."""
 
-    def __init__(self, index: dict[str, int], state: set[str]):
+    def __init__(self, index: dict[str, int]):
         self.index = index
-        self.state = state
+
+    def slot(self, loc: Loc, name: str) -> ml.Index:
+        return ml.Index(loc, ml.LocalRef(loc, "st"), ml.IntLit(loc, self.index[name]))
 
     def expr(self, e, scope: set[str]):
-        if isinstance(e, (ml.IntLit, ml.BoolLit, ml.StrLit, ml.NullLit)):
-            return e
         if isinstance(e, ml.LocalRef):
             if e.name in scope:
                 return e
             if e.name in self.index:
-                return ml.Index(e.loc, ml.LocalRef(e.loc, "st"), ml.IntLit(e.loc, self.index[e.name]))
-            # anything else was validated as a target-class field
+                return self.slot(e.loc, e.name)
             return ml.FieldGet(e.loc, ml.LocalRef(e.loc, "t"), e.name)
         if isinstance(e, ml.Unary):
             return ml.Unary(e.loc, e.op, self.expr(e.operand, scope))
@@ -337,31 +338,19 @@ class _Rewriter:
             return ml.ListLit(e.loc, [self.expr(a, scope) for a in e.items])
         if isinstance(e, ml.Index):
             return ml.Index(e.loc, self.expr(e.obj, scope), self.expr(e.index, scope))
-        raise CompileError("expression not allowed in coordinator code", e.loc)
+        return e
 
     def block(self, stmts, scope: set[str]) -> list:
         return [self.stmt(s, scope) for s in stmts]
 
     def stmt(self, s, scope: set[str]):
-        if isinstance(s, ml.VarDecl):
-            init = self.expr(s.init, scope) if s.init is not None else None
-            return ml.VarDecl(s.loc, s.name, init)
-        if isinstance(s, ml.Assign):
-            if not isinstance(s.target, ml.LocalRef):
-                raise CompileError("coordinator code can only assign to names", s.loc)
-            value = self.expr(s.value, scope)
-            name = s.target.name
-            if name in scope:
-                return ml.Assign(s.loc, s.target, value)
-            if name not in self.index:
-                raise CompileError(
-                    f"cannot assign to {name!r}: not a condition, coordinator field, or local",
-                    s.loc,
-                )
-            slot = ml.Index(
-                s.loc, ml.LocalRef(s.loc, "st"), ml.IntLit(s.loc, self.index[name])
-            )
-            return ml.Assign(s.loc, slot, value)
+        if isinstance(s, ml.VarDecl) and s.init is not None:
+            return ml.VarDecl(s.loc, s.name, self.expr(s.init, scope))
+        if isinstance(s, ml.Assign) and isinstance(s.target, ml.LocalRef):
+            target = s.target
+            if target.name not in scope and target.name in self.index:
+                target = self.slot(s.loc, target.name)
+            return ml.Assign(s.loc, target, self.expr(s.value, scope))
         if isinstance(s, ml.If):
             arms = [(self.expr(cond, scope), self.block(body, scope)) for cond, body in s.arms]
             return ml.If(s.loc, arms, self.block(s.orelse, scope))
@@ -369,7 +358,7 @@ class _Rewriter:
             return ml.While(s.loc, self.expr(s.cond, scope), self.block(s.body, scope))
         if isinstance(s, ml.ExprStmt):
             return ml.ExprStmt(s.loc, self.expr(s.expr, scope))
-        raise CompileError("statement not allowed in coordinator code", s.loc)
+        return s
 
 
 def _mutates_state(block, state: set[str]) -> bool:
@@ -417,7 +406,7 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
     for name, _, _ in coord.fields:
         index[name] = slot
         slot += 1
-    rw = _Rewriter(index, state)
+    rw = _Rewriter(index)
     aspect_name = f"Coord_{coord.target}"
     module = os.path.basename(coord.path)
 

@@ -3,21 +3,33 @@
 Logical threads are Python generators resumed one interpreter step at a
 time by a round-robin scheduler; the rotation order is derived from the
 run seed, so a fixed (unit, entry, seed, step_limit) always produces a
-byte-identical event trace. Monitors are non-reentrant and frame-scoped:
-whatever a frame still holds when it unwinds is released.
+byte-identical event trace. Each `yield None` is one step. A thread that
+must wait parks itself: it sets its own `status` (BLOCKED on a held
+monitor, WAITING in `monitor_wait`) and `monitor`, then yields, and
+`pick_next` passes it over until the monitor is free.
+
+Each MiniLang frame (method, constructor, static block, advice, field
+initializer) is one `_Env` on its thread's `frames`: locals, `this`, the
+owning thread and the monitors it acquired. Monitors are non-reentrant
+and frame-scoped: whatever a frame still holds when it unwinds is
+released. A thread holding MAX_CALL_DEPTH frames ends the run with a
+runtime error. `exec_block` dispatches each statement in place, and
+`eval_expr` walks a binary chain's left spine down to its leftmost
+operand, then applies the operators on the way back up, so a left-deep
+chain costs no Python frames.
 
 Each join-point site looks its AST node up in the unit's `sites` and, for
 a visible shadow, brackets its own work with `_jp_enter` (scheduling
 point, `jp` event, cflow push, before-advice in precedence order) and
 `_jp_exit` (after-advice in reverse precedence order, cflow pop). Hidden
-shadows have no site: no events, no cflow state. A thread holding
-MAX_CALL_DEPTH MiniLang frames ends the run with a runtime error.
+shadows have no site: no events, no cflow state.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import joinpoints as jp
 from . import matching
@@ -51,6 +63,12 @@ _BUILTIN_ARITY = {
 
 _LITERALS = (ml.IntLit, ml.BoolLit, ml.StrLit)  # evaluate to their `value`
 
+# binary operators on two ints; `/` and `%` also check for a zero divisor
+_INT_OPS = {
+    "-": operator.sub, "*": operator.mul, "/": operator.floordiv, "%": operator.mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
 RUNNABLE = "runnable"
 BLOCKED = "blocked"
 WAITING = "waiting"
@@ -60,16 +78,6 @@ FINISHED = "finished"
 class _ReturnSignal(Exception):
     def __init__(self, value):
         self.value = value
-
-
-@dataclass(frozen=True)
-class _Block:
-    monitor: Monitor
-
-
-@dataclass(frozen=True)
-class _Wait:
-    monitor: Monitor
 
 
 @dataclass(frozen=True)
@@ -124,11 +132,18 @@ class DeadlockReport:
 class ExecutionResult:
     status: str  # completed | deadlock | step-limit-exceeded | runtime-error
     events: list[Event]
-    output: list[str]  # stdout lines: prints and audit lines in schedule order
-    audit_lines: list[str]
     steps: int
     deadlock: DeadlockReport | None = None
     error: str | None = None
+
+    @property
+    def output(self) -> list[str]:
+        """stdout lines: prints and audit lines in schedule order."""
+        return [e.text for e in self.events if e.kind == "print" or e.kind == "audit"]
+
+    @property
+    def audit_lines(self) -> list[str]:
+        return [e.text for e in self.events if e.kind == "audit"]
 
     def render_trace(self) -> str:
         return "".join(e.render() + "\n" for e in self.events)
@@ -190,12 +205,6 @@ class WovenUnit:
         return cls(program, aspects, list(precedence), table, visible, mt, sites)
 
 
-@dataclass
-class _Frame:
-    owner: "_Thread"
-    acquired: list[Monitor] = field(default_factory=list)
-
-
 def _frame_locals(decl, bound: dict) -> dict:
     locals_ = {name: None for name in decl.local_names}
     locals_.update(bound)
@@ -203,12 +212,15 @@ def _frame_locals(decl, bound: dict) -> dict:
 
 
 class _Env:
-    __slots__ = ("locals", "this", "frame")
+    """One MiniLang frame. It defines no __eq__, so frames compare by identity."""
 
-    def __init__(self, locals_: dict, this, frame: _Frame):
+    __slots__ = ("locals", "this", "thread", "acquired")
+
+    def __init__(self, locals_: dict, this, thread: "_Thread"):
         self.locals = locals_
         self.this = this
-        self.frame = frame
+        self.thread = thread
+        self.acquired: list[Monitor] = []
 
 
 class _Thread:
@@ -217,7 +229,7 @@ class _Thread:
         self.gen = gen
         self.status = RUNNABLE
         self.monitor: Monitor | None = None  # blocked/waiting target
-        self.frames: list[_Frame] = []
+        self.frames: list[_Env] = []
         self.cflow: list[CflowFrame] = []
 
 
@@ -256,8 +268,6 @@ class Interp:
         self.current: _Thread | None = None
         self.steps = 0
         self.events: list[Event] = []
-        self.output: list[str] = []
-        self.audit_lines: list[str] = []
         self.next_obj = 0
         self.next_mon = 0
         self.aspect_instances: dict[str, AspectInstance] = {}
@@ -311,28 +321,15 @@ class Interp:
                 t.status = RUNNABLE
                 t.monitor = None
             try:
-                signal = next(t.gen)
+                next(t.gen)
             except StopIteration:
                 t.status = FINISHED
                 self.emit("finish", "")
-                continue
             except MiniRuntimeError as e:
                 return self._result("runtime-error", error=str(e))
-            if signal is None:
-                continue
-            if isinstance(signal, _Block):
-                t.status = BLOCKED
-                t.monitor = signal.monitor
-            elif isinstance(signal, _Wait):
-                t.status = WAITING
-                t.monitor = signal.monitor
-            else:
-                raise AssertionError(f"bad scheduler signal {signal!r}")
 
     def _result(self, status: str, deadlock=None, error=None) -> ExecutionResult:
-        return ExecutionResult(
-            status, self.events, self.output, self.audit_lines, self.steps, deadlock, error
-        )
+        return ExecutionResult(status, self.events, self.steps, deadlock, error)
 
     def _check_entry(self, entry: str):
         if "." not in entry:
@@ -359,13 +356,11 @@ class Interp:
             self.aspect_instances[aspect.name] = inst
             for f in aspect.fields:
                 if f.init is not None:
-                    frame = self._push_frame(f.loc)
+                    env = self._push_frame(f.loc, {}, inst)
                     try:
-                        inst.fields[f.name] = yield from self.eval_expr(
-                            f.init, _Env({}, inst, frame)
-                        )
+                        inst.fields[f.name] = yield from self.eval_expr(f.init, env)
                     finally:
-                        self._pop_frame(frame)
+                        self._pop_frame(env)
         for cls in self.unit.program.classes:
             if cls.static_block is not None:
                 yield from self._run_static(cls)
@@ -377,70 +372,34 @@ class Interp:
         site = self.unit.sites.get(id(block))
         if site is not None:
             yield from self._jp_enter(site, None, None, ())
-        frame = self._push_frame(block.loc)
-        env = _Env(_frame_locals(block, {}), None, frame)
+        env = self._push_frame(block.loc, _frame_locals(block, {}), None)
         try:
             yield from self.exec_block(block.body, env)
         except _ReturnSignal:
             pass
         finally:
-            self._pop_frame(frame)
+            self._pop_frame(env)
         if site is not None:
             yield from self._jp_exit(site, None, None, ())
 
-    # -- frames and monitors
+    # -- frames
 
-    def _push_frame(self, loc: Loc) -> _Frame:
-        frames = self.current.frames
-        if len(frames) >= MAX_CALL_DEPTH:
+    def _push_frame(self, loc: Loc, locals_: dict, this) -> _Env:
+        t = self.current
+        if len(t.frames) >= MAX_CALL_DEPTH:
             raise MiniRuntimeError(f"call depth exceeds {MAX_CALL_DEPTH}", loc)
-        frame = _Frame(self.current)
-        frames.append(frame)
-        return frame
+        env = _Env(locals_, this, t)
+        t.frames.append(env)
+        return env
 
-    def _pop_frame(self, frame: _Frame) -> None:
+    def _pop_frame(self, env: _Env) -> None:
         # also reached during generator teardown of parked threads, so the
         # owner comes from the frame, not from self.current
-        t = frame.owner
-        if frame in t.frames:
-            t.frames.remove(frame)
-        for mon in frame.acquired:
+        t = env.thread
+        t.frames.remove(env)
+        for mon in env.acquired:
             if mon.holder == t.tid:
                 mon.holder = None
-
-    def _acquire(self, mon: Monitor, env: _Env):
-        while mon.holder is not None:
-            yield _Block(mon)
-        mon.holder = self.current.tid
-        env.frame.acquired.append(mon)
-
-    def _release(self, mon: Monitor, loc: Loc) -> None:
-        t = self.current
-        if mon.holder != t.tid:
-            raise MiniRuntimeError("release of a monitor not held", loc)
-        mon.holder = None
-        for frame in reversed(t.frames):
-            if mon in frame.acquired:
-                frame.acquired.remove(mon)
-                break
-
-    def _wait(self, mon: Monitor, loc: Loc):
-        t = self.current
-        if mon.holder != t.tid:
-            raise MiniRuntimeError("wait on a monitor not held", loc)
-        # atomic release-and-park; re-acquire before continuing
-        mon.holder = None
-        yield _Wait(mon)
-        while mon.holder is not None:
-            yield _Block(mon)
-        mon.holder = t.tid
-
-    def _notify_all(self, mon: Monitor, loc: Loc) -> None:
-        if mon.holder != self.current.tid:
-            raise MiniRuntimeError("notify on a monitor not held", loc)
-        for t in self.threads:
-            if t.status == WAITING and t.monitor is mon:
-                t.status = BLOCKED
 
     # -- join point dispatch
 
@@ -478,20 +437,19 @@ class Interp:
             member=shadow.member or "",
             arity=shadow.arity if shadow.arity is not None else len(args),
         )
-        frame = self._push_frame(shadow.loc)
         bound = {
             "thisObject": this_obj,
             "targetObject": target_obj,
             "args": list(args),
             "jp": info,
         }
-        env = _Env(_frame_locals(advice, bound), inst, frame)
+        env = self._push_frame(shadow.loc, _frame_locals(advice, bound), inst)
         try:
             yield from self.exec_block(advice.body, env)
         except _ReturnSignal:
             pass
         finally:
-            self._pop_frame(frame)
+            self._pop_frame(env)
         self.emit("advice_exit", tag)
 
     # -- object lifecycle and method invocation
@@ -508,14 +466,13 @@ class Interp:
         site = self.unit.sites.get(id(cls))
         if site is not None:
             yield from self._jp_enter(site, obj, obj, args)
-        frame = self._push_frame(loc)
-        env = _Env({}, obj, frame)
+        env = self._push_frame(loc, {}, obj)
         try:
             for f in cls.fields:
                 if f.init is not None:
                     obj.fields[f.name] = yield from self.eval_expr(f.init, env)
         finally:
-            self._pop_frame(frame)
+            self._pop_frame(env)
         if site is not None:
             yield from self._jp_exit(site, obj, obj, args)
         ctor = cls.ctor
@@ -524,14 +481,13 @@ class Interp:
         site = self.unit.sites.get(id(ctor))
         if site is not None:
             yield from self._jp_enter(site, obj, obj, args)
-        frame = self._push_frame(loc)
-        env = _Env(_frame_locals(ctor, dict(zip(ctor.params, args))), obj, frame)
+        env = self._push_frame(loc, _frame_locals(ctor, dict(zip(ctor.params, args))), obj)
         try:
             yield from self.exec_block(ctor.body, env)
         except _ReturnSignal:
             pass
         finally:
-            self._pop_frame(frame)
+            self._pop_frame(env)
         if site is not None:
             yield from self._jp_exit(site, obj, obj, args)
         return obj
@@ -558,15 +514,14 @@ class Interp:
         site = self.unit.sites.get(id(decl))
         if site is not None:
             yield from self._jp_enter(site, recv, recv, args)
-        frame = self._push_frame(loc)
-        env = _Env(_frame_locals(decl, dict(zip(decl.params, args))), recv, frame)
+        env = self._push_frame(loc, _frame_locals(decl, dict(zip(decl.params, args))), recv)
         result = None
         try:
             yield from self.exec_block(decl.body, env)
         except _ReturnSignal as sig:
             result = sig.value
         finally:
-            self._pop_frame(frame)
+            self._pop_frame(env)
         if site is not None:
             yield from self._jp_exit(site, recv, recv, args)
         return result
@@ -576,83 +531,91 @@ class Interp:
     def exec_block(self, stmts, env: _Env):
         for stmt in stmts:
             yield None
-            yield from self.exec_stmt(stmt, env)
-
-    def exec_stmt(self, stmt, env: _Env):
-        if isinstance(stmt, ml.VarDecl):
-            value = None
-            if stmt.init is not None:
-                value = yield from self.eval_expr(stmt.init, env)
-            env.locals[stmt.name] = value
-        elif isinstance(stmt, ml.Assign):
-            yield from self.exec_assign(stmt, env)
-        elif isinstance(stmt, ml.If):
-            later = False
-            for test, body in stmt.arms:
-                if later:
-                    yield None  # the step of the nested `if` an `else if` abbreviates
-                cond = yield from self.eval_expr(test, env)
-                if self.as_bool(cond, test.loc if later else stmt.loc):
-                    return (yield from self.exec_block(body, env))
-                later = True
-            yield from self.exec_block(stmt.orelse, env)
-        elif isinstance(stmt, ml.While):
-            while True:
-                yield None
-                cond = yield from self.eval_expr(stmt.cond, env)
-                if not self.as_bool(cond, stmt.loc):
-                    break
-                yield from self.exec_block(stmt.body, env)
-        elif isinstance(stmt, ml.Return):
-            value = None
-            if stmt.value is not None:
-                value = yield from self.eval_expr(stmt.value, env)
-            raise _ReturnSignal(value)
-        elif isinstance(stmt, ml.ExprStmt):
-            yield from self.eval_expr(stmt.expr, env)
-        else:
-            raise MiniRuntimeError(f"cannot execute {type(stmt).__name__}", stmt.loc)
-
-    def exec_assign(self, stmt: ml.Assign, env: _Env):
-        target = stmt.target
-        if isinstance(target, ml.LocalRef):
-            value = yield from self.eval_expr(stmt.value, env)
-            env.locals[target.name] = value
-            return
-        if isinstance(target, ml.Index):
-            seq = yield from self.eval_expr(target.obj, env)
-            idx = yield from self.eval_expr(target.index, env)
-            value = yield from self.eval_expr(stmt.value, env)
-            self.index_check(seq, idx, target.loc)
-            seq[idx] = value
-            return
-        # field set join point
-        obj = yield from self.eval_expr(target.obj, env)
-        value = yield from self.eval_expr(stmt.value, env)
-        site = self.unit.sites.get(id(stmt))
-        if site is not None:
-            yield from self._jp_enter(site, env.this, obj, (value,))
-        self.field_write(obj, target.name, value, target.loc)
-        if site is not None:
-            yield from self._jp_exit(site, env.this, obj, (value,))
+            kind = type(stmt)
+            if kind is ml.ExprStmt:
+                yield from self.eval_expr(stmt.expr, env)
+            elif kind is ml.Assign:
+                target = stmt.target
+                if type(target) is ml.LocalRef:
+                    env.locals[target.name] = yield from self.eval_expr(stmt.value, env)
+                elif type(target) is ml.Index:
+                    seq = yield from self.eval_expr(target.obj, env)
+                    idx = yield from self.eval_expr(target.index, env)
+                    value = yield from self.eval_expr(stmt.value, env)
+                    self.index_check(seq, idx, target.loc)
+                    seq[idx] = value
+                else:  # field set join point
+                    obj = yield from self.eval_expr(target.obj, env)
+                    value = yield from self.eval_expr(stmt.value, env)
+                    site = self.unit.sites.get(id(stmt))
+                    if site is not None:
+                        yield from self._jp_enter(site, env.this, obj, (value,))
+                    self.field_write(obj, target.name, value, target.loc)
+                    if site is not None:
+                        yield from self._jp_exit(site, env.this, obj, (value,))
+            elif kind is ml.VarDecl:
+                init = stmt.init
+                value = None if init is None else (yield from self.eval_expr(init, env))
+                env.locals[stmt.name] = value
+            elif kind is ml.If:
+                later = False
+                for test, body in stmt.arms:
+                    if later:
+                        yield None  # the step of the nested `if` an `else if` abbreviates
+                    cond = yield from self.eval_expr(test, env)
+                    if self.as_bool(cond, test.loc if later else stmt.loc):
+                        yield from self.exec_block(body, env)
+                        break
+                    later = True
+                else:
+                    yield from self.exec_block(stmt.orelse, env)
+            elif kind is ml.While:
+                while True:
+                    yield None
+                    cond = yield from self.eval_expr(stmt.cond, env)
+                    if not self.as_bool(cond, stmt.loc):
+                        break
+                    yield from self.exec_block(stmt.body, env)
+            elif kind is ml.Return:
+                value = stmt.value
+                value = None if value is None else (yield from self.eval_expr(value, env))
+                raise _ReturnSignal(value)
+            else:
+                raise MiniRuntimeError(f"cannot execute {kind.__name__}", stmt.loc)
 
     # -- expressions
 
     def eval_expr(self, expr, env: _Env):
-        if isinstance(expr, _LITERALS):
+        kind = type(expr)
+        if kind in _LITERALS:
             return expr.value
-        if isinstance(expr, ml.NullLit):
-            return None
-        if isinstance(expr, ml.ThisRef):
-            return env.this
-        if isinstance(expr, ml.LocalRef):
+        if kind is ml.LocalRef:
             return env.locals[expr.name]
-        if isinstance(expr, ml.ListLit):
-            items = []
-            for item in expr.items:
-                items.append((yield from self.eval_expr(item, env)))
-            return items
-        if isinstance(expr, ml.FieldGet):
+        if kind is ml.ThisRef:
+            return env.this
+        if kind is ml.NullLit:
+            return None
+        if kind is ml.Binary:
+            # down the left spine to the leftmost operand, then each operator
+            # on the way back up; `&&` and `||` short-circuit per node
+            spine = []
+            while kind is ml.Binary:
+                spine.append(expr)
+                expr = expr.left
+                kind = type(expr)
+            value = yield from self.eval_expr(expr, env)
+            for node in reversed(spine):
+                op = node.op
+                if op == "&&" or op == "||":
+                    # `&&` goes on past true, `||` past false; otherwise the value stands
+                    if self.as_bool(value, node.loc) is (op == "&&"):
+                        right = yield from self.eval_expr(node.right, env)
+                        value = self.as_bool(right, node.loc)
+                else:
+                    right = yield from self.eval_expr(node.right, env)
+                    value = self.apply_operator(op, value, right, node.loc)
+            return value
+        if kind is ml.FieldGet:
             obj = yield from self.eval_expr(expr.obj, env)
             site = self.unit.sites.get(id(expr))
             if site is not None:
@@ -661,12 +624,7 @@ class Interp:
             if site is not None:
                 yield from self._jp_exit(site, env.this, obj, ())
             return result
-        if isinstance(expr, ml.Index):
-            seq = yield from self.eval_expr(expr.obj, env)
-            idx = yield from self.eval_expr(expr.index, env)
-            self.index_check(seq, idx, expr.loc)
-            return seq[idx]
-        if isinstance(expr, ml.MethodCall):
+        if kind is ml.MethodCall:
             recv = yield from self.eval_expr(expr.obj, env)
             args = []
             for a in expr.args:
@@ -678,15 +636,25 @@ class Interp:
             if site is not None:
                 yield from self._jp_exit(site, env.this, recv, args)
             return result
-        if isinstance(expr, ml.BuiltinCall):
+        if kind is ml.BuiltinCall:
             return (yield from self.eval_builtin(expr, env))
-        if isinstance(expr, ml.New):
+        if kind is ml.Index:
+            seq = yield from self.eval_expr(expr.obj, env)
+            idx = yield from self.eval_expr(expr.index, env)
+            self.index_check(seq, idx, expr.loc)
+            return seq[idx]
+        if kind is ml.ListLit:
+            items = []
+            for item in expr.items:
+                items.append((yield from self.eval_expr(item, env)))
+            return items
+        if kind is ml.New:
             cls = self.classes[expr.class_name]
             args = []
             for a in expr.args:
                 args.append((yield from self.eval_expr(a, env)))
             return (yield from self.instantiate(cls, args, expr.loc))
-        if isinstance(expr, ml.Spawn):
+        if kind is ml.Spawn:
             call = expr.call
             recv = yield from self.eval_expr(call.obj, env)
             args = []
@@ -697,29 +665,15 @@ class Interp:
             tid = self.add_thread(self.invoke(recv, call.name, args, call.loc))
             self.emit("spawn", f"t{tid}")
             return tid
-        if isinstance(expr, ml.Unary):
+        if kind is ml.Unary:
             value = yield from self.eval_expr(expr.operand, env)
             if expr.op == "!":
                 return not self.as_bool(value, expr.loc)
             return -self.as_int(value, expr.loc)
-        if isinstance(expr, ml.Binary):
-            return (yield from self.eval_binary(expr, env))
-        raise MiniRuntimeError(f"cannot evaluate {type(expr).__name__}", expr.loc)
+        raise MiniRuntimeError(f"cannot evaluate {kind.__name__}", expr.loc)
 
-    def eval_binary(self, expr: ml.Binary, env: _Env):
-        op = expr.op
-        left = yield from self.eval_expr(expr.left, env)
-        if op == "&&":
-            if not self.as_bool(left, expr.loc):
-                return False
-            right = yield from self.eval_expr(expr.right, env)
-            return self.as_bool(right, expr.loc)
-        if op == "||":
-            if self.as_bool(left, expr.loc):
-                return True
-            right = yield from self.eval_expr(expr.right, env)
-            return self.as_bool(right, expr.loc)
-        right = yield from self.eval_expr(expr.right, env)
+    def apply_operator(self, op: str, left, right, loc: Loc):
+        """A binary operator other than `&&`/`||` on evaluated operands."""
         if op == "==":
             return value_eq(left, right)
         if op == "!=":
@@ -727,26 +681,15 @@ class Interp:
         if op == "+":
             if isinstance(left, str) and isinstance(right, str):
                 return left + right
-            return self.as_int(left, expr.loc) + self.as_int(right, expr.loc)
-        a = self.as_int(left, expr.loc)
-        b = self.as_int(right, expr.loc)
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op in ("/", "%"):
-            if b == 0:
-                raise MiniRuntimeError("division by zero", expr.loc)
-            return a // b if op == "/" else a % b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise MiniRuntimeError(f"unknown operator {op!r}", expr.loc)
+            return self.as_int(left, loc) + self.as_int(right, loc)
+        a = self.as_int(left, loc)
+        b = self.as_int(right, loc)
+        fn = _INT_OPS.get(op)
+        if fn is None:
+            raise MiniRuntimeError(f"unknown operator {op!r}", loc)
+        if b == 0 and (op == "/" or op == "%"):
+            raise MiniRuntimeError("division by zero", loc)
+        return fn(a, b)
 
     def eval_builtin(self, expr: ml.BuiltinCall, env: _Env):
         name = expr.name
@@ -758,9 +701,7 @@ class Interp:
         if arity is not None and len(args) != arity:
             raise MiniRuntimeError(f"{name} expects {arity} argument(s)", loc)
         if name == "print":
-            text = render_value(args[0])
-            self.output.append(text)
-            self.emit("print", text)
+            self.emit("print", render_value(args[0]))
             return None
         if name == "len":
             if isinstance(args[0], (list, str)):
@@ -781,8 +722,6 @@ class Interp:
         if name == "audit_emit":
             if not isinstance(args[0], str):
                 raise MiniRuntimeError("audit_emit expects a string", loc)
-            self.audit_lines.append(args[0])
-            self.output.append(args[0])
             self.emit("audit", args[0])
             return None
         if name == "make_monitor":
@@ -793,16 +732,40 @@ class Interp:
         mon = args[0]
         if not isinstance(mon, Monitor):
             raise MiniRuntimeError(f"{name} expects a monitor", loc)
-        if name == "monitor_acquire":
-            yield from self._acquire(mon, env)
-        elif name == "monitor_release":
-            self._release(mon, loc)
-        elif name == "monitor_wait":
-            yield from self._wait(mon, loc)
-        elif name == "monitor_notify_all":
-            self._notify_all(mon, loc)
-        else:
+        t = self.current
+        if name == "monitor_release":
+            if mon.holder != t.tid:
+                raise MiniRuntimeError("release of a monitor not held", loc)
+            mon.holder = None
+            for frame in reversed(t.frames):
+                if mon in frame.acquired:
+                    frame.acquired.remove(mon)
+                    break
+            return None
+        if name == "monitor_notify_all":
+            if mon.holder != t.tid:
+                raise MiniRuntimeError("notify on a monitor not held", loc)
+            for other in self.threads:
+                if other.status == WAITING and other.monitor is mon:
+                    other.status = BLOCKED
+            return None
+        if name == "monitor_wait":
+            if mon.holder != t.tid:
+                raise MiniRuntimeError("wait on a monitor not held", loc)
+            # atomic release-and-park; re-acquire before continuing
+            mon.holder = None
+            t.status = WAITING
+            t.monitor = mon
+            yield None
+        elif name != "monitor_acquire":
             raise MiniRuntimeError(f"unknown builtin {name!r}", loc)
+        while mon.holder is not None:  # parked until pick_next finds it free
+            t.status = BLOCKED
+            t.monitor = mon
+            yield None
+        mon.holder = t.tid
+        if name == "monitor_acquire":
+            env.acquired.append(mon)
         return None
 
     # -- value helpers

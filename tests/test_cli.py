@@ -226,6 +226,14 @@ def test_long_operator_chain_compiles(workdir, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_long_operator_chain_runs(workdir, capsys):
+    (workdir / "chain.ml0").write_text(
+        "class Main { def main() { print(" + " + ".join(["1"] * 3000) + "); } }\n"
+    )
+    assert main(["run", "chain.ml0"]) == 0
+    assert capsys.readouterr() == ("3000\n", "")
+
+
 def test_long_else_if_chain_compiles_and_runs(workdir, capsys):
     arms = " else ".join(f"if (x == {i}) {{ print({i}); }}" for i in range(1000))
     (workdir / "arms.ml0").write_text(f"class Main {{ def main() {{ var x = 999; {arms} }} }}\n")

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import os
+import shutil
 
 import pytest
 
@@ -21,6 +22,8 @@ from miniweave.dsal_cool import (
 )
 from miniweave.interp import WovenUnit, run
 from miniweave.joinpoints import apply_hide_filter, collect_hide_specs, extract_shadows
+from miniweave.pipeline import CompileOptions
+from miniweave.pipeline import compile as pipeline_compile
 
 
 def demo_sources():
@@ -123,16 +126,25 @@ class TestValidate:
             ("push: on_entry { top = zap + new X(); }", "unknown name 'zap' in coordinator code"),
         ],
     )
-    def test_first_fault_in_source_order_is_reported(self, clause, message):
+    def test_first_fault_in_source_order_is_reported(self, clause, message, tmp_path):
         base, _ = demo_sources()
         prog = mw.parse_base(base, "stack.ml0")
-        coord = parse_cool(
+        text = (
             "coordinator BoundedStack {\n  condition full = false, empty = true;\n"
-            f"  var top = 0;\n  {clause}\n}}\n",
-            "x.cool",
+            f"  var top = 0;\n  {clause}\n}}\n"
         )
+        coord = parse_cool(text, "x.cool")
         with pytest.raises(CompileError) as exc:
             validate_cool(coord, prog)
+        assert (exc.value.msg, exc.value.loc.line) == (message, 4)
+        # the whole pipeline reports the validator's fault, not the generator's
+        shutil.copytree(DEMO_STACK, tmp_path / "in")
+        (tmp_path / "in" / "x.cool").write_text(text)
+        options = CompileOptions(
+            dsals_path=str(tmp_path / "in" / "dsals.txt"), gen_dir=str(tmp_path / "gen")
+        )
+        with pytest.raises(CompileError) as exc:
+            pipeline_compile([str(tmp_path / "in" / n) for n in ("stack.ml0", "x.cool")], options)
         assert (exc.value.msg, exc.value.loc.line) == (message, 4)
 
     def test_allowed_coordinator_code_validates(self):

@@ -1,5 +1,7 @@
 """Base-language parser and interpreter behavior."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import build_unit, run_src
 
 import miniweave as mw
+from miniweave import interp
 from miniweave.diagnostics import Loc, ParseError
 from miniweave.lexer import tokenize
 from miniweave.interp import MAX_CALL_DEPTH, run
@@ -521,6 +524,26 @@ SPY = """aspect Spy {
 """
 
 
+HOLDING = """class Main {
+  var outer;
+  var inner;
+  def helper() { }
+  def step() { this.helper(); monitor_acquire(inner); }
+  def down(n) {
+    if (n == 0) { return 0; }
+    return 1 + this.down(n - 1);
+  }
+  def main() {
+    outer = make_monitor();
+    inner = make_monitor();
+    monitor_acquire(outer);
+    this.step();
+    print(this.down(%d));
+  }
+}
+"""
+
+
 @pytest.mark.parametrize("aspects", [(), (SPY,)], ids=["plain", "spy"])
 class TestCallDepth:
     # main's frame plus down(n) ... down(0) is n + 2 frames; the spy's advice
@@ -535,6 +558,52 @@ class TestCallDepth:
         res = run_src(DEEP % (MAX_CALL_DEPTH - 1), *aspects)
         assert res.status == "runtime-error"
         assert res.error == f"base.ml0:4: call depth exceeds {MAX_CALL_DEPTH}"
+
+    def test_returned_frames_leave_by_identity(self, aspects):
+        # step's callee returns while step holds no monitor and main holds
+        # one: removing a frame that merely compares equal used to leave
+        # the callee's frame behind and count it against later calls
+        n = MAX_CALL_DEPTH - 2
+        res = run_src(HOLDING % n, *aspects)
+        assert res.status == "completed"
+        assert res.output == [str(n)]
+
+
+BOOM = "xs[5] == 1"  # raises if evaluated: xs is empty
+
+
+class TestFlatEvaluation:
+    """Binary chains and statements are evaluated without Python recursion."""
+
+    def test_long_logical_chains_skip_their_right_operands(self):
+        ands = " && ".join(["true", "false"] + [BOOM] * 2998)
+        ors = " || ".join(["false", "true"] + [BOOM] * 2998)
+        src = f"class Main {{ def main() {{ var xs = []; print({ands}); print({ors}); }} }}"
+        res = run_src(src)
+        assert res.status == "completed"
+        assert res.output == ["false", "true"]
+
+    @pytest.mark.parametrize(
+        "ret, frames", [("this.down(n - 1)", 3), ("this.down(n - 1) + 1", 4)]
+    )
+    def test_python_frames_per_minilang_call(self, monkeypatch, ret, frames):
+        seen = []
+
+        def counting_render(value):
+            frame, n = sys._getframe(), 0
+            while frame is not None:
+                frame, n = frame.f_back, n + 1
+            seen.append(n)
+            return render_value(value)
+
+        monkeypatch.setattr(interp, "render_value", counting_render)
+        src = (
+            "class Main {\n  def down(n) {\n    if (n == 0) { print(0); return 0; }\n"
+            f"    return {ret};\n  }}\n  def main() {{ this.down(%d); }}\n}}\n"
+        )
+        for depth in (10, 30):
+            assert run_src(src % depth).status == "completed"
+        assert seen[1] - seen[0] == frames * 20
 
 
 class TestThreads:
