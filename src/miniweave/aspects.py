@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError
+from .joinpoints import ShadowKind
 from .lexer import EOF, NAME, PUNCT
 
 ADVICE_BINDINGS = ("thisObject", "targetObject", "args", "jp")
@@ -162,22 +163,32 @@ def _paren(pc) -> str:
     return str(pc)
 
 
-STATIC_KIND_PRIMS = (PcExecution, PcCall, PcGet, PcSet)
+# the primitives that fix a shadow's kind statically, with that kind
+KIND_FOR_PRIM = {
+    PcExecution: ShadowKind.METHOD_EXECUTION,
+    PcCall: ShadowKind.METHOD_CALL,
+    PcGet: ShadowKind.FIELD_GET,
+    PcSet: ShadowKind.FIELD_SET,
+}
+
+
+def anchor(conjunct):
+    """A positive execution/call/get/set atom every match of `conjunct`
+    needs, or None if it has none."""
+    if type(conjunct) in KIND_FOR_PRIM:
+        return conjunct
+    if type(conjunct) is PcAnd:
+        for part in conjunct.parts:
+            atom = anchor(part)
+            if atom is not None:
+                return atom
+    return None
 
 
 def check_matchable(pc, loc: Loc) -> None:
-    """Every top-level conjunct needs a positive execution/call/get/set atom."""
-
-    def conjunct_ok(node) -> bool:
-        if isinstance(node, STATIC_KIND_PRIMS):
-            return True
-        if isinstance(node, PcAnd):
-            return any(conjunct_ok(p) for p in node.parts)
-        return False
-
-    disjuncts = pc.parts if isinstance(pc, PcOr) else (pc,)
-    for d in disjuncts:
-        if not conjunct_ok(d):
+    """Every top-level conjunct needs an anchor."""
+    for disjunct in pc.parts if type(pc) is PcOr else (pc,):
+        if anchor(disjunct) is None:
             raise CompileError(
                 "pointcut needs at least one execution/call/get/set primitive "
                 "per top-level conjunct",

@@ -99,6 +99,8 @@ def main(argv=None) -> int:
             _compile(args, args.out)
             return EXIT_OK
         # run
+        if args.step_limit <= 0:
+            raise CompileError("--step-limit must be positive")
         artifacts = _compile(args)
         result = interp.run(artifacts.unit, args.entry, args.seed, args.step_limit)
         try:

@@ -12,12 +12,19 @@ Every generated helper and field carries full-default hide annotations and
 the aspect carries @hideType, so the woven protocol adds no visible join
 point shadows. Each advice carries @loc pointing back at the coordinator
 clause it came from.
+
+Coordinator code is rendered into the helpers with one renaming per scope
+(see `render`): a local stays as written, a condition or coordinator field
+becomes its state-row slot `st[<n>]`, and any other name becomes `t.<name>`.
+No rewritten copy of the AST is built: `validate_cool` alone decides what
+coordinator code may contain, before the generated aspect is woven.
 """
 
 from __future__ import annotations
 
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError
@@ -234,6 +241,14 @@ def _check_cool(roots, scope, state, target_fields) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the guard's binary operators other than `&&` and `||`, with Python semantics
+_GUARD_OPS = {
+    "==": operator.eq, "!=": operator.ne, "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": operator.floordiv, "%": operator.mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def can_enter(
     coord: CoordinatorDecl,
     method: str,
@@ -265,6 +280,24 @@ def can_enter(
 
 
 def _eval_guard(e, env: dict, target_fields: dict):
+    if isinstance(e, ml.Binary):
+        # down the left spine to the leftmost operand, then each operator on
+        # the way back up; `&&` and `||` short-circuit per node
+        spine = []
+        while type(e) is ml.Binary:
+            spine.append(e)
+            e = e.left
+        value = _eval_guard(e, env, target_fields)
+        for node in reversed(spine):
+            op = node.op
+            if op == "&&" or op == "||":
+                # `&&` goes on past true, `||` past false; otherwise the value stands
+                value = bool(value)
+                if value is (op == "&&"):
+                    value = bool(_eval_guard(node.right, env, target_fields))
+            else:
+                value = _GUARD_OPS[op](value, _eval_guard(node.right, env, target_fields))
+        return value
     if isinstance(e, (ml.IntLit, ml.BoolLit, ml.StrLit)):
         return e.value
     if isinstance(e, ml.NullLit):
@@ -278,27 +311,6 @@ def _eval_guard(e, env: dict, target_fields: dict):
     if isinstance(e, ml.Unary):
         v = _eval_guard(e.operand, env, target_fields)
         return (not v) if e.op == "!" else -v
-    if isinstance(e, ml.Binary):
-        a = _eval_guard(e.left, env, target_fields)
-        if e.op == "&&":
-            return bool(a) and bool(_eval_guard(e.right, env, target_fields))
-        if e.op == "||":
-            return bool(a) or bool(_eval_guard(e.right, env, target_fields))
-        b = _eval_guard(e.right, env, target_fields)
-        ops = {
-            "==": lambda: a == b,
-            "!=": lambda: a != b,
-            "+": lambda: a + b,
-            "-": lambda: a - b,
-            "*": lambda: a * b,
-            "/": lambda: a // b,
-            "%": lambda: a % b,
-            "<": lambda: a < b,
-            "<=": lambda: a <= b,
-            ">": lambda: a > b,
-            ">=": lambda: a >= b,
-        }
-        return ops[e.op]()
     if isinstance(e, ml.BuiltinCall) and e.name == "len":
         return len(_eval_guard(e.args[0], env, target_fields))
     raise CompileError("expression not supported in guard evaluation", e.loc)
@@ -309,71 +321,24 @@ def _eval_guard(e, env: dict, target_fields: dict):
 # ---------------------------------------------------------------------------
 
 
-class _Rewriter:
-    """Rename coordinator names: conditions/fields -> state-list slots,
-    other free names -> reads off the bound target object `t`. Everything
-    else is kept as written: `validate_cool` alone decides what coordinator
-    code may contain, and it runs before the generated aspect is woven."""
-
-    def __init__(self, index: dict[str, int]):
-        self.index = index
-
-    def slot(self, loc: Loc, name: str) -> ml.Index:
-        return ml.Index(loc, ml.LocalRef(loc, "st"), ml.IntLit(loc, self.index[name]))
-
-    def expr(self, e, scope: set[str]):
-        if isinstance(e, ml.LocalRef):
-            if e.name in scope:
-                return e
-            if e.name in self.index:
-                return self.slot(e.loc, e.name)
-            return ml.FieldGet(e.loc, ml.LocalRef(e.loc, "t"), e.name)
-        if isinstance(e, ml.Unary):
-            return ml.Unary(e.loc, e.op, self.expr(e.operand, scope))
-        if isinstance(e, ml.Binary):
-            return ml.Binary(e.loc, e.op, self.expr(e.left, scope), self.expr(e.right, scope))
-        if isinstance(e, ml.BuiltinCall):
-            return ml.BuiltinCall(e.loc, e.name, [self.expr(a, scope) for a in e.args])
-        if isinstance(e, ml.ListLit):
-            return ml.ListLit(e.loc, [self.expr(a, scope) for a in e.items])
-        if isinstance(e, ml.Index):
-            return ml.Index(e.loc, self.expr(e.obj, scope), self.expr(e.index, scope))
-        return e
-
-    def block(self, stmts, scope: set[str]) -> list:
-        return [self.stmt(s, scope) for s in stmts]
-
-    def stmt(self, s, scope: set[str]):
-        if isinstance(s, ml.VarDecl) and s.init is not None:
-            return ml.VarDecl(s.loc, s.name, self.expr(s.init, scope))
-        if isinstance(s, ml.Assign) and isinstance(s.target, ml.LocalRef):
-            target = s.target
-            if target.name not in scope and target.name in self.index:
-                target = self.slot(s.loc, target.name)
-            return ml.Assign(s.loc, target, self.expr(s.value, scope))
-        if isinstance(s, ml.If):
-            arms = [(self.expr(cond, scope), self.block(body, scope)) for cond, body in s.arms]
-            return ml.If(s.loc, arms, self.block(s.orelse, scope))
-        if isinstance(s, ml.While):
-            return ml.While(s.loc, self.expr(s.cond, scope), self.block(s.body, scope))
-        if isinstance(s, ml.ExprStmt):
-            return ml.ExprStmt(s.loc, self.expr(s.expr, scope))
-        return s
-
-
 def _mutates_state(block, state: set[str]) -> bool:
-    for s in block:
-        if isinstance(s, ml.Assign) and isinstance(s.target, ml.LocalRef):
-            if s.target.name in state:
-                return True
-        elif isinstance(s, ml.If):
-            blocks = [body for _, body in s.arms] + [s.orelse]
-            if any(_mutates_state(b, state) for b in blocks):
-                return True
-        elif isinstance(s, ml.While):
-            if _mutates_state(s.body, state):
-                return True
-    return False
+    return any(
+        type(node) is ml.Assign and type(node.target) is ml.LocalRef and node.target.name in state
+        for node in ml.walk(block)
+    )
+
+
+def _renaming(index: dict[str, int], scope: set[str]):
+    """How coordinator code in `scope` writes a bare name (see module doc)."""
+
+    def rename(name: str) -> str:
+        if name in scope:
+            return name
+        if name in index:
+            return f"st[{index[name]}]"
+        return f"t.{name}"
+
+    return rename
 
 
 def clause_line(coord: CoordinatorDecl, method: str) -> int:
@@ -406,13 +371,13 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
     for name, _, _ in coord.fields:
         index[name] = slot
         slot += 1
-    rw = _Rewriter(index)
+    on_state = _renaming(index, set())
     aspect_name = f"Coord_{coord.target}"
     module = os.path.basename(coord.path)
 
     init_exprs = ["0"] * len(methods)
     for _, init, _ in coord.conditions + coord.fields:
-        init_exprs.append(render_expr(rw.expr(init, set())))
+        init_exprs.append(render_expr(init, on_state))
 
     def emit_state_lookup(out: list[str]) -> None:
         out.append("    var st = null;")
@@ -456,7 +421,7 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
                         out.append("      return false;")
                         out.append("    }")
         if add is not None and add.requires is not None:
-            out.append(f"    return {render_expr(rw.expr(add.requires, set()))};")
+            out.append(f"    return {render_expr(add.requires, on_state)};")
         else:
             out.append("    return true;")
         out.append("  }")
@@ -477,7 +442,7 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
         out.append("      monitor_wait(this.mon);")
         out.append("    }")
         out.append(f"    st[{busy_index[m]}] = st[{busy_index[m]}] + 1;")
-        out.extend(render_block(rw.block(on_entry, entry_scope), "    "))
+        out.extend(render_block(on_entry, "    ", _renaming(index, entry_scope)))
         if _mutates_state(on_entry, state):
             out.append("    monitor_notify_all(this.mon);")
         out.append("    monitor_release(this.mon);")
@@ -489,7 +454,7 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
         out.append("    monitor_acquire(this.mon);")
         emit_state_lookup(out)
         out.append(f"    st[{busy_index[m]}] = st[{busy_index[m]}] - 1;")
-        out.extend(render_block(rw.block(on_exit, exit_scope), "    "))
+        out.extend(render_block(on_exit, "    ", _renaming(index, exit_scope)))
         out.append("    monitor_notify_all(this.mon);")
         out.append("    monitor_release(this.mon);")
         out.append("  }")

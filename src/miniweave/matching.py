@@ -6,11 +6,11 @@ interpreter evaluates at dispatch time. When a call/get/set shadow's
 receiver class could not be resolved statically, a concrete class segment
 in the pattern also becomes a residue (a runtime target-class test).
 
-The match table is built with kinded fast-match: `check_matchable`
-guarantees every top-level disjunct a positive execution/call/get/set
-atom, and a shadow can only match that disjunct if its kind and member
-agree with the atom. Each advice is indexed under (ShadowKind, member) of
-one such atom per disjunct, with member "*" for a wildcard, so a shadow
+The match table is built with kinded fast-match: `aspects.check_matchable`
+guarantees every top-level disjunct an `aspects.anchor`, a positive
+execution/call/get/set atom, and a shadow can only match that disjunct if
+its kind and member agree with the atom. Each advice is indexed under
+(ShadowKind, member) of its anchor per disjunct, with member "*" for a wildcard, so a shadow
 runs the full `match` only on the advice filed under its (kind, member)
 or (kind, "*"). The advice is sorted into precedence order once per
 build, and the index keeps that order.
@@ -22,20 +22,18 @@ from dataclasses import dataclass
 from math import inf
 
 from .aspects import (
+    KIND_FOR_PRIM,
     AdviceDecl,
     AspectDecl,
     PcAnd,
     PcArgs,
-    PcCall,
     PcCflow,
-    PcExecution,
-    PcGet,
     PcNot,
     PcOr,
-    PcSet,
     PcTarget,
     PcThis,
     PcWithin,
+    anchor,
 )
 from .joinpoints import Shadow, ShadowKind, ShadowTable
 from .values import class_name_of, value_eq
@@ -50,13 +48,6 @@ class _True:
 
 TRUE = _True()
 
-_KIND_FOR_PRIM = {
-    PcExecution: ShadowKind.METHOD_EXECUTION,
-    PcCall: ShadowKind.METHOD_CALL,
-    PcGet: ShadowKind.FIELD_GET,
-    PcSet: ShadowKind.FIELD_SET,
-}
-
 
 def match(pc, shadow: Shadow):
     """Match a pointcut against a shadow: None for no, a residue for yes.
@@ -65,8 +56,8 @@ def match(pc, shadow: Shadow):
     a negated residue; combinators fold the three-valued outcomes.
     """
     cls = type(pc)
-    if cls in _KIND_FOR_PRIM:
-        if shadow.kind is not _KIND_FOR_PRIM[cls]:
+    if cls in KIND_FOR_PRIM:
+        if shadow.kind is not KIND_FOR_PRIM[cls]:
             return None
         if not pc.pattern.member_matches(shadow.member):
             return None
@@ -197,18 +188,6 @@ class MatchTable:
         return out
 
 
-def _anchor(conjunct):
-    """A positive execution/call/get/set atom every match of `conjunct` needs."""
-    if type(conjunct) in _KIND_FOR_PRIM:
-        return conjunct
-    if type(conjunct) is PcAnd:
-        for part in conjunct.parts:
-            atom = _anchor(part)
-            if atom is not None:
-                return atom
-    return None
-
-
 def _index_advice(ordered: list[AdviceDecl]) -> dict[ShadowKind, dict[str, list[int]]]:
     """ShadowKind -> member or "*" -> positions in `ordered`, ascending.
 
@@ -221,11 +200,11 @@ def _index_advice(ordered: list[AdviceDecl]) -> dict[ShadowKind, dict[str, list[
     for pos, adv in enumerate(ordered):
         pc = adv.pointcut
         for disjunct in pc.parts if type(pc) is PcOr else (pc,):
-            atom = _anchor(disjunct)
+            atom = anchor(disjunct)
             if atom is None:
                 keys = [(kind, "*") for kind in ShadowKind]
             else:
-                keys = [(_KIND_FOR_PRIM[type(atom)], atom.pattern.member)]
+                keys = [(KIND_FOR_PRIM[type(atom)], atom.pattern.member)]
             for kind, member in keys:
                 bucket = index.setdefault(kind, {}).setdefault(member, [])
                 if not bucket or bucket[-1] != pos:

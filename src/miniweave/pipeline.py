@@ -4,8 +4,13 @@ The pipeline is: load the registry, transform DSAL inputs into generated
 MiniAspect files (first matching extension wins, pass-through otherwise),
 parse everything, validate the DSAL models against the base program, apply
 the hide filter, build the match table, and optionally emit the
-relationship report. Transformers are built in and selected by name via
-dsals.txt (`#` comments and blank lines allowed).
+relationship report.
+
+The transformers are built in: `TRANSFORMS` maps each name to a function
+`(input_path, gen_dir, messages_path) -> GeneratedRecord`, and a name is
+also the input extension it handles (`x.cool` goes to "cool"). dsals.txt
+selects and orders them, one name per line (`#` comments and blank lines
+allowed).
 """
 
 from __future__ import annotations
@@ -27,13 +32,6 @@ class GeneratedRecord:
     dsal_path: str
     path: str
     validate: object  # callable(Program) -> None
-
-
-@dataclass
-class TransformationDescriptor:
-    name: str
-    extension: str  # without the dot
-    transform: object  # callable(input_path, gen_dir) -> GeneratedRecord
 
 
 @dataclass
@@ -77,7 +75,7 @@ def _write_generated(path: str, text: str) -> None:
         raise CompileError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _transform_cool(input_path: str, gen_dir: str) -> GeneratedRecord:
+def _transform_cool(input_path: str, gen_dir: str, messages_path: str | None) -> GeneratedRecord:
     coord = dsal_cool.parse_cool(_read(input_path), input_path)
     out_path = _gen_path(input_path, "cool", gen_dir)
     _write_generated(out_path, dsal_cool.gen_cool_aspect(coord))
@@ -86,72 +84,55 @@ def _transform_cool(input_path: str, gen_dir: str) -> GeneratedRecord:
     )
 
 
-def _make_audit_transform(messages_path: str | None):
-    def transform(input_path: str, gen_dir: str) -> GeneratedRecord:
-        model = dsal_audit.parse_audit(_read(input_path), input_path)
-        catalog_path = messages_path
-        if catalog_path is None:
-            catalog_path = os.path.join(os.path.dirname(input_path) or ".", "messages.txt")
-        catalog = dsal_audit.load_catalog(catalog_path)
-        out_path = _gen_path(input_path, "audit", gen_dir)
-        _write_generated(out_path, dsal_audit.gen_audit_aspect(model, catalog))
-        return GeneratedRecord(
-            input_path,
-            out_path,
-            lambda program: dsal_audit.validate_audit(model, catalog, program),
-        )
-
-    return transform
+def _transform_audit(input_path: str, gen_dir: str, messages_path: str | None) -> GeneratedRecord:
+    model = dsal_audit.parse_audit(_read(input_path), input_path)
+    if messages_path is None:
+        messages_path = os.path.join(os.path.dirname(input_path) or ".", "messages.txt")
+    catalog = dsal_audit.load_catalog(messages_path)
+    out_path = _gen_path(input_path, "audit", gen_dir)
+    _write_generated(out_path, dsal_audit.gen_audit_aspect(model, catalog))
+    return GeneratedRecord(
+        input_path, out_path, lambda program: dsal_audit.validate_audit(model, catalog, program)
+    )
 
 
-def builtin_catalog(messages_path: str | None = None) -> dict[str, TransformationDescriptor]:
-    return {
-        "cool": TransformationDescriptor("cool", "cool", _transform_cool),
-        "audit": TransformationDescriptor(
-            "audit", "audit", _make_audit_transform(messages_path)
-        ),
-    }
+# the built-in transformers by name; a name is also the extension it handles
+TRANSFORMS = {"cool": _transform_cool, "audit": _transform_audit}
 
 
-def load_registry(
-    path: str | None, messages_path: str | None = None
-) -> list[TransformationDescriptor]:
+def load_registry(path: str | None) -> list[str]:
     """Read dsals.txt: one transformation name per non-empty, non-comment
-    line, resolved against the built-in catalog. Absent file => empty."""
+    line, each a key of `TRANSFORMS`. Absent file => empty."""
     if path is None or not os.path.exists(path):
         return []
-    catalog = builtin_catalog(messages_path)
-    registry: list[TransformationDescriptor] = []
+    registry: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             name = raw.split("#", 1)[0].strip()
             if not name:
                 continue
-            desc = catalog.get(name)
-            if desc is None:
+            if name not in TRANSFORMS:
                 raise CompileError(
                     f"unknown transformation {name!r} (line {lineno})", Loc(path, lineno)
                 )
-            registry.append(desc)
+            registry.append(name)
     return registry
 
 
 def transform_inputs(
-    input_paths: list[str], registry: list[TransformationDescriptor], gen_dir: str
+    input_paths: list[str], registry: list[str], gen_dir: str, messages_path: str | None = None
 ) -> tuple[list[str], list[GeneratedRecord]]:
     """Replace DSAL inputs by their generated aspect files, in order; the
-    first descriptor whose extension matches wins. Pass-through otherwise."""
+    first registered name that is the input's extension wins. Pass-through
+    otherwise."""
     effective: list[str] = []
     generated: list[GeneratedRecord] = []
     for path in input_paths:
-        record = None
-        for desc in registry:
-            if path.endswith("." + desc.extension):
-                record = desc.transform(path, gen_dir)
-                break
-        if record is None:
+        name = next((n for n in registry if path.endswith("." + n)), None)
+        if name is None:
             effective.append(path)
         else:
+            record = TRANSFORMS[name](path, gen_dir, messages_path)
             generated.append(record)
             effective.append(record.path)
     return effective, generated
@@ -165,8 +146,10 @@ def compile(paths: list[str], options: CompileOptions | None = None) -> CompileA
     for path in paths:
         if not os.path.exists(path):
             raise CompileError(f"{path}: file not found")
-    registry = load_registry(options.dsals_path, options.messages_path)
-    effective, generated = transform_inputs(list(paths), registry, options.gen_dir)
+    registry = load_registry(options.dsals_path)
+    effective, generated = transform_inputs(
+        list(paths), registry, options.gen_dir, options.messages_path
+    )
     origin_of = {rec.path: rec.dsal_path for rec in generated}
 
     classes: list = []

@@ -66,6 +66,14 @@ def test_step_limit_exit_four(workdir, capsys):
     assert "step limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_non_positive_step_limit_is_usage_error_exit_one(workdir, capsys, limit):
+    (workdir / "ok.ml0").write_text("class Main { def main() { } }")
+    code = main(["run", "ok.ml0", "--step-limit", limit])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: --step-limit must be positive\n")
+
+
 def test_internal_error_is_one_line_exit_five(workdir, capsys, monkeypatch):
     # a failure no documented code covers reaches the last-resort guard,
     # which reports it on one line without a traceback
@@ -82,6 +90,137 @@ def test_internal_error_is_one_line_exit_five(workdir, capsys, monkeypatch):
     assert err.startswith("internal error: RuntimeError: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# Each runtime check of the interpreter, reached from a few lines of MiniLang:
+# the body of `Main.main` (line 7 on), the faulting line, the message.
+_RUNTIME_HEAD = "class P {\n  var x = 0;\n  constructor(a) { }\n}\nclass Main {\n  def main() {\n"
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("var p = new P();", 7, "constructor of P expects 1 argument(s), got 0"),
+        ("var n = 1;\nn.foo();", 8, "unknown method 'foo' on 1"),
+        ("var n = 1;\nspawn n.foo();", 8, "spawn needs an object receiver"),
+        ("print(len(1));", 7, "len expects a list or string"),
+        ("push_back(1, 2);", 7, "push_back expects a list"),
+        ("print(format(1));", 7, "format expects a template string"),
+        ('print(format("{0} {1}", 5));', 7, "format placeholder {1} out of range"),
+        ("audit_emit(1);", 7, "audit_emit expects a string"),
+        ("var m = make_monitor();\nmonitor_notify_all(m);", 8, "notify on a monitor not held"),
+        ("var p = null;\nprint(p.x);", 8, "null dereference reading 'x'"),
+        ("var p = null;\np.x = 1;", 8, "null dereference writing 'x'"),
+        ("var p = new P(1);\nprint(p.zz);", 8, "unknown field 'zz' on P"),
+        ("var p = new P(1);\np.zz = 1;", 8, "unknown field 'zz' on P"),
+        ("var n = 1;\nprint(n.x);", 8, "unknown field 'x' on 1"),
+        ("var n = 1;\nn.x = 2;", 8, "cannot write field 'x' on 1"),
+        ("var n = 1;\nprint(n[0]);", 8, "indexing expects a list"),
+        ("var xs = [1];\nprint(xs[true]);", 8, "list index must be an int"),
+        ("var b = true;\nprint(-b);", 8, "expected an int, got true"),
+    ],
+    ids=[
+        "ctor-arity", "call-non-object", "spawn-non-object", "len-arg", "push_back-arg",
+        "format-template", "format-placeholder", "audit_emit-arg", "notify-not-held",
+        "null-read", "null-write", "unknown-field-read", "unknown-field-write",
+        "read-non-object", "write-non-object", "index-non-list", "index-non-int",
+        "negate-non-int",
+    ],
+)
+def test_runtime_check_exit_three(workdir, capsys, body, line, message):
+    (workdir / "prog.ml0").write_text(_RUNTIME_HEAD + body + "\n  }\n}\n")
+    code = main(["run", "prog.ml0"])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"runtime error: prog.ml0:{line}: {message}\n")
+
+
+def test_unknown_join_point_attribute_exit_three(workdir, capsys):
+    (workdir / "prog.ml0").write_text("class Main {\n  def main() {\n  }\n}\n")
+    (workdir / "spy.ma0").write_text(
+        "aspect Spy {\n  before(): execution(Main.main) {\n    print(jp.zz);\n  }\n}\n"
+    )
+    code = main(["run", "prog.ml0", "spy.ma0"])
+    assert code == 3
+    err = "runtime error: spy.ma0:3: unknown join point attribute 'zz'\n"
+    assert capsys.readouterr() == ("", err)
+
+
+def test_lone_waiter_deadlocks_with_no_holder_exit_two(workdir, capsys):
+    (workdir / "prog.ml0").write_text(
+        _RUNTIME_HEAD
+        + "var m = make_monitor();\nmonitor_acquire(m);\nmonitor_wait(m);\n  }\n}\n"
+    )
+    code = main(["run", "prog.ml0"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "",
+        "deadlock at step 5:\n  t0 waits on <monitor:0> (created at prog.ml0:7), no holder\n",
+    )
+
+
+_STATIC_PROG = """class A {
+  static {
+    print("A static");
+  }
+}
+class Main {
+  static {
+    print("Main static");
+    return;
+    print("after return");
+  }
+  def main() {
+    print("main");
+  }
+}
+"""
+
+
+def test_static_blocks_run_in_program_order_before_main(workdir, capsys):
+    # `return;` in a static block ends that block only
+    (workdir / "prog.ml0").write_text(_STATIC_PROG)
+    assert main(["run", "prog.ml0", "--trace", "t.txt"]) == 0
+    assert capsys.readouterr() == ("A static\nMain static\nmain\n", "")
+    assert (workdir / "t.txt").read_text() == (
+        "step=2 t0 jp static_initialization A @ prog.ml0:2\n"
+        "step=3 t0 print A static\n"
+        "step=4 t0 jp static_initialization Main @ prog.ml0:7\n"
+        "step=5 t0 print Main static\n"
+        "step=7 t0 jp method_execution Main.main/0 @ prog.ml0:12\n"
+        "step=8 t0 print main\n"
+        "step=8 t0 finish\n"
+    )
+
+
+def test_hide_type_static_init_removes_that_class_event(workdir, capsys):
+    (workdir / "prog.ml0").write_text("@hideType(static_init)\n" + _STATIC_PROG)
+    assert main(["run", "prog.ml0", "--trace", "t.txt"]) == 0
+    assert capsys.readouterr() == ("A static\nMain static\nmain\n", "")
+    assert (workdir / "t.txt").read_text() == (
+        "step=2 t0 print A static\n"
+        "step=3 t0 jp static_initialization Main @ prog.ml0:8\n"
+        "step=4 t0 print Main static\n"
+        "step=6 t0 jp method_execution Main.main/0 @ prog.ml0:13\n"
+        "step=7 t0 print main\n"
+        "step=7 t0 finish\n"
+    )
+
+
+def test_audit_sink_keeps_print_lines_on_stdout(workdir, capsys):
+    (workdir / "job.ml0").write_text(
+        "class Job {\n  def work(n) {\n    print(format(\"work {0}\", n));\n  }\n}\n"
+        "class Main {\n  def main() {\n    var j = new Job();\n    j.work(1);\n"
+        "    print(\"done\");\n    j.work(2);\n  }\n}\n"
+    )
+    (workdir / "log.ma0").write_text(
+        "aspect Log {\n  before(): execution(Job.work) {\n"
+        "    audit_emit(format(\"audit {0}\", args[0]));\n  }\n}\n"
+    )
+    assert main(["run", "job.ml0", "log.ma0"]) == 0
+    assert capsys.readouterr().out == "audit 1\nwork 1\ndone\naudit 2\nwork 2\n"
+    assert main(["run", "job.ml0", "log.ma0", "--audit-sink", "sink.txt"]) == 0
+    assert capsys.readouterr() == ("work 1\ndone\nwork 2\n", "")
+    assert (workdir / "sink.txt").read_text() == "audit 1\naudit 2\n"
 
 
 def test_deep_recursion_is_runtime_error_exit_three(workdir, capsys):
@@ -276,4 +415,16 @@ def test_cool_on_exit_with_a_70_arm_else_if_chain_runs(workdir, capsys):
         + "}\n"
     )
     assert main(["run", "demo_stack/stack.ml0", "demo_stack/arms.cool"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cool_requires_with_a_3000_term_chain_runs(workdir, capsys):
+    chain = " + ".join(["top"] * 3000)
+    (workdir / "demo_stack" / "req.cool").write_text(
+        COOL_HEAD
+        + f"  push:\n    requires ({chain} >= 0 && !full);\n"
+        + "    on_entry { top = top + 1; }\n"
+        + "    on_exit { empty = false; if (top == len(buffer)) { full = true; } }\n}\n"
+    )
+    assert main(["run", "demo_stack/stack.ml0", "demo_stack/req.cool"]) == 0
     assert capsys.readouterr().err == ""

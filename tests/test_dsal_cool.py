@@ -181,6 +181,26 @@ class TestCanEnter:
             assert can_enter(c, "push", busy, conds, {"top": 0}) is expect_push
             assert can_enter(c, "pop", busy, conds, {"top": 0}) is expect_pop
 
+    def test_requires_with_a_3000_term_chain(self):
+        chain = " + ".join(["top"] * 3000)
+        c = parse_cool(
+            f"coordinator X {{ condition full = false; m: requires ({chain} >= 0 && !full); }}",
+            "x.cool",
+        )
+        assert can_enter(c, "m", {}, {"full": False}, {}, {"top": 1}) is True
+        assert can_enter(c, "m", {}, {"full": True}, {}, {"top": 1}) is False
+        assert can_enter(c, "m", {}, {"full": False}, {}, {"top": -1}) is False
+
+    @pytest.mark.parametrize("op", ["&&", "||"])
+    def test_logical_requires_truth_table(self, op):
+        c = parse_cool(
+            f"coordinator X {{ condition a = false, b = false; m: requires (a {op} b); }}",
+            "x.cool",
+        )
+        for a, b in itertools.product((False, True), repeat=2):
+            expect = (a and b) if op == "&&" else (a or b)
+            assert can_enter(c, "m", {}, {"a": a, "b": b}, {}) is expect
+
     def test_selfex_only_method(self):
         c = parse_cool("coordinator X { selfex {m}; }", "x.cool")
         assert can_enter(c, "m", {"m": 0}, {}, {}) is True
@@ -195,6 +215,24 @@ class TestGeneratedAspect:
         assert aspect.name == "Coord_X"
         assert [f.name for f in aspect.fields] == ["states"]
         assert aspect.advice == []
+
+    def test_each_scope_renames_names(self):
+        # a local stays as written, a condition or coordinator field becomes
+        # its state-row slot, and a target field a read off `t`
+        coord = parse_cool(
+            "coordinator BoundedStack { condition full = false; var top = 0;"
+            " push: on_exit { var k = top + 1; if (k == len(buffer)) { full = true; } } }",
+            "x.cool",
+        )
+        src = gen_cool_aspect(coord)
+        assert (
+            "    st[0] = st[0] - 1;\n"
+            "    var k = st[2] + 1;\n"
+            "    if (k == len(t.buffer)) {\n"
+            "      st[1] = true;\n"
+            "    }\n"
+            "    monitor_notify_all(this.mon);\n"
+        ) in src
 
     def test_bounded_stack_structure(self):
         _, cool = demo_sources()

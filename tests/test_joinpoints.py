@@ -591,6 +591,30 @@ def test_render_parenthesizes_by_precedence(source, rendered):
     assert render_expr(body.classes[0].methods[0].body[0].value) == rendered
 
 
+def test_render_applies_the_renaming_to_every_bare_name():
+    from miniweave.render import render_block
+
+    src = "class W { def probe() { a = b.f[c] + len([d, -e]); var g = !h; } }"
+    body = mw.parse_base(src, "p.ml0").classes[0].methods[0].body
+    assert render_block(body, rename=lambda name: f"t.{name}") == [
+        "t.a = t.b.f[t.c] + len([t.d, -t.e]);",
+        "var g = !t.h;",
+    ]
+
+
+def test_render_long_chain_round_trips():
+    # a 3000-term chain is rendered by a loop over its left spine, and the
+    # parser reads the text back as the same chain
+    from miniweave.render import render_expr
+
+    source = " + ".join(["a"] * 3000) + " >= 0 && !b"
+    for _ in range(2):
+        body = mw.parse_base(f"class W {{ def probe() {{ return {source}; }} }}", "p.ml0")
+        rendered = render_expr(body.classes[0].methods[0].body[0].value)
+        assert rendered == source
+        source = rendered
+
+
 def test_render_else_if_chain_is_flat():
     from miniweave.render import render_block
 

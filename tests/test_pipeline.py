@@ -9,8 +9,8 @@ from conftest import DEMO_AUDIT, DEMO_STACK
 
 from miniweave.diagnostics import CompileError
 from miniweave.pipeline import (
+    TRANSFORMS,
     CompileOptions,
-    builtin_catalog,
     compile as pipeline_compile,
     load_registry,
     transform_inputs,
@@ -36,7 +36,7 @@ class TestLoadRegistry:
         p = tmp_path / "dsals.txt"
         p.write_text("cool\naudit\n")
         reg = load_registry(str(p))
-        assert [(d.name, d.extension) for d in reg] == [("cool", "cool"), ("audit", "audit")]
+        assert reg == ["cool", "audit"]
 
     def test_absent_file_empty(self, tmp_path):
         assert load_registry(str(tmp_path / "nope.txt")) == []
@@ -45,7 +45,7 @@ class TestLoadRegistry:
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "dsals.txt"
         p.write_text("# registry\n\naudit  # job logging\n")
-        assert [d.name for d in load_registry(str(p))] == ["audit"]
+        assert load_registry(str(p)) == ["audit"]
 
     def test_unknown_name_cites_line(self, tmp_path):
         p = tmp_path / "dsals.txt"
@@ -56,14 +56,13 @@ class TestLoadRegistry:
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "dsals.txt"
         p.write_text("audit\ncool\n")
-        assert [d.name for d in load_registry(str(p))] == ["audit", "cool"]
+        assert load_registry(str(p)) == ["audit", "cool"]
 
 
 class TestTransformInputs:
     def test_replacement_and_passthrough(self, audit_dir, tmp_path):
         gen = tmp_path / "gen"
-        registry = load_registry(None)
-        registry = list(builtin_catalog().values())
+        registry = list(TRANSFORMS)
         main = str(audit_dir / "jobs.ml0")
         audit = str(audit_dir / "jobs.audit")
         effective, generated = transform_inputs([main, audit], registry, str(gen))
@@ -75,7 +74,7 @@ class TestTransformInputs:
 
     def test_both_transformers_distinct_stems(self, stack_dir, audit_dir, tmp_path):
         gen = tmp_path / "gen"
-        registry = list(builtin_catalog().values())
+        registry = list(TRANSFORMS)
         effective, generated = transform_inputs(
             [str(stack_dir / "stack.cool"), str(audit_dir / "jobs.audit")],
             registry,
@@ -85,7 +84,7 @@ class TestTransformInputs:
         assert names == ["jobs_audit.ma0", "stack_cool.ma0"]
 
     def test_stateless_identical_bytes(self, stack_dir, tmp_path):
-        registry = list(builtin_catalog().values())
+        registry = list(TRANSFORMS)
         g1, g2 = tmp_path / "g1", tmp_path / "g2"
         transform_inputs([str(stack_dir / "stack.cool")], registry, str(g1))
         transform_inputs([str(stack_dir / "stack.cool")], registry, str(g2))
