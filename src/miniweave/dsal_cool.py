@@ -209,11 +209,17 @@ def _check_cool(roots, scope, state, target_fields) -> None:
 
     Names may be locals in `scope`, fields of the target class, or the
     conditions and coordinator fields in `state`; assignments may target
-    only locals and `state`.
+    only locals and `state`. A local may not take the name of a condition
+    or coordinator field: the generated code would write only the local.
     """
     for node in ml.walk(roots):
         kind = type(node)
-        if kind is ml.LocalRef:
+        if kind is ml.VarDecl:
+            if node.name in state:
+                raise CompileError(
+                    f"local {node.name!r} shadows a condition or coordinator field", node.loc
+                )
+        elif kind is ml.LocalRef:
             name = node.name
             if name not in scope and name not in target_fields and name not in state:
                 raise CompileError(f"unknown name {name!r} in coordinator code", node.loc)

@@ -1,12 +1,17 @@
 """Deterministic concurrent interpreter with advice dispatch.
 
-Logical threads are Python generators resumed one interpreter step at a
-time by a round-robin scheduler; the rotation order is derived from the
-run seed, so a fixed (unit, entry, seed, step_limit) always produces a
-byte-identical event trace. Each `yield None` is one step. A thread that
-must wait parks itself: it sets its own `status` (BLOCKED on a held
-monitor, WAITING in `monitor_wait`) and `monitor`, then yields, and
-`pick_next` passes it over until the monitor is free.
+Logical threads are Python generators run by a round-robin scheduler;
+the rotation order is derived from the run seed, so a fixed (unit, entry,
+seed, step_limit) always produces a byte-identical event trace. Each
+scheduling point is one step: before each statement, before each later
+`else if` arm, before each loop test and at each woven join point. There
+the running thread asks `_switch` for the next pick, as the run loop would;
+it yields only when the scheduler switches threads or the step limit is
+reached, and otherwise counts the step and goes on without suspending its
+`yield from` chain. A thread that must wait parks itself: it sets its own
+`status` (BLOCKED on a held monitor, WAITING in `monitor_wait`) and
+`monitor`, then yields, and `pick_next` passes it over until the monitor
+is free. `pick_next` scans only the unfinished threads, in rotation order.
 
 Each MiniLang frame (method, constructor, static block, advice, field
 initializer) is one `_Env` on its thread's `frames`: locals, `this`, the
@@ -265,13 +270,22 @@ class Interp:
         self.threads: list[_Thread] = []
         self.rotation: list[int] = []
         self.rot_pos = 0
+        # (rotation index, thread) of each unfinished thread, in rotation
+        # order, and for each rotation index the position in `live` of the
+        # first entry at or after it, wrapping; rebuilt on spawn and finish
+        self.live: list[tuple[int, _Thread]] = []
+        self.live_from: list[int] = []
         self.current: _Thread | None = None
+        self.picked: _Thread | None = None  # the pick a scheduling point yielded on
         self.steps = 0
         self.events: list[Event] = []
         self.next_obj = 0
         self.next_mon = 0
         self.aspect_instances: dict[str, AspectInstance] = {}
         self.classes = unit.program.by_name()
+        # event text per shadow (`jp`) and per (advice, shadow) pair, built
+        # on first dispatch
+        self.texts: dict = {}
 
     # -- events
 
@@ -291,23 +305,60 @@ class Interp:
             self.rotation.insert(idx, tid)
             if idx <= self.rot_pos:
                 self.rot_pos += 1
+        self._rebuild_live()
         return tid
 
+    def finish_thread(self, t: _Thread) -> None:
+        t.status = FINISHED
+        self._rebuild_live()
+
+    def _rebuild_live(self) -> None:
+        threads = self.threads
+        self.live = live = [
+            (idx, threads[tid])
+            for idx, tid in enumerate(self.rotation)
+            if threads[tid].status != FINISHED
+        ]
+        live_from = []
+        pos = 0
+        for idx in range(len(self.rotation)):
+            while pos < len(live) and live[pos][0] < idx:
+                pos += 1
+            live_from.append(pos if pos < len(live) else 0)
+        self.live_from = live_from
+
     def pick_next(self) -> _Thread | None:
-        n = len(self.rotation)
+        """The first eligible thread in rotation order from `rot_pos`."""
+        live = self.live
+        n = len(live)
+        start = self.live_from[self.rot_pos]
         for off in range(n):
-            idx = (self.rot_pos + off) % n
-            t = self.threads[self.rotation[idx]]
+            idx, t = live[(start + off) % n]
             if _eligible(t):
-                self.rot_pos = (idx + 1) % n
+                self.rot_pos = (idx + 1) % len(self.rotation)
                 return t
         return None
+
+    def _switch(self) -> bool:
+        """A scheduling point of the running thread: take the step in place
+        when the scheduler picks that thread again within the step limit,
+        else keep the pick for `run` and return True (the caller yields)."""
+        t = self.pick_next()
+        if t is self.current and self.steps < self.step_limit:
+            self.steps += 1
+            return False
+        self.picked = t
+        return True
 
     def run(self, entry: str) -> ExecutionResult:
         entry_cls, entry_method = self._check_entry(entry)
         self.add_thread(self._main(entry_cls, entry_method))
         while True:
-            t = self.pick_next()
+            # a scheduling point that yielded left its pick; a parked or
+            # finished thread did not
+            t, self.picked = self.picked, None
+            if t is None:
+                t = self.pick_next()
             if t is None:
                 report = detect_deadlock(self.threads, self.steps)
                 if report is None:
@@ -323,7 +374,7 @@ class Interp:
             try:
                 next(t.gen)
             except StopIteration:
-                t.status = FINISHED
+                self.finish_thread(t)
                 self.emit("finish", "")
             except MiniRuntimeError as e:
                 return self._result("runtime-error", error=str(e))
@@ -409,8 +460,12 @@ class Interp:
 
     def _jp_enter(self, site, this_obj, target_obj, args):
         shadow, before, _ = site
-        yield None  # every woven join point is a scheduling point
-        self.emit("jp", shadow.describe())
+        if self._switch():  # every woven join point is a scheduling point
+            yield None
+        text = self.texts.get(id(shadow))
+        if text is None:
+            text = self.texts[id(shadow)] = shadow.describe()
+        self.emit("jp", text)
         cflow = self.current.cflow
         cflow.append(CflowFrame(shadow, this_obj, target_obj, tuple(args)))
         for entry in before:
@@ -427,7 +482,10 @@ class Interp:
 
     def run_advice(self, advice, shadow, this_obj, target_obj, args):
         inst = self.aspect_instances[advice.aspect_name]
-        tag = f"{advice.describe()} at {shadow.kind} {shadow.signature}"
+        key = (id(advice), id(shadow))
+        tag = self.texts.get(key)
+        if tag is None:
+            tag = self.texts[key] = f"{advice.describe()} at {shadow.kind} {shadow.signature}"
         self.emit("advice_enter", tag)
         info = JpInfo(
             kind=str(shadow.kind),
@@ -530,7 +588,8 @@ class Interp:
 
     def exec_block(self, stmts, env: _Env):
         for stmt in stmts:
-            yield None
+            if self._switch():
+                yield None
             kind = type(stmt)
             if kind is ml.ExprStmt:
                 yield from self.eval_expr(stmt.expr, env)
@@ -560,8 +619,9 @@ class Interp:
             elif kind is ml.If:
                 later = False
                 for test, body in stmt.arms:
-                    if later:
-                        yield None  # the step of the nested `if` an `else if` abbreviates
+                    # the step of the nested `if` an `else if` abbreviates
+                    if later and self._switch():
+                        yield None
                     cond = yield from self.eval_expr(test, env)
                     if self.as_bool(cond, test.loc if later else stmt.loc):
                         yield from self.exec_block(body, env)
@@ -571,7 +631,8 @@ class Interp:
                     yield from self.exec_block(stmt.orelse, env)
             elif kind is ml.While:
                 while True:
-                    yield None
+                    if self._switch():
+                        yield None
                     cond = yield from self.eval_expr(stmt.cond, env)
                     if not self.as_bool(cond, stmt.loc):
                         break

@@ -124,6 +124,14 @@ class TestValidate:
                 "return is not allowed in coordinator code",
             ),
             ("push: on_entry { top = zap + new X(); }", "unknown name 'zap' in coordinator code"),
+            (
+                "push: on_entry { var full = true; full = false; }",
+                "local 'full' shadows a condition or coordinator field",
+            ),
+            (
+                "push: on_exit { if (top == 0) { } else { var top = 1; } }",
+                "local 'top' shadows a condition or coordinator field",
+            ),
         ],
     )
     def test_first_fault_in_source_order_is_reported(self, clause, message, tmp_path):
@@ -146,6 +154,26 @@ class TestValidate:
         with pytest.raises(CompileError) as exc:
             pipeline_compile([str(tmp_path / "in" / n) for n in ("stack.ml0", "x.cool")], options)
         assert (exc.value.msg, exc.value.loc.line) == (message, 4)
+
+    def test_shadowing_local_is_reported_at_its_declaration(self, tmp_path):
+        base, _ = demo_sources()
+        prog = mw.parse_base(base, "stack.ml0")
+        text = (
+            "coordinator BoundedStack {\n  condition full = false;\n  push:\n"
+            "    on_entry {\n      var k = 1;\n      var full = true;\n    }\n}\n"
+        )
+        with pytest.raises(CompileError) as exc:
+            validate_cool(parse_cool(text, "x.cool"), prog)
+        message = "local 'full' shadows a condition or coordinator field"
+        assert (exc.value.msg, str(exc.value.loc)) == (message, "x.cool:6")
+        shutil.copytree(DEMO_STACK, tmp_path / "in")
+        (tmp_path / "in" / "x.cool").write_text(text)
+        options = CompileOptions(
+            dsals_path=str(tmp_path / "in" / "dsals.txt"), gen_dir=str(tmp_path / "gen")
+        )
+        with pytest.raises(CompileError) as exc:
+            pipeline_compile([str(tmp_path / "in" / n) for n in ("stack.ml0", "x.cool")], options)
+        assert (exc.value.msg, exc.value.loc.line) == (message, 6)
 
     def test_allowed_coordinator_code_validates(self):
         base, _ = demo_sources()
