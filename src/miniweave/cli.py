@@ -113,9 +113,9 @@ def main(argv=None) -> int:
         except OSError as e:
             raise CompileError(f"cannot write output file: {e.strerror or e}") from None
         if args.audit_sink:
-            for event in result.events:
-                if event.kind == "print":
-                    print(event.text)
+            for _, _, kind, text in result.records:
+                if kind == "print":
+                    print(text)
         else:
             for line in result.output:
                 print(line)

@@ -1,17 +1,37 @@
-"""Source positions and error types shared by every front-end and the runtime."""
+"""Source positions, error types and the source reader shared by every
+front-end and the runtime."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Loc:
-    """A source position. `col` is 1-based; 0 means column unknown."""
+    """A source position. `col` is 1-based; 0 means column unknown.
 
-    path: str
-    line: int
-    col: int = 0
+    Built for every token and AST node, so it is a slotted record with a
+    plain `__init__` (a frozen dataclass pays one `object.__setattr__` per
+    field). It behaves as the frozen dataclass would: equal only to another
+    `Loc` with the same fields, hashed as the tuple of its fields, and
+    repr'd as `Loc(path=..., line=..., col=...)`. Nothing assigns to a
+    `Loc` once built.
+    """
+
+    __slots__ = ("path", "line", "col")
+
+    def __init__(self, path: str, line: int, col: int = 0):
+        self.path = path
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other):
+        if other.__class__ is not Loc:
+            return NotImplemented
+        return (self.path, self.line, self.col) == (other.path, other.line, other.col)
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.line, self.col))
+
+    def __repr__(self) -> str:
+        return f"Loc(path={self.path!r}, line={self.line!r}, col={self.col!r})"
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}"
@@ -37,3 +57,24 @@ class MiniRuntimeError(Exception):
         self.msg = msg
         self.loc = loc
         super().__init__(f"{loc}: {msg}" if loc is not None else msg)
+
+
+def read_source(path: str) -> str:
+    """The text of a UTF-8 input file, with newlines as `open` gives them.
+
+    A missing or unreadable file, or bytes that are not UTF-8, raise a
+    CompileError; the latter is located at the line of the first bad byte.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise CompileError(f"{path}: file not found") from None
+    except OSError as e:
+        raise CompileError(f"cannot read {path}: {e.strerror or e}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[: e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise CompileError("not valid UTF-8", Loc(path, before.count(b"\n") + 1)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import minilang as ml
-from .diagnostics import CompileError, Loc, ParseError
+from .diagnostics import CompileError, Loc, ParseError, read_source
 from .lexer import EOF, NAME, PUNCT
 from .render import escape_string
 from .values import _PLACEHOLDER
@@ -136,11 +136,7 @@ def parse_catalog(text: str, path: str) -> dict[str, str]:
 
 
 def load_catalog(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_catalog(fh.read(), path)
-    except OSError:
-        raise CompileError(f"{path}: file not found") from None
+    return parse_catalog(read_source(path), path)
 
 
 def _max_placeholder(template: str) -> int:

@@ -27,7 +27,13 @@ Each join-point site looks its AST node up in the unit's `sites` and, for
 a visible shadow, brackets its own work with `_jp_enter` (scheduling
 point, `jp` event, cflow push, before-advice in precedence order) and
 `_jp_exit` (after-advice in reverse precedence order, cflow pop). Hidden
-shadows have no site: no events, no cflow state.
+shadows have no site: no events, no cflow state. Advice gets a `jp`
+record only when its body names `jp`.
+
+Events are kept as plain (step, thread, kind, text) tuples; the text of
+`jp` and advice events is built once per run and shadow. `ExecutionResult`
+reads its views (output, audit lines, trace) from the tuples and turns
+them into `Event` objects only when `events` is read.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import joinpoints as jp
 from . import matching
@@ -85,6 +92,10 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+def _render_event(step: int, thread: int, kind: str, text: str) -> str:
+    return f"step={step} t{thread} {kind} {text}".rstrip()
+
+
 @dataclass(frozen=True)
 class Event:
     step: int
@@ -93,7 +104,7 @@ class Event:
     text: str
 
     def render(self) -> str:
-        return f"step={self.step} t{self.thread} {self.kind} {self.text}".rstrip()
+        return _render_event(self.step, self.thread, self.kind, self.text)
 
 
 @dataclass(frozen=True)
@@ -135,26 +146,36 @@ class DeadlockReport:
 
 @dataclass
 class ExecutionResult:
+    """A run's outcome. `records` holds each event as a plain
+    (step, thread, kind, text) tuple in schedule order; the views below
+    read those, and `events` turns them into `Event`s on first read."""
+
     status: str  # completed | deadlock | step-limit-exceeded | runtime-error
-    events: list[Event]
+    records: list[tuple[int, int, str, str]]
     steps: int
     deadlock: DeadlockReport | None = None
     error: str | None = None
 
+    @cached_property
+    def events(self) -> list[Event]:
+        return [Event(*r) for r in self.records]
+
     @property
     def output(self) -> list[str]:
         """stdout lines: prints and audit lines in schedule order."""
-        return [e.text for e in self.events if e.kind == "print" or e.kind == "audit"]
+        return [text for _, _, kind, text in self.records if kind == "print" or kind == "audit"]
 
     @property
     def audit_lines(self) -> list[str]:
-        return [e.text for e in self.events if e.kind == "audit"]
+        return [text for _, _, kind, text in self.records if kind == "audit"]
 
     def render_trace(self) -> str:
-        return "".join(e.render() + "\n" for e in self.events)
+        return "".join(_render_event(*r) + "\n" for r in self.records)
 
     def count_jp(self, prefix: str) -> int:
-        return sum(1 for e in self.events if e.kind == "jp" and e.text.startswith(prefix))
+        return sum(
+            1 for _, _, kind, text in self.records if kind == "jp" and text.startswith(prefix)
+        )
 
 
 @dataclass
@@ -210,10 +231,16 @@ class WovenUnit:
         return cls(program, aspects, list(precedence), table, visible, mt, sites)
 
 
-def _frame_locals(decl, bound: dict) -> dict:
-    locals_ = {name: None for name in decl.local_names}
+def _frame_locals(decl, bound=()) -> dict:
+    """The locals of a new frame: each declared local None, then `bound`
+    (a mapping or (name, value) pairs)."""
+    locals_ = dict.fromkeys(decl.local_names)
     locals_.update(bound)
     return locals_
+
+
+def _names_jp(advice) -> bool:
+    return any(type(n) is ml.LocalRef and n.name == "jp" for n in ml.walk(advice.body))
 
 
 class _Env:
@@ -278,19 +305,20 @@ class Interp:
         self.current: _Thread | None = None
         self.picked: _Thread | None = None  # the pick a scheduling point yielded on
         self.steps = 0
-        self.events: list[Event] = []
+        self.records: list[tuple[int, int, str, str]] = []
         self.next_obj = 0
         self.next_mon = 0
         self.aspect_instances: dict[str, AspectInstance] = {}
         self.classes = unit.program.by_name()
-        # event text per shadow (`jp`) and per (advice, shadow) pair, built
-        # on first dispatch
+        # built on first dispatch: the `jp` event text per shadow, and per
+        # (advice, shadow) pair the advice event tag plus, for advice whose
+        # body names `jp`, the static strings of its JpInfo (else None)
         self.texts: dict = {}
 
     # -- events
 
     def emit(self, kind: str, text: str) -> None:
-        self.events.append(Event(self.steps, self.current.tid, kind, text))
+        self.records.append((self.steps, self.current.tid, kind, text))
 
     # -- scheduling
 
@@ -380,7 +408,7 @@ class Interp:
                 return self._result("runtime-error", error=str(e))
 
     def _result(self, status: str, deadlock=None, error=None) -> ExecutionResult:
-        return ExecutionResult(status, self.events, self.steps, deadlock, error)
+        return ExecutionResult(status, self.records, self.steps, deadlock, error)
 
     def _check_entry(self, entry: str):
         if "." not in entry:
@@ -423,7 +451,7 @@ class Interp:
         site = self.unit.sites.get(id(block))
         if site is not None:
             yield from self._jp_enter(site, None, None, ())
-        env = self._push_frame(block.loc, _frame_locals(block, {}), None)
+        env = self._push_frame(block.loc, _frame_locals(block), None)
         try:
             yield from self.exec_block(block.body, env)
         except _ReturnSignal:
@@ -445,9 +473,12 @@ class Interp:
 
     def _pop_frame(self, env: _Env) -> None:
         # also reached during generator teardown of parked threads, so the
-        # owner comes from the frame, not from self.current
+        # owner comes from the frame, not from self.current. Each frame is
+        # popped by the `finally` of the generator that pushed it, and closing
+        # a generator closes the ones it delegates to first, so `env` is the
+        # top frame even then.
         t = env.thread
-        t.frames.remove(env)
+        t.frames.pop()
         for mon in env.acquired:
             if mon.holder == t.tid:
                 mon.holder = None
@@ -483,25 +514,28 @@ class Interp:
     def run_advice(self, advice, shadow, this_obj, target_obj, args):
         inst = self.aspect_instances[advice.aspect_name]
         key = (id(advice), id(shadow))
-        tag = self.texts.get(key)
-        if tag is None:
-            tag = self.texts[key] = f"{advice.describe()} at {shadow.kind} {shadow.signature}"
+        texts = self.texts.get(key)
+        if texts is None:
+            texts = self.texts[key] = (
+                f"{advice.describe()} at {shadow.kind} {shadow.signature}",
+                (str(shadow.kind), shadow.signature, str(shadow.loc))
+                if _names_jp(advice)
+                else None,
+            )
+        tag, jp_texts = texts
         self.emit("advice_enter", tag)
-        info = JpInfo(
-            kind=str(shadow.kind),
-            signature=shadow.signature,
-            loc=str(shadow.loc),
-            cls=class_name_of(target_obj) or class_name_of(this_obj) or (shadow.cls or ""),
-            member=shadow.member or "",
-            arity=shadow.arity if shadow.arity is not None else len(args),
-        )
-        bound = {
-            "thisObject": this_obj,
-            "targetObject": target_obj,
-            "args": list(args),
-            "jp": info,
-        }
-        env = self._push_frame(shadow.loc, _frame_locals(advice, bound), inst)
+        locals_ = _frame_locals(advice)
+        locals_["thisObject"] = this_obj
+        locals_["targetObject"] = target_obj
+        locals_["args"] = list(args)
+        if jp_texts is not None:
+            locals_["jp"] = JpInfo(
+                *jp_texts,
+                class_name_of(target_obj) or class_name_of(this_obj) or (shadow.cls or ""),
+                shadow.member or "",
+                shadow.arity if shadow.arity is not None else len(args),
+            )
+        env = self._push_frame(shadow.loc, locals_, inst)
         try:
             yield from self.exec_block(advice.body, env)
         except _ReturnSignal:
@@ -539,7 +573,7 @@ class Interp:
         site = self.unit.sites.get(id(ctor))
         if site is not None:
             yield from self._jp_enter(site, obj, obj, args)
-        env = self._push_frame(loc, _frame_locals(ctor, dict(zip(ctor.params, args))), obj)
+        env = self._push_frame(loc, _frame_locals(ctor, zip(ctor.params, args)), obj)
         try:
             yield from self.exec_block(ctor.body, env)
         except _ReturnSignal:
@@ -572,7 +606,7 @@ class Interp:
         site = self.unit.sites.get(id(decl))
         if site is not None:
             yield from self._jp_enter(site, recv, recv, args)
-        env = self._push_frame(loc, _frame_locals(decl, dict(zip(decl.params, args))), recv)
+        env = self._push_frame(loc, _frame_locals(decl, zip(decl.params, args)), recv)
         result = None
         try:
             yield from self.exec_block(decl.body, env)

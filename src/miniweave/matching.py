@@ -260,14 +260,16 @@ def advice_sequence_at(sid: int, table: MatchTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CflowFrame:
     """One entered join point on a thread's stack, with its bindings."""
 
-    shadow: Shadow
-    this_obj: object
-    target_obj: object
-    args: tuple
+    __slots__ = ("shadow", "this_obj", "target_obj", "args")
+
+    def __init__(self, shadow: Shadow, this_obj, target_obj, args: tuple):
+        self.shadow = shadow
+        self.this_obj = this_obj
+        self.target_obj = target_obj
+        self.args = args
 
 
 def cflow_active(frames, scope_pc) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import bridge, dsal_audit, dsal_cool
 from . import minilang as ml
 from .aspects import AspectDecl, parse_aspect_file
-from .diagnostics import CompileError, Loc
+from .diagnostics import CompileError, Loc, read_source
 from .interp import WovenUnit
 
 
@@ -50,14 +50,6 @@ class CompileArtifacts:
     relationships: dict | None = None
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError:
-        raise CompileError(f"{path}: file not found") from None
-
-
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -76,7 +68,7 @@ def _write_generated(path: str, text: str) -> None:
 
 
 def _transform_cool(input_path: str, gen_dir: str, messages_path: str | None) -> GeneratedRecord:
-    coord = dsal_cool.parse_cool(_read(input_path), input_path)
+    coord = dsal_cool.parse_cool(read_source(input_path), input_path)
     out_path = _gen_path(input_path, "cool", gen_dir)
     _write_generated(out_path, dsal_cool.gen_cool_aspect(coord))
     return GeneratedRecord(
@@ -85,7 +77,7 @@ def _transform_cool(input_path: str, gen_dir: str, messages_path: str | None) ->
 
 
 def _transform_audit(input_path: str, gen_dir: str, messages_path: str | None) -> GeneratedRecord:
-    model = dsal_audit.parse_audit(_read(input_path), input_path)
+    model = dsal_audit.parse_audit(read_source(input_path), input_path)
     if messages_path is None:
         messages_path = os.path.join(os.path.dirname(input_path) or ".", "messages.txt")
     catalog = dsal_audit.load_catalog(messages_path)
@@ -106,16 +98,15 @@ def load_registry(path: str | None) -> list[str]:
     if path is None or not os.path.exists(path):
         return []
     registry: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            name = raw.split("#", 1)[0].strip()
-            if not name:
-                continue
-            if name not in TRANSFORMS:
-                raise CompileError(
-                    f"unknown transformation {name!r} (line {lineno})", Loc(path, lineno)
-                )
-            registry.append(name)
+    for lineno, raw in enumerate(read_source(path).split("\n"), start=1):
+        name = raw.split("#", 1)[0].strip()
+        if not name:
+            continue
+        if name not in TRANSFORMS:
+            raise CompileError(
+                f"unknown transformation {name!r} (line {lineno})", Loc(path, lineno)
+            )
+        registry.append(name)
     return registry
 
 
@@ -157,11 +148,11 @@ def compile(paths: list[str], options: CompileOptions | None = None) -> CompileA
     precedence: list[str] = []
     for path in effective:
         if path.endswith(".ml0"):
-            program_part = ml.parse_base(_read(path), path)
+            program_part = ml.parse_base(read_source(path), path)
             classes.extend(program_part.classes)
         elif path.endswith(".ma0"):
             try:
-                part = parse_aspect_file(_read(path), path)
+                part = parse_aspect_file(read_source(path), path)
             except CompileError as e:
                 if path in origin_of:
                     raise CompileError(

@@ -9,7 +9,6 @@ monitors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .diagnostics import Loc, MiniRuntimeError
 
@@ -63,23 +62,24 @@ class Monitor:
         return f"<monitor:{self.num}>"
 
 
-@dataclass(frozen=True)
 class JpInfo:
     """Reflective view of the current join point, bound to `jp` in advice.
 
     `signature` and `loc` come from the static shadow; `cls`/`member`/`arity`
     describe the runtime target (for calls, the actual receiver's class even
-    when the shadow could not resolve it statically).
+    when the shadow could not resolve it statically). Advice can read the
+    fields but has no way to write them.
     """
 
-    kind: str
-    signature: str
-    loc: str
-    cls: str
-    member: str
-    arity: int
+    __slots__ = FIELDS = ("kind", "signature", "loc", "cls", "member", "arity")
 
-    FIELDS = ("kind", "signature", "loc", "cls", "member", "arity")
+    def __init__(self, kind: str, signature: str, loc: str, cls: str, member: str, arity: int):
+        self.kind = kind
+        self.signature = signature
+        self.loc = loc
+        self.cls = cls
+        self.member = member
+        self.arity = arity
 
 
 def class_name_of(value) -> str | None:

@@ -428,3 +428,40 @@ def test_cool_requires_with_a_3000_term_chain_runs(workdir, capsys):
     )
     assert main(["run", "demo_stack/stack.ml0", "demo_stack/req.cool"]) == 0
     assert capsys.readouterr().err == ""
+
+
+_JOBS = ["demo/jobs.ml0", "demo/jobs.audit"]
+_STACK = ["demo_stack/stack.ml0", "demo_stack/stack.cool", "demo_stack/auditor.ma0"]
+
+
+@pytest.mark.parametrize(
+    "path, inputs, line",
+    [
+        ("demo/jobs.ml0", _JOBS, 1),
+        ("demo/jobs.ml0", _JOBS, 4),
+        ("demo_stack/auditor.ma0", _STACK, 3),
+        ("demo_stack/stack.cool", _STACK, 1),
+        ("demo/jobs.audit", _JOBS, 2),
+        ("demo/dsals.txt", _JOBS, 2),
+        ("demo/messages.txt", _JOBS, 3),
+    ],
+    ids=["ml0-first-byte", "ml0", "ma0", "cool", "audit", "dsals", "messages"],
+)
+def test_non_utf8_input_is_compile_error_exit_one(workdir, capsys, path, inputs, line):
+    # a 0xff byte at the start of `line` (CRLF endings count as one line break)
+    lines = (workdir / path).read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    (workdir / path).write_bytes(b"\r\n".join(lines))
+    for command in ("compile", "run"):
+        code = main([command, *inputs])
+        assert capsys.readouterr() == ("", f"error: {path}:{line}: not valid UTF-8\n")
+        assert code == 1
+
+
+def test_unreadable_registry_is_compile_error_exit_one(workdir, capsys):
+    # a directory where dsals.txt should be: not "file not found", not exit 5
+    os.remove("demo/dsals.txt")
+    os.mkdir("demo/dsals.txt")
+    code = main(["compile", "demo/jobs.ml0", "demo/jobs.audit"])
+    assert capsys.readouterr() == ("", "error: cannot read demo/dsals.txt: Is a directory\n")
+    assert code == 1

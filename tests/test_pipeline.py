@@ -2,12 +2,13 @@
 
 import os
 import shutil
+from dataclasses import dataclass
 
 import pytest
 
 from conftest import DEMO_AUDIT, DEMO_STACK
 
-from miniweave.diagnostics import CompileError
+from miniweave.diagnostics import CompileError, Loc, read_source
 from miniweave.pipeline import (
     TRANSFORMS,
     CompileOptions,
@@ -188,3 +189,54 @@ class TestCompile:
         p.write_text("frobnicate")
         with pytest.raises(CompileError, match=r"unknown transformation 'frobnicate' \(line 1\)"):
             load_registry(str(p))
+
+
+@dataclass(frozen=True)
+class _FrozenLoc:
+    path: str
+    line: int
+    col: int = 0
+
+
+@pytest.mark.parametrize("args", [("a.ml0", 3), ("a.ml0", 3, 7), ("gen/x y.ma0", 1, 0)])
+def test_loc_behaves_as_a_frozen_dataclass(args):
+    loc, ref = Loc(*args), _FrozenLoc(*args)
+    assert repr(loc) == repr(ref).replace("_FrozenLoc(", "Loc(", 1)
+    assert hash(loc) == hash(ref)
+    assert str(loc) == f"{ref.path}:{ref.line}"
+    assert loc == Loc(*args) and not loc != Loc(*args)
+    assert loc != Loc(ref.path, ref.line, ref.col + 1)
+    assert loc != Loc(ref.path, ref.line + 1, ref.col)
+    # equal only to another Loc: not to its fields as a tuple, nor to a lookalike
+    assert loc != (ref.path, ref.line, ref.col)
+    assert loc != ref
+    assert len({loc, Loc(*args)}) == 1
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xffclass A { }\n", 1),
+        (b"a\nb\n\xe2\x82 c\n", 3),
+        (b"a\r\nb\r\nc \x80\r\n", 3),
+        (b"a\rb\rc\r\xc3(", 4),
+    ],
+    ids=["first-byte", "lf", "crlf", "cr"],
+)
+def test_read_source_locates_the_first_bad_byte(tmp_path, data, line):
+    path = str(tmp_path / "bad.ml0")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(CompileError) as exc:
+        read_source(path)
+    assert str(exc.value) == f"{path}:{line}: not valid UTF-8"
+
+
+def test_read_source_reads_as_text_mode_does(tmp_path):
+    path = str(tmp_path / "ok.ml0")
+    with open(path, "wb") as fh:
+        fh.write("a\r\nb\rc\n\ufeffd \u00e9\n".encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert read_source(path) == fh.read()
+    with pytest.raises(CompileError, match="file not found"):
+        read_source(str(tmp_path / "missing.ml0"))
