@@ -32,11 +32,9 @@ INPUTS = [
 ]
 
 
-def compile_demo(strip_hide: bool):
+def compile_demo():
     options = pipeline.CompileOptions(
-        dsals_path=os.path.join(DEMO, "dsals.txt"),
-        gen_dir=os.path.join(ROOT, "gen"),
-        strip_hide=strip_hide,
+        dsals_path=os.path.join(DEMO, "dsals.txt"), gen_dir=os.path.join(ROOT, "gen")
     )
     return pipeline.compile(INPUTS, options)
 
@@ -46,8 +44,11 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1 (default 5)")
     args = ap.parse_args()
 
-    honored = compile_demo(strip_hide=False).unit
-    stripped = compile_demo(strip_hide=True).unit
+    honored = compile_demo().unit
+    # the same parsed inputs, woven again with the hide filter off
+    stripped = interp.WovenUnit.build(
+        honored.program, honored.aspects, honored.precedence, strip_hide=True
+    )
 
     ok = True
     print("== hide annotations honored ==")

@@ -10,7 +10,7 @@ and a deterministic concurrent interpreter runs the woven result.
 
 from .diagnostics import CompileError, Loc, MiniRuntimeError, ParseError
 from .minilang import Program, parse_base
-from .aspects import parse_aspect, parse_aspect_file
+from .aspects import parse_aspect_file
 from .joinpoints import (
     HideSpec,
     Shadow,
@@ -25,7 +25,6 @@ from .matching import (
     MatchTable,
     advice_sequence_at,
     build_match_table,
-    compare_advice,
     match,
 )
 from .interp import DeadlockReport, ExecutionResult, WovenUnit, detect_deadlock, run
@@ -48,12 +47,10 @@ __all__ = [
     "apply_hide_filter",
     "build_match_table",
     "collect_hide_specs",
-    "compare_advice",
     "detect_deadlock",
     "extract_shadows",
     "hide_spec_of",
     "match",
-    "parse_aspect",
     "parse_aspect_file",
     "parse_base",
     "run",

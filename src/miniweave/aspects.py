@@ -344,7 +344,7 @@ class AspectParser(ml.MiniParser):
                     raise ParseError("duplicate @loc", ann.loc)
                 bridge = self.read_bridge(ann)
             elif ann.name == "hideMethod":
-                pass  # category-checked in collect_hide_specs
+                pass  # read by collect_hide_specs
             else:
                 raise ParseError(f"annotation @{ann.name} is not allowed on advice", ann.loc)
         check_matchable(pc, loc)
@@ -469,14 +469,6 @@ class AspectParser(ml.MiniParser):
 def parse_aspect_file(text: str, path: str) -> AspectFile:
     """Parse a `.ma0` source: aspects plus any precedence statements."""
     return AspectParser(text, path).parse_file()
-
-
-def parse_aspect(text: str, path: str) -> AspectDecl:
-    """Parse a source expected to contain exactly one aspect declaration."""
-    out = parse_aspect_file(text, path)
-    if len(out.aspects) != 1:
-        raise ParseError(f"expected exactly one aspect, found {len(out.aspects)}", Loc(path, 1))
-    return out.aspects[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@ Coordinator code is rendered into the helpers with one renaming per scope
 becomes its state-row slot `st[<n>]`, and any other name becomes `t.<name>`.
 No rewritten copy of the AST is built: `validate_cool` alone decides what
 coordinator code may contain, before the generated aspect is woven.
+
+The toolchain evaluates a `requires` guard only as generated MiniAspect
+code; the reference model of the entry guard that tests compare the woven
+protocol against lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 
@@ -240,86 +243,6 @@ def _check_cool(roots, scope, state, target_fields) -> None:
                 raise CompileError(msg, node.loc)
         elif kind not in _COOL_NODES:
             raise CompileError("expression not allowed in coordinator code", node.loc)
-
-
-# ---------------------------------------------------------------------------
-# Reference semantics for the entry guard
-# ---------------------------------------------------------------------------
-
-
-# the guard's binary operators other than `&&` and `||`, with Python semantics
-_GUARD_OPS = {
-    "==": operator.eq, "!=": operator.ne, "+": operator.add, "-": operator.sub,
-    "*": operator.mul, "/": operator.floordiv, "%": operator.mod,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
-
-
-def can_enter(
-    coord: CoordinatorDecl,
-    method: str,
-    busy: dict[str, int],
-    conds: dict[str, object],
-    fields: dict[str, object],
-    target_fields: dict[str, object] | None = None,
-) -> bool:
-    """Entry guard: selfex => own busy count is zero; for each mutex set the
-    method belongs to, every other member's busy count is zero; and the
-    requires expression (if any) holds under the current state."""
-    for group, _ in coord.selfex:
-        if method in group and busy.get(method, 0) != 0:
-            return False
-    for group, _ in coord.mutex:
-        if method in group:
-            for other in group:
-                if other != method and busy.get(other, 0) != 0:
-                    return False
-    add = coord.additions.get(method)
-    if add is not None and add.requires is not None:
-        env = dict(conds)
-        env.update(fields)
-        value = _eval_guard(add.requires, env, target_fields or {})
-        if not isinstance(value, bool):
-            raise CompileError("requires expression must be boolean", add.loc)
-        return value
-    return True
-
-
-def _eval_guard(e, env: dict, target_fields: dict):
-    if isinstance(e, ml.Binary):
-        # down the left spine to the leftmost operand, then each operator on
-        # the way back up; `&&` and `||` short-circuit per node
-        spine = []
-        while type(e) is ml.Binary:
-            spine.append(e)
-            e = e.left
-        value = _eval_guard(e, env, target_fields)
-        for node in reversed(spine):
-            op = node.op
-            if op == "&&" or op == "||":
-                # `&&` goes on past true, `||` past false; otherwise the value stands
-                value = bool(value)
-                if value is (op == "&&"):
-                    value = bool(_eval_guard(node.right, env, target_fields))
-            else:
-                value = _GUARD_OPS[op](value, _eval_guard(node.right, env, target_fields))
-        return value
-    if isinstance(e, (ml.IntLit, ml.BoolLit, ml.StrLit)):
-        return e.value
-    if isinstance(e, ml.NullLit):
-        return None
-    if isinstance(e, ml.LocalRef):
-        if e.name in env:
-            return env[e.name]
-        if e.name in target_fields:
-            return target_fields[e.name]
-        raise CompileError(f"unknown name {e.name!r}", e.loc)
-    if isinstance(e, ml.Unary):
-        v = _eval_guard(e.operand, env, target_fields)
-        return (not v) if e.op == "!" else -v
-    if isinstance(e, ml.BuiltinCall) and e.name == "len":
-        return len(_eval_guard(e.args[0], env, target_fields))
-    raise CompileError("expression not supported in guard evaluation", e.loc)
 
 
 # ---------------------------------------------------------------------------

@@ -120,14 +120,6 @@ class DeadlockReport:
     step: int
     stuck: list[StuckThread]
 
-    @property
-    def thread_ids(self) -> set[int]:
-        return {s.tid for s in self.stuck}
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [(s.tid, s.holder) for s in self.stuck if s.holder is not None]
-
     def self_edges(self) -> list[StuckThread]:
         return [s for s in self.stuck if s.holder == s.tid]
 
@@ -203,7 +195,6 @@ class WovenUnit:
         aspects: list[AspectDecl] = (),
         precedence: list[str] = (),
         strip_hide: bool = False,
-        generated_paths: frozenset[str] = frozenset(),
     ) -> "WovenUnit":
         aspects = list(aspects)
         class_names: set[str] = set()
@@ -222,7 +213,7 @@ class WovenUnit:
         ml.resolve_program(program)
         resolve_aspects(aspects, set(program.by_name()))
         specs = jp.collect_hide_specs(program, aspects)
-        table = jp.extract_shadows(program, aspects, generated_paths)
+        table = jp.extract_shadows(program, aspects)
         visible = jp.apply_hide_filter(table, specs, strip_hide)
         mt = matching.build_match_table(aspects, visible, list(precedence))
         sites = {

@@ -5,7 +5,9 @@ makes one `minilang.walk` over each body of the resolved base program and
 the aspect declarations: each field get, method call and field set it meets
 is a shadow, except the field an assignment writes (the set is its shadow)
 and the call a `spawn` launches. Method executions and the init kinds come
-from the declarations. The result is one table in source order.
+from the declarations. The result is one table in source order. A shadow
+records where it arises (`loc`), not which input produced it: a shadow in
+generated code is one whose `loc.path` is a generated file.
 
 Hide specs (from @hideField/@hideMethod/@hideType annotations) suppress
 shadows before matching; `within` suppression is positional (all shadows
@@ -63,7 +65,6 @@ class Shadow:
     within_cls: str
     within_member: str
     loc: Loc
-    origin: str  # "base" | "generated"
     # the AST node the interpreter dispatches this join point from
     node: object = field(default=None, compare=False, repr=False)
 
@@ -74,11 +75,6 @@ class Shadow:
         if self.kind in (ShadowKind.FIELD_GET, ShadowKind.FIELD_SET):
             return f"{self.cls or '?'}.{self.member}"
         return str(self.cls)
-
-    @property
-    def key(self):
-        """Identity that is stable across compilations of differing unit sets."""
-        return (self.kind.value, self.signature, self.loc.path, self.loc.line, self.loc.col)
 
     def describe(self) -> str:
         return f"{self.kind} {self.signature} @ {self.loc}"
@@ -92,7 +88,6 @@ class HideSpec:
     cls: str
     member: str | None  # None for type specs
     kinds: tuple[str, ...]
-    explicit: bool
     loc: Loc
 
     def describe(self) -> str:
@@ -126,7 +121,6 @@ def hide_spec_of(target: str, annotations, cls: str, member: str | None = None) 
             raise CompileError(f"duplicate @{wanted}", ann.loc)
         if ann.args is None:
             kinds = _HIDE_DEFAULTS[target]
-            explicit = False
         else:
             for k in ann.args:
                 if not isinstance(k, str) or k not in _HIDE_DEFAULTS[target]:
@@ -134,8 +128,7 @@ def hide_spec_of(target: str, annotations, cls: str, member: str | None = None) 
                         f"unknown join point kind {k!r} for @{wanted}", ann.loc
                     )
             kinds = tuple(dict.fromkeys(ann.args))
-            explicit = True
-        spec = HideSpec(target, cls, member, kinds, explicit, ann.loc)
+        spec = HideSpec(target, cls, member, kinds, ann.loc)
     return spec
 
 
@@ -169,13 +162,9 @@ class ShadowTable:
 
 
 class _Extractor:
-    def __init__(self, generated_paths: frozenset[str]):
-        self.generated_paths = generated_paths
+    def __init__(self):
         self.records: list[tuple[Loc, int, ShadowKind, object, dict]] = []
         self.seq = 0
-
-    def origin_of(self, loc: Loc) -> str:
-        return "generated" if loc.path in self.generated_paths else "base"
 
     def add(self, kind: ShadowKind, loc: Loc, node, **fields) -> None:
         self.records.append((loc, self.seq, kind, node, fields))
@@ -330,15 +319,13 @@ class _Extractor:
         self.records.sort(key=lambda r: (r[0].path, r[0].line, r[0].col, r[1]))
         return ShadowTable(
             [
-                Shadow(sid, kind, loc=loc, origin=self.origin_of(loc), node=node, **fields)
+                Shadow(sid, kind, loc=loc, node=node, **fields)
                 for sid, (loc, _seq, kind, node, fields) in enumerate(self.records)
             ]
         )
 
 
-def extract_shadows(
-    program: ml.Program, aspects=(), generated_paths: frozenset[str] = frozenset()
-) -> ShadowTable:
+def extract_shadows(program: ml.Program, aspects=()) -> ShadowTable:
     """Extract every join-point shadow from the program and aspect declarations.
 
     Each shadow carries the node it arises from (the expression or
@@ -347,7 +334,7 @@ def extract_shadows(
     not modified. Iteration order of the result is source order (path,
     line, col).
     """
-    ex = _Extractor(frozenset(generated_paths))
+    ex = _Extractor()
     for cls in program.classes:
         ex.take_class(cls)
     for aspect in aspects:
@@ -361,7 +348,11 @@ def extract_shadows(
 
 
 def collect_hide_specs(program: ml.Program, aspects=()) -> list[HideSpec]:
-    """Gather HideSpecs from annotations, checking annotation categories."""
+    """Gather HideSpecs from annotations, checking annotation categories.
+
+    The aspect parser admits only @hideType on an aspect and only
+    @order/@loc/@hideMethod on advice, so those two are not checked here.
+    """
     specs: list[HideSpec] = []
 
     def put(spec: HideSpec | None) -> None:
@@ -378,7 +369,6 @@ def collect_hide_specs(program: ml.Program, aspects=()) -> list[HideSpec]:
             _check_annotation_categories(m.annotations, {"hideMethod"}, "method")
             put(hide_spec_of("method", m.annotations, cls.name, m.name))
     for aspect in aspects:
-        _check_annotation_categories(aspect.annotations, {"hideType"}, "aspect")
         put(hide_spec_of("type", aspect.annotations, aspect.name))
         for f in aspect.fields:
             _check_annotation_categories(f.annotations, {"hideField"}, "field")
@@ -387,9 +377,7 @@ def collect_hide_specs(program: ml.Program, aspects=()) -> list[HideSpec]:
             _check_annotation_categories(helper.annotations, {"hideMethod"}, "method")
             put(hide_spec_of("method", helper.annotations, aspect.name, helper.name))
         for adv in aspect.advice:
-            hide_anns = [a for a in adv.annotations if a.name.startswith("hide")]
-            _check_annotation_categories(hide_anns, {"hideMethod"}, "advice")
-            put(hide_spec_of("method", hide_anns, aspect.name, adv.member_name))
+            put(hide_spec_of("method", adv.annotations, aspect.name, adv.member_name))
     return specs
 
 

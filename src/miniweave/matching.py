@@ -12,8 +12,10 @@ execution/call/get/set atom, and a shadow can only match that disjunct if
 its kind and member agree with the atom. Each advice is indexed under
 (ShadowKind, member) of its anchor per disjunct, with member "*" for a wildcard, so a shadow
 runs the full `match` only on the advice filed under its (kind, member)
-or (kind, "*"). The advice is sorted into precedence order once per
-build, and the index keeps that order.
+or (kind, "*"). Advice reaches the table only through the aspect parser,
+so there is no fallback for an unanchored disjunct. The advice is sorted
+into precedence order once per build, by `advice_sort_key` over the
+`precedence_ranks` map, and the index keeps that order.
 """
 
 from __future__ import annotations
@@ -120,30 +122,20 @@ def precedence_ranks(precedence: list[str]) -> dict[str, int]:
     return ranks
 
 
-def advice_sort_key(advice: AdviceDecl, precedence: list[str] | dict[str, int]):
+def advice_sort_key(advice: AdviceDecl, ranks: dict[str, int]):
     """Total order on advice: @order value (missing sorts last), then the
     global precedence declaration (listed aspects before unlisted), then
     aspect name, then declaration index.
 
-    `precedence` is the declaration list or its `precedence_ranks` map.
+    `ranks` is the `precedence_ranks` map of the declaration list.
     Lexicographic keying keeps the order transitive even when @order and
     aspect-level rules disagree pairwise.
     """
-    ranks = precedence if isinstance(precedence, dict) else precedence_ranks(precedence)
     order = advice.order if advice.order is not None else inf
     pos = ranks.get(advice.aspect_name)
     if pos is None:
         return (order, 1, 0, advice.aspect_name, advice.index)
     return (order, 0, pos, advice.aspect_name, advice.index)
-
-
-def compare_advice(a: AdviceDecl, b: AdviceDecl, precedence: list[str]) -> int:
-    """-1 when a precedes b, +1 when it follows. Total and antisymmetric."""
-    ka = advice_sort_key(a, precedence)
-    kb = advice_sort_key(b, precedence)
-    if ka == kb:
-        return 0  # only for a == b: (aspect, index) is unique
-    return -1 if ka < kb else 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,43 +164,23 @@ class MatchTable:
             for entry in self.entries[sid]:
                 yield self.shadows[sid], entry
 
-    def restricted_keys(self, aspect_names: set[str]) -> set:
-        """Comparison view: (advice, shadow key, residue) triples."""
-        out = set()
-        for shadow, entry in self.pairs():
-            if entry.advice.aspect_name in aspect_names:
-                out.add(
-                    (
-                        entry.advice.aspect_name,
-                        entry.advice.index,
-                        shadow.key,
-                        render_residue(entry.residue),
-                    )
-                )
-        return out
-
 
 def _index_advice(ordered: list[AdviceDecl]) -> dict[ShadowKind, dict[str, list[int]]]:
     """ShadowKind -> member or "*" -> positions in `ordered`, ascending.
 
     A member's list also holds the kind's "*" positions, so one lookup, with
-    "*" as the fallback, gives a shadow its candidates. A disjunct without
-    an anchor (which `check_matchable` rejects in parsed aspects) is filed
-    under "*" for every kind, so it stays a candidate everywhere.
+    "*" as the fallback, gives a shadow its candidates. Every disjunct has
+    an anchor: `check_matchable` rejects advice with one that has none.
     """
     index: dict[ShadowKind, dict[str, list[int]]] = {}
     for pos, adv in enumerate(ordered):
         pc = adv.pointcut
         for disjunct in pc.parts if type(pc) is PcOr else (pc,):
             atom = anchor(disjunct)
-            if atom is None:
-                keys = [(kind, "*") for kind in ShadowKind]
-            else:
-                keys = [(KIND_FOR_PRIM[type(atom)], atom.pattern.member)]
-            for kind, member in keys:
-                bucket = index.setdefault(kind, {}).setdefault(member, [])
-                if not bucket or bucket[-1] != pos:
-                    bucket.append(pos)
+            kind, member = KIND_FOR_PRIM[type(atom)], atom.pattern.member
+            bucket = index.setdefault(kind, {}).setdefault(member, [])
+            if not bucket or bucket[-1] != pos:
+                bucket.append(pos)
     for by_member in index.values():
         wild = by_member.get("*")
         if wild:

@@ -781,8 +781,8 @@ def _bind(nodes: list, bare) -> None:
             nodes[i] = FieldGet(node.loc, ThisRef(node.loc), node.name)
 
 
-def resolve_program(program: Program, extra_class_names: set[str] = frozenset()) -> None:
-    names = set(program.by_name()) | set(extra_class_names)
+def resolve_program(program: Program) -> None:
+    names = set(program.by_name())
     for cls in program.classes:
         resolver = Resolver(cls, names)
         resolver.resolve_inits(cls.fields)

@@ -94,8 +94,9 @@ TRANSFORMS = {"cool": _transform_cool, "audit": _transform_audit}
 
 def load_registry(path: str | None) -> list[str]:
     """Read dsals.txt: one transformation name per non-empty, non-comment
-    line, each a key of `TRANSFORMS`. Absent file => empty."""
-    if path is None or not os.path.exists(path):
+    line, each a key of `TRANSFORMS`. No path => empty; a path that does
+    not exist is a compile error."""
+    if path is None:
         return []
     registry: list[str] = []
     for lineno, raw in enumerate(read_source(path).split("\n"), start=1):
@@ -170,13 +171,7 @@ def compile(paths: list[str], options: CompileOptions | None = None) -> CompileA
     for rec in generated:
         rec.validate(program)
 
-    unit = WovenUnit.build(
-        program,
-        aspects,
-        precedence,
-        strip_hide=options.strip_hide,
-        generated_paths=frozenset(origin_of),
-    )
+    unit = WovenUnit.build(program, aspects, precedence, strip_hide=options.strip_hide)
     relationships = None
     if options.relationships_path is not None:
         relationships = bridge.emit_relationship_map(

@@ -19,7 +19,6 @@ def build_unit(
     base_src: str,
     *aspect_srcs: str,
     strip_hide: bool = False,
-    generated_paths: frozenset[str] = frozenset(),
     base_path: str = "base.ml0",
 ) -> WovenUnit:
     """Parse inline sources fresh and weave them."""
@@ -32,9 +31,7 @@ def build_unit(
         for name in part.precedence:
             if name not in precedence:
                 precedence.append(name)
-    return WovenUnit.build(
-        program, aspects, precedence, strip_hide=strip_hide, generated_paths=generated_paths
-    )
+    return WovenUnit.build(program, aspects, precedence, strip_hide=strip_hide)
 
 
 def run_src(base_src: str, *aspect_srcs: str, seed: int = 0, entry: str = "Main.main", **kw):

@@ -1,0 +1,171 @@
+"""Reference models and comparison views that only tests use.
+
+Each one restates a rule of the toolchain in the most direct form, so a
+test can check the woven or compiled result against it:
+
+- `can_enter`: the COOL entry guard, evaluated over a snapshot of busy
+  counts, conditions and coordinator fields;
+- `sort_key`/`compare_advice`: advice precedence from the precedence
+  declaration list;
+- `restricted_keys`: a match table as (advice, shadow, residue) triples
+  that do not depend on shadow ids;
+- `edges`/`thread_ids`: the waits-for graph of a deadlock report;
+- `parse_aspect`: a source that holds exactly one aspect.
+"""
+
+from __future__ import annotations
+
+import operator
+
+import miniweave.minilang as ml
+from miniweave.aspects import AdviceDecl, AspectDecl, parse_aspect_file
+from miniweave.diagnostics import CompileError, Loc, ParseError
+from miniweave.dsal_cool import CoordinatorDecl
+from miniweave.interp import DeadlockReport
+from miniweave.joinpoints import Shadow
+from miniweave.matching import MatchTable, advice_sort_key, precedence_ranks, render_residue
+
+# ---------------------------------------------------------------------------
+# COOL entry guard
+# ---------------------------------------------------------------------------
+
+# the guard's binary operators other than `&&` and `||`, with Python semantics
+_GUARD_OPS = {
+    "==": operator.eq, "!=": operator.ne, "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": operator.floordiv, "%": operator.mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def can_enter(
+    coord: CoordinatorDecl,
+    method: str,
+    busy: dict[str, int],
+    conds: dict[str, object],
+    fields: dict[str, object],
+    target_fields: dict[str, object] | None = None,
+) -> bool:
+    """Entry guard: selfex => own busy count is zero; for each mutex set the
+    method belongs to, every other member's busy count is zero; and the
+    requires expression (if any) holds under the current state."""
+    for group, _ in coord.selfex:
+        if method in group and busy.get(method, 0) != 0:
+            return False
+    for group, _ in coord.mutex:
+        if method in group:
+            for other in group:
+                if other != method and busy.get(other, 0) != 0:
+                    return False
+    add = coord.additions.get(method)
+    if add is not None and add.requires is not None:
+        env = dict(conds)
+        env.update(fields)
+        value = _eval_guard(add.requires, env, target_fields or {})
+        if not isinstance(value, bool):
+            raise CompileError("requires expression must be boolean", add.loc)
+        return value
+    return True
+
+
+def _eval_guard(e, env: dict, target_fields: dict):
+    if isinstance(e, ml.Binary):
+        # down the left spine to the leftmost operand, then each operator on
+        # the way back up; `&&` and `||` short-circuit per node
+        spine = []
+        while type(e) is ml.Binary:
+            spine.append(e)
+            e = e.left
+        value = _eval_guard(e, env, target_fields)
+        for node in reversed(spine):
+            op = node.op
+            if op == "&&" or op == "||":
+                # `&&` goes on past true, `||` past false; otherwise the value stands
+                value = bool(value)
+                if value is (op == "&&"):
+                    value = bool(_eval_guard(node.right, env, target_fields))
+            else:
+                value = _GUARD_OPS[op](value, _eval_guard(node.right, env, target_fields))
+        return value
+    if isinstance(e, (ml.IntLit, ml.BoolLit, ml.StrLit)):
+        return e.value
+    if isinstance(e, ml.NullLit):
+        return None
+    if isinstance(e, ml.LocalRef):
+        if e.name in env:
+            return env[e.name]
+        if e.name in target_fields:
+            return target_fields[e.name]
+        raise CompileError(f"unknown name {e.name!r}", e.loc)
+    if isinstance(e, ml.Unary):
+        v = _eval_guard(e.operand, env, target_fields)
+        return (not v) if e.op == "!" else -v
+    if isinstance(e, ml.BuiltinCall) and e.name == "len":
+        return len(_eval_guard(e.args[0], env, target_fields))
+    raise CompileError("expression not supported in guard evaluation", e.loc)
+
+
+# ---------------------------------------------------------------------------
+# Advice precedence
+# ---------------------------------------------------------------------------
+
+
+def sort_key(advice: AdviceDecl, precedence: list[str]):
+    """`advice_sort_key` under a precedence declaration list."""
+    return advice_sort_key(advice, precedence_ranks(precedence))
+
+
+def compare_advice(a: AdviceDecl, b: AdviceDecl, precedence: list[str]) -> int:
+    """-1 when a precedes b, +1 when it follows. Total and antisymmetric."""
+    ka = sort_key(a, precedence)
+    kb = sort_key(b, precedence)
+    if ka == kb:
+        return 0  # only for a == b: (aspect, index) is unique
+    return -1 if ka < kb else 1
+
+
+# ---------------------------------------------------------------------------
+# Match-table and deadlock views
+# ---------------------------------------------------------------------------
+
+
+def shadow_key(shadow: Shadow):
+    """Identity that is stable across compilations of differing unit sets."""
+    loc = shadow.loc
+    return (shadow.kind.value, shadow.signature, loc.path, loc.line, loc.col)
+
+
+def restricted_keys(table: MatchTable, aspect_names: set[str]) -> set:
+    """(aspect, advice index, shadow key, residue) for each entry of the
+    named aspects' advice."""
+    return {
+        (
+            entry.advice.aspect_name,
+            entry.advice.index,
+            shadow_key(shadow),
+            render_residue(entry.residue),
+        )
+        for shadow, entry in table.pairs()
+        if entry.advice.aspect_name in aspect_names
+    }
+
+
+def thread_ids(report: DeadlockReport) -> set[int]:
+    return {s.tid for s in report.stuck}
+
+
+def edges(report: DeadlockReport) -> list[tuple[int, int]]:
+    """(waiter, holder) for each stuck thread whose monitor has a holder."""
+    return [(s.tid, s.holder) for s in report.stuck if s.holder is not None]
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+# ---------------------------------------------------------------------------
+
+
+def parse_aspect(text: str, path: str) -> AspectDecl:
+    """Parse a source expected to contain exactly one aspect declaration."""
+    out = parse_aspect_file(text, path)
+    if len(out.aspects) != 1:
+        raise ParseError(f"expected exactly one aspect, found {len(out.aspects)}", Loc(path, 1))
+    return out.aspects[0]

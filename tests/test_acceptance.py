@@ -14,6 +14,7 @@ import time
 import pytest
 
 from conftest import DEMO_AUDIT, DEMO_STACK, build_unit, run_src
+from oracles import compare_advice, restricted_keys, sort_key
 
 import miniweave as mw
 import miniweave.minilang as ml
@@ -24,7 +25,6 @@ from miniweave.diagnostics import Loc
 from miniweave.dsal_cool import gen_cool_aspect, parse_cool
 from miniweave.interp import WovenUnit, run
 from miniweave.joinpoints import apply_hide_filter, collect_hide_specs, extract_shadows
-from miniweave.matching import advice_sort_key, compare_advice
 from miniweave.pipeline import CompileOptions, compile as pipeline_compile
 
 from randprog import random_coordinator_source, random_program_source
@@ -154,12 +154,7 @@ def _stack_unit(strip: bool) -> WovenUnit:
     coord = parse_cool(read(DEMO_STACK, "stack.cool"), "demo_stack/stack.cool")
     gen = parse_aspect_file(gen_cool_aspect(coord), "gen/stack_cool.ma0")
     aud = parse_aspect_file(read(DEMO_STACK, "auditor.ma0"), "demo_stack/auditor.ma0")
-    return WovenUnit.build(
-        base,
-        gen.aspects + aud.aspects,
-        strip_hide=strip,
-        generated_paths=frozenset({"gen/stack_cool.ma0"}),
-    )
+    return WovenUnit.build(base, gen.aspects + aud.aspects, strip_hide=strip)
 
 
 def test_criterion_2_deadlock_reproduction(tmp_path, monkeypatch, capsys):
@@ -240,12 +235,7 @@ def _mkdir_run(mkfile_mode: bool):
 
     model = parse_audit(read(DEMO_AUDIT, "jobs.audit"), "demo/jobs.audit")
     catalog = parse_catalog(read(DEMO_AUDIT, "messages.txt"), "messages.txt")
-    unit = build_unit(
-        base,
-        gen_audit_aspect(model, catalog),
-        generated_paths=frozenset({"aspects0.ma0"}),
-        base_path="demo/jobs.ml0",
-    )
+    unit = build_unit(base, gen_audit_aspect(model, catalog), base_path="demo/jobs.ml0")
     return run(unit)
 
 
@@ -323,7 +313,7 @@ def test_criterion_5_ordering():
         def key(pair):
             name, order = pair
             probe = AdviceDecl("before", None, [], 0, order, None, [], Loc("t", 1), name)
-            return advice_sort_key(probe, names)
+            return sort_key(probe, names)
         oracle = [f"{n}#0" for n, _ in sorted(zip(names, orders), key=key)]
         assert _entries(res) == oracle
     ok(5, "entry order [1.0, 2.0, unordered]; negation flips the pair; after reversed")
@@ -381,14 +371,11 @@ aspect Auditor {
 def _auditor_keys(base_src, base_path, gen_srcs):
     prog = mw.parse_base(base_src, base_path)
     aspects = []
-    gen_paths = set()
     for i, gen_src in enumerate(gen_srcs):
-        path = f"gen/g{i}.ma0"
-        aspects.extend(parse_aspect_file(gen_src, path).aspects)
-        gen_paths.add(path)
+        aspects.extend(parse_aspect_file(gen_src, f"gen/g{i}.ma0").aspects)
     aspects.extend(parse_aspect_file(AUDITOR_SRC, "auditor.ma0").aspects)
-    unit = WovenUnit.build(prog, aspects, generated_paths=frozenset(gen_paths))
-    return unit.match_table.restricted_keys({"Auditor"})
+    unit = WovenUnit.build(prog, aspects)
+    return restricted_keys(unit.match_table, {"Auditor"})
 
 
 def test_criterion_7_semantic_preservation(tmp_path):
@@ -480,7 +467,7 @@ def test_criterion_9_comparator_laws():
                 counters[aspect] += 1
             for prec in precedences:
                 configs += 1
-                ranked = sorted(advs, key=lambda a: advice_sort_key(a, prec))
+                ranked = sorted(advs, key=lambda a: sort_key(a, prec))
                 for i, x in enumerate(ranked):
                     for y in ranked[i + 1 :]:
                         assert compare_advice(x, y, prec) == -1

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_unit
+from oracles import parse_aspect
 
-from miniweave.aspects import AdviceDecl, SourceBridge, parse_aspect
+from miniweave.aspects import AdviceDecl, SourceBridge
 from miniweave.bridge import (
     advice_handle,
     build_relationship_map,

@@ -465,3 +465,50 @@ def test_unreadable_registry_is_compile_error_exit_one(workdir, capsys):
     code = main(["compile", "demo/jobs.ml0", "demo/jobs.audit"])
     assert capsys.readouterr() == ("", "error: cannot read demo/dsals.txt: Is a directory\n")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "a.ma0",
+            "aspect A { }\n@order(1)\naspect B { }\n",
+            "annotation @order is not allowed on an aspect",
+        ),
+        (
+            "a.ma0",
+            "aspect A {\n  @hideField before(): execution(Main.main) { }\n}\n",
+            "annotation @hideField is not allowed on advice",
+        ),
+        (
+            "b.ml0",
+            "class B {\n  @hideMethod constructor() { }\n}\n",
+            "annotations are not allowed on constructors",
+        ),
+        (
+            "b.ml0",
+            "class B {\n  @hideType static { }\n}\n",
+            "annotations are not allowed on static blocks",
+        ),
+    ],
+    ids=["order-on-aspect", "hidefield-on-advice", "on-constructor", "on-static-block"],
+)
+def test_misplaced_annotation_exit_one(workdir, capsys, name, text, message):
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / name).write_text(text)
+    code = main(["compile", "main.ml0", name])
+    assert capsys.readouterr() == ("", f"error: {name}:2: {message}\n")
+    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [["demo/jobs.ml0", "demo/jobs.audit"], ["demo/jobs.ml0"]],
+    ids=["with-dsal-input", "base-only"],
+)
+def test_missing_dsals_path_exit_one(workdir, capsys, inputs):
+    # an explicit --dsals path is read, not skipped when it does not exist
+    for command in ("compile", "run"):
+        code = main([command, *inputs, "--dsals", "nope.txt"])
+        assert capsys.readouterr() == ("", "error: nope.txt: file not found\n")
+        assert code == 1

@@ -195,12 +195,7 @@ def woven_audit(main_src: str | None = None, seed: int = 0):
     model = parse_audit(srcs["jobs.audit"], "demo/jobs.audit")
     catalog = parse_catalog(srcs["messages.txt"], "messages.txt")
     gen_src = gen_audit_aspect(model, catalog)
-    unit = build_unit(
-        base_src,
-        gen_src,
-        generated_paths=frozenset({"aspects0.ma0"}),
-        base_path="demo/jobs.ml0",
-    )
+    unit = build_unit(base_src, gen_src, base_path="demo/jobs.ml0")
     return run(unit, seed=seed), model
 
 

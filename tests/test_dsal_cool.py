@@ -8,18 +8,13 @@ import shutil
 import pytest
 
 from conftest import DEMO_STACK
+from oracles import can_enter
 
 import miniweave as mw
 import miniweave.minilang as ml
 from miniweave.aspects import parse_aspect_file, resolve_aspects
 from miniweave.diagnostics import CompileError, ParseError
-from miniweave.dsal_cool import (
-    can_enter,
-    clause_line,
-    gen_cool_aspect,
-    parse_cool,
-    validate_cool,
-)
+from miniweave.dsal_cool import clause_line, gen_cool_aspect, parse_cool, validate_cool
 from miniweave.interp import WovenUnit, run
 from miniweave.joinpoints import apply_hide_filter, collect_hide_specs, extract_shadows
 from miniweave.pipeline import CompileOptions
@@ -314,10 +309,10 @@ class TestGeneratedAspect:
         )
         ml.resolve_program(prog)
         resolve_aspects(gen.aspects, set(prog.by_name()))
-        table = extract_shadows(prog, gen.aspects, frozenset({"gen/stack_cool.ma0"}))
+        table = extract_shadows(prog, gen.aspects)
         visible = apply_hide_filter(table, collect_hide_specs(prog, gen.aspects))
-        assert [s for s in visible if s.origin == "generated"] == []
-        assert [s for s in table if s.origin == "generated"]
+        assert [s for s in visible if s.loc.path == "gen/stack_cool.ma0"] == []
+        assert [s for s in table if s.loc.path == "gen/stack_cool.ma0"]
 
 
 def _woven(seed=0):
@@ -326,7 +321,7 @@ def _woven(seed=0):
     gen = parse_aspect_file(
         gen_cool_aspect(parse_cool(cool, "demo_stack/stack.cool")), "gen/stack_cool.ma0"
     )
-    unit = WovenUnit.build(prog, gen.aspects, generated_paths=frozenset({"gen/stack_cool.ma0"}))
+    unit = WovenUnit.build(prog, gen.aspects)
     return run(unit, seed=seed)
 
 
@@ -440,9 +435,7 @@ class TestConditionConsistency:
             gen_cool_aspect(parse_cool(cool, "demo_stack/stack.cool")),
             "gen/stack_cool.ma0",
         )
-        unit = WovenUnit.build(
-            prog, gen.aspects, generated_paths=frozenset({"gen/stack_cool.ma0"})
-        )
+        unit = WovenUnit.build(prog, gen.aspects)
         from miniweave.interp import Interp
 
         interp = Interp(unit, seed=1)

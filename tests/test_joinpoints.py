@@ -165,7 +165,6 @@ class TestHideSpecOf:
     def test_bare_method_defaults(self):
         spec = hide_spec_of("method", [ann("hideMethod")], "A", "f")
         assert spec.kinds == ("call", "execution", "within")
-        assert not spec.explicit
 
     def test_bare_field_defaults(self):
         spec = hide_spec_of("field", [ann("hideField")], "A", "x")
@@ -184,7 +183,6 @@ class TestHideSpecOf:
     def test_explicit_subset(self):
         spec = hide_spec_of("field", [ann("hideField", ["get"])], "A", "x")
         assert spec.kinds == ("get",)
-        assert spec.explicit
 
     def test_empty_list_hides_nothing(self):
         spec = hide_spec_of("method", [ann("hideMethod", [])], "A", "f")

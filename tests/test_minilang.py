@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_unit, run_src
+from oracles import edges, parse_aspect, thread_ids
 
 import miniweave as mw
 from miniweave import interp
@@ -198,10 +199,10 @@ class TestNestingLimit:
 
         deep = "!" * (MAX_NESTING + 1) + "this(A)"
         with pytest.raises(ParseError, match="nesting deeper than"):
-            mw.parse_aspect(f"aspect T {{ before(): execution(*.f) && {deep} {{ }} }}", "t.ma0")
+            parse_aspect(f"aspect T {{ before(): execution(*.f) && {deep} {{ }} }}", "t.ma0")
         body = "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)
         with pytest.raises(ParseError, match="nesting deeper than"):
-            mw.parse_aspect(f"aspect T {{ before(): execution(*.f) {{ print({body}); }} }}", "t.ma0")
+            parse_aspect(f"aspect T {{ before(): execution(*.f) {{ print({body}); }} }}", "t.ma0")
 
 
 def reference_tokenize(src: str, path: str) -> list[tuple]:
@@ -800,7 +801,7 @@ class TestDeadlock:
             """
         )
         assert res.status == "deadlock"
-        assert res.deadlock.edges == [(0, 0)]
+        assert edges(res.deadlock) == [(0, 0)]
         assert res.deadlock.self_edges()[0].tid == 0
 
     def test_two_lock_cycle(self):
@@ -834,8 +835,8 @@ class TestDeadlock:
         for seed in range(5):
             res = run_src(src, seed=seed)
             assert res.status == "deadlock"
-            assert sorted(res.deadlock.edges) == [(1, 2), (2, 1)]
-            assert res.deadlock.thread_ids == {1, 2}
+            assert sorted(edges(res.deadlock)) == [(1, 2), (2, 1)]
+            assert thread_ids(res.deadlock) == {1, 2}
 
     def test_monitors_released_on_frame_unwind(self):
         # helper returns while holding; the unwind releases, so the second

@@ -4,10 +4,10 @@ import itertools
 import random
 
 from conftest import run_src
+from oracles import compare_advice, sort_key
 
 from miniweave.aspects import AdviceDecl
 from miniweave.diagnostics import Loc
-from miniweave.matching import advice_sort_key, compare_advice
 
 
 def adv(aspect: str, index: int, order=None) -> AdviceDecl:
@@ -58,12 +58,12 @@ class TestCompareAdvice:
                 adv(f"A{i % 3}", i, rng.choice([None, rng.uniform(-5, 5)]))
                 for i in range(5)
             ]
-            base = sorted(advs, key=lambda a: advice_sort_key(a, ["A0", "A1"]))
+            base = sorted(advs, key=lambda a: sort_key(a, ["A0", "A1"]))
             shifted = [
                 adv(a.aspect_name, a.index, None if a.order is None else a.order + 17.25)
                 for a in advs
             ]
-            after = sorted(shifted, key=lambda a: advice_sort_key(a, ["A0", "A1"]))
+            after = sorted(shifted, key=lambda a: sort_key(a, ["A0", "A1"]))
             assert [(a.aspect_name, a.index) for a in base] == [
                 (a.aspect_name, a.index) for a in after
             ]
@@ -157,7 +157,7 @@ class TestDispatchOrder:
                 f"{a}#0"
                 for a, _ in sorted(
                     zip(names, orders),
-                    key=lambda p: advice_sort_key(adv(p[0], 0, p[1]), names),
+                    key=lambda p: sort_key(adv(p[0], 0, p[1]), names),
                 )
             ]
             assert entries(res) == oracle

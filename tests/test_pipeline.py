@@ -40,7 +40,10 @@ class TestLoadRegistry:
         assert reg == ["cool", "audit"]
 
     def test_absent_file_empty(self, tmp_path):
-        assert load_registry(str(tmp_path / "nope.txt")) == []
+        missing = str(tmp_path / "nope.txt")
+        with pytest.raises(CompileError) as exc:
+            load_registry(missing)
+        assert (exc.value.msg, exc.value.loc) == (f"{missing}: file not found", None)
         assert load_registry(None) == []
 
     def test_comments_and_blanks(self, tmp_path):
@@ -109,7 +112,8 @@ class TestCompile:
         assert art.unit.match_table.entries
         assert len(art.generated) == 1
         assert art.generated[0].dsal_path.endswith("jobs.audit")
-        gens = {s.origin for s in art.unit.all_shadows}
+        gen_path = art.generated[0].path
+        gens = {"generated" if s.loc.path == gen_path else "base" for s in art.unit.all_shadows}
         assert gens == {"base", "generated"}
 
     def test_strip_hide_grows_visible_set(self, stack_dir, tmp_path):

