@@ -353,7 +353,10 @@ class AspectParser(ml.MiniParser):
     def read_order(self, ann) -> float:
         if ann.args is None or len(ann.args) != 1 or not isinstance(ann.args[0], (int, float)):
             raise ParseError("@order expects a single numeric value", ann.loc)
-        value = float(ann.args[0])
+        try:
+            value = float(ann.args[0])
+        except OverflowError:  # an int beyond float range
+            value = math.inf
         if not math.isfinite(value):
             raise ParseError("@order value must be finite", ann.loc)
         return value
@@ -417,11 +420,11 @@ class AspectParser(ml.MiniParser):
             self.ts.expect(PUNCT, ")")
             return {"this": PcThis, "target": PcTarget, "within": PcWithin}[word](type_name)
         if word == "args":
-            pos_tok = self.ts.expect("int")
+            pos = self.ts.expect_int()
             self.ts.expect(PUNCT, ",")
             value = self.parse_args_literal()
             self.ts.expect(PUNCT, ")")
-            return PcArgs(int(pos_tok.text), value)
+            return PcArgs(pos, value)
         if word == "cflow":
             inner = self.nested(self.parse_pointcut)
             self.ts.expect(PUNCT, ")")
@@ -433,8 +436,7 @@ class AspectParser(ml.MiniParser):
             return _WILDCARD
         tok = self.ts.cur
         if tok.kind == "int":
-            self.ts.advance()
-            return int(tok.text)
+            return self.ts.expect_int()
         if tok.kind == "string":
             self.ts.advance()
             return tok.text
@@ -449,7 +451,7 @@ class AspectParser(ml.MiniParser):
             return None
         neg = self.ts.accept(PUNCT, "-")
         if neg and self.ts.cur.kind == "int":
-            return -int(self.ts.advance().text)
+            return -self.ts.expect_int()
         raise self.ts.error("expected a literal or * in args()")
 
     def parse_name_pattern(self) -> NamePattern:

@@ -27,7 +27,7 @@ from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError, read_source
 from .lexer import EOF, NAME, PUNCT
 from .render import escape_string
-from .values import _PLACEHOLDER
+from .values import _PLACEHOLDER, placeholder_index
 
 TRANSITIONS = ("start", "finish", "interrupt", "pause", "resume")
 
@@ -139,9 +139,10 @@ def load_catalog(path: str) -> dict[str, str]:
     return parse_catalog(read_source(path), path)
 
 
-def _max_placeholder(template: str) -> int:
-    indexes = [int(m) for m in _PLACEHOLDER.findall(template)]
-    return max(indexes) if indexes else -1
+def _max_placeholder(template: str) -> tuple[int, str]:
+    """The highest placeholder index in `template` and its digits, else (-1, "")."""
+    found = [(placeholder_index(d), d) for d in _PLACEHOLDER.findall(template)]
+    return max(found) if found else (-1, "")
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +170,10 @@ def validate_audit(model: AuditModel, catalog: dict[str, str], program: ml.Progr
                     )
             if case.message not in catalog:
                 raise CompileError(f"unknown message id {case.message!r}", case.loc)
-            need = _max_placeholder(catalog[case.message])
+            need, digits = _max_placeholder(catalog[case.message])
             if need >= len(case.values):
                 raise CompileError(
-                    f"message {case.message} uses placeholder {{{need}}} but the case "
+                    f"message {case.message} uses placeholder {{{digits}}} but the case "
                     f"provides {len(case.values)} value field(s)",
                     case.loc,
                 )

@@ -14,14 +14,17 @@ reached, and otherwise counts the step and goes on without suspending its
 is free. `pick_next` scans only the unfinished threads, in rotation order.
 
 Each MiniLang frame (method, constructor, static block, advice, field
-initializer) is one `_Env` on its thread's `frames`: locals, `this`, the
-owning thread and the monitors it acquired. Monitors are non-reentrant
-and frame-scoped: whatever a frame still holds when it unwinds is
-released. A thread holding MAX_CALL_DEPTH frames ends the run with a
-runtime error. `exec_block` dispatches each statement in place, and
-`eval_expr` walks a binary chain's left spine down to its leftmost
-operand, then applies the operators on the way back up, so a left-deep
-chain costs no Python frames.
+initializer) is one `_Env` on its thread's `frames`: locals, `this` and the
+monitors it acquired. Monitors are non-reentrant and frame-scoped: whatever
+a frame still holds when it returns is released. A thread holding
+MAX_CALL_DEPTH frames ends the run with a runtime error. `exec_block`
+dispatches each statement in place; a `return` is its value, passed up
+through `if` and `while` to `run_decl`, which runs every method,
+constructor and static block. Frames leave only by returning: a runtime
+error ends the run, and nothing reads a thread's frames, cflow stack or
+monitors after that, so nothing unwinds them. `eval_expr` walks a binary
+chain's left spine down to its leftmost operand, then applies the
+operators on the way back up, so a left-deep chain costs no Python frames.
 
 Each join-point site looks its AST node up in the unit's `sites` and, for
 a visible shadow, brackets its own work with `_jp_enter` (scheduling
@@ -87,9 +90,8 @@ WAITING = "waiting"
 FINISHED = "finished"
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value):
-        self.value = value
+# exec_block's value when its statements run to the end, not into a `return`
+_NO_RETURN = object()
 
 
 def _render_event(step: int, thread: int, kind: str, text: str) -> str:
@@ -234,15 +236,37 @@ def _names_jp(advice) -> bool:
     return any(type(n) is ml.LocalRef and n.name == "jp" for n in ml.walk(advice.body))
 
 
+def _method_of(recv, name: str, args, loc: Loc) -> ml.MethodDecl:
+    """The method or aspect helper a call of `name` on `recv` with `args` runs."""
+    if recv is None:
+        raise MiniRuntimeError(f"null dereference calling {name!r}", loc)
+    if isinstance(recv, MObject):
+        decl = recv.cls.method(name)
+    elif isinstance(recv, AspectInstance):
+        decl = recv.decl.helper(name)
+    else:
+        decl = None
+    if decl is None:
+        raise MiniRuntimeError(
+            f"unknown method {name!r} on {class_name_of(recv) or render_value(recv)}", loc
+        )
+    if len(decl.params) != len(args):
+        raise MiniRuntimeError(
+            f"{class_name_of(recv)}.{name} expects {len(decl.params)} argument(s), "
+            f"got {len(args)}",
+            loc,
+        )
+    return decl
+
+
 class _Env:
     """One MiniLang frame. It defines no __eq__, so frames compare by identity."""
 
-    __slots__ = ("locals", "this", "thread", "acquired")
+    __slots__ = ("locals", "this", "acquired")
 
-    def __init__(self, locals_: dict, this, thread: "_Thread"):
+    def __init__(self, locals_: dict, this):
         self.locals = locals_
         self.this = this
-        self.thread = thread
         self.acquired: list[Monitor] = []
 
 
@@ -282,7 +306,6 @@ class Interp:
         if step_limit <= 0:
             raise ValueError("step_limit must be positive")
         self.unit = unit
-        self.seed = seed
         self.step_limit = step_limit
         self.rng = random.Random(seed)
         self.threads: list[_Thread] = []
@@ -370,8 +393,8 @@ class Interp:
         return True
 
     def run(self, entry: str) -> ExecutionResult:
-        entry_cls, entry_method = self._check_entry(entry)
-        self.add_thread(self._main(entry_cls, entry_method))
+        entry_cls, entry_decl = self._check_entry(entry)
+        self.add_thread(self._main(entry_cls, entry_decl))
         while True:
             # a scheduling point that yielded left its pick; a parked or
             # finished thread did not
@@ -415,11 +438,11 @@ class Interp:
             raise CompileError(f"entry method {entry!r} must take no parameters")
         if cls.ctor is not None and cls.ctor.params:
             raise CompileError(f"entry class {cls_name!r} needs a zero-arg constructor")
-        return cls, method_name
+        return cls, m
 
     # -- thread bodies
 
-    def _main(self, entry_cls, entry_method):
+    def _main(self, entry_cls, entry_decl):
         # aspect singletons first, then static blocks in program order, then entry
         for aspect in self.unit.aspects:
             inst = AspectInstance(aspect)
@@ -427,58 +450,37 @@ class Interp:
             for f in aspect.fields:
                 if f.init is not None:
                     env = self._push_frame(f.loc, {}, inst)
-                    try:
-                        inst.fields[f.name] = yield from self.eval_expr(f.init, env)
-                    finally:
-                        self._pop_frame(env)
+                    inst.fields[f.name] = yield from self.eval_expr(f.init, env)
+                    self._pop_frame(env)
         for cls in self.unit.program.classes:
-            if cls.static_block is not None:
-                yield from self._run_static(cls)
+            block = cls.static_block
+            if block is not None:
+                yield from self.run_decl(None, block, (), block.loc)
         obj = yield from self.instantiate(entry_cls, [], entry_cls.loc)
-        yield from self.invoke(obj, entry_method, [], entry_cls.loc)
+        yield from self.run_decl(obj, entry_decl, [], entry_cls.loc)
 
-    def _run_static(self, cls):
-        block = cls.static_block
-        site = self.unit.sites.get(id(block))
-        if site is not None:
-            yield from self._jp_enter(site, None, None, ())
-        env = self._push_frame(block.loc, _frame_locals(block), None)
-        try:
-            yield from self.exec_block(block.body, env)
-        except _ReturnSignal:
-            pass
-        finally:
-            self._pop_frame(env)
-        if site is not None:
-            yield from self._jp_exit(site, None, None, ())
+    def _spawned(self, recv, name: str, args, loc: Loc):
+        # a spawned call's checks run on the new thread, when it first runs
+        yield from self.run_decl(recv, _method_of(recv, name, args, loc), args, loc)
 
     # -- frames
 
     def _push_frame(self, loc: Loc, locals_: dict, this) -> _Env:
-        t = self.current
-        if len(t.frames) >= MAX_CALL_DEPTH:
+        frames = self.current.frames
+        if len(frames) >= MAX_CALL_DEPTH:
             raise MiniRuntimeError(f"call depth exceeds {MAX_CALL_DEPTH}", loc)
-        env = _Env(locals_, this, t)
-        t.frames.append(env)
+        env = _Env(locals_, this)
+        frames.append(env)
         return env
 
     def _pop_frame(self, env: _Env) -> None:
-        # also reached during generator teardown of parked threads, so the
-        # owner comes from the frame, not from self.current. Each frame is
-        # popped by the `finally` of the generator that pushed it, and closing
-        # a generator closes the ones it delegates to first, so `env` is the
-        # top frame even then.
-        t = env.thread
+        t = self.current
         t.frames.pop()
         for mon in env.acquired:
             if mon.holder == t.tid:
                 mon.holder = None
 
     # -- join point dispatch
-
-    # No try/finally pops the cflow frame: a MiniRuntimeError ends the run,
-    # and a _ReturnSignal never crosses a join point, because invoke,
-    # constructors, static blocks and run_advice catch it.
 
     def _jp_enter(self, site, this_obj, target_obj, args):
         shadow, before, _ = site
@@ -527,15 +529,11 @@ class Interp:
                 shadow.arity if shadow.arity is not None else len(args),
             )
         env = self._push_frame(shadow.loc, locals_, inst)
-        try:
-            yield from self.exec_block(advice.body, env)
-        except _ReturnSignal:
-            pass
-        finally:
-            self._pop_frame(env)
+        yield from self.exec_block(advice.body, env)
+        self._pop_frame(env)
         self.emit("advice_exit", tag)
 
-    # -- object lifecycle and method invocation
+    # -- object lifecycle and method bodies
 
     def instantiate(self, cls, args, loc: Loc):
         expected = len(cls.ctor.params) if cls.ctor is not None else 0
@@ -550,68 +548,34 @@ class Interp:
         if site is not None:
             yield from self._jp_enter(site, obj, obj, args)
         env = self._push_frame(loc, {}, obj)
-        try:
-            for f in cls.fields:
-                if f.init is not None:
-                    obj.fields[f.name] = yield from self.eval_expr(f.init, env)
-        finally:
-            self._pop_frame(env)
+        for f in cls.fields:
+            if f.init is not None:
+                obj.fields[f.name] = yield from self.eval_expr(f.init, env)
+        self._pop_frame(env)
         if site is not None:
             yield from self._jp_exit(site, obj, obj, args)
-        ctor = cls.ctor
-        if ctor is None:
-            return obj
-        site = self.unit.sites.get(id(ctor))
-        if site is not None:
-            yield from self._jp_enter(site, obj, obj, args)
-        env = self._push_frame(loc, _frame_locals(ctor, zip(ctor.params, args)), obj)
-        try:
-            yield from self.exec_block(ctor.body, env)
-        except _ReturnSignal:
-            pass
-        finally:
-            self._pop_frame(env)
-        if site is not None:
-            yield from self._jp_exit(site, obj, obj, args)
+        if cls.ctor is not None:
+            yield from self.run_decl(obj, cls.ctor, args, loc)
         return obj
 
-    def invoke(self, recv, name: str, args, loc: Loc):
-        if recv is None:
-            raise MiniRuntimeError(f"null dereference calling {name!r}", loc)
-        if isinstance(recv, MObject):
-            decl = recv.cls.method(name)
-        elif isinstance(recv, AspectInstance):
-            decl = recv.decl.helper(name)
-        else:
-            decl = None
-        if decl is None:
-            raise MiniRuntimeError(
-                f"unknown method {name!r} on {class_name_of(recv) or render_value(recv)}", loc
-            )
-        if len(decl.params) != len(args):
-            raise MiniRuntimeError(
-                f"{class_name_of(recv)}.{name} expects {len(decl.params)} argument(s), "
-                f"got {len(args)}",
-                loc,
-            )
+    def run_decl(self, this, decl, args, loc: Loc):
+        """Run a method, helper, constructor or static block on `this` inside
+        its execution or init join point and its own frame; the value of its
+        `return`, or null when the body runs to the end."""
         site = self.unit.sites.get(id(decl))
         if site is not None:
-            yield from self._jp_enter(site, recv, recv, args)
-        env = self._push_frame(loc, _frame_locals(decl, zip(decl.params, args)), recv)
-        result = None
-        try:
-            yield from self.exec_block(decl.body, env)
-        except _ReturnSignal as sig:
-            result = sig.value
-        finally:
-            self._pop_frame(env)
+            yield from self._jp_enter(site, this, this, args)
+        env = self._push_frame(loc, _frame_locals(decl, zip(decl.params, args)), this)
+        result = yield from self.exec_block(decl.body, env)
+        self._pop_frame(env)
         if site is not None:
-            yield from self._jp_exit(site, recv, recv, args)
-        return result
+            yield from self._jp_exit(site, this, this, args)
+        return None if result is _NO_RETURN else result
 
     # -- statements
 
     def exec_block(self, stmts, env: _Env):
+        """Run `stmts`: the value of the `return` that ended them, else _NO_RETURN."""
         for stmt in stmts:
             if self._switch():
                 yield None
@@ -649,11 +613,13 @@ class Interp:
                         yield None
                     cond = yield from self.eval_expr(test, env)
                     if self.as_bool(cond, test.loc if later else stmt.loc):
-                        yield from self.exec_block(body, env)
+                        result = yield from self.exec_block(body, env)
                         break
                     later = True
                 else:
-                    yield from self.exec_block(stmt.orelse, env)
+                    result = yield from self.exec_block(stmt.orelse, env)
+                if result is not _NO_RETURN:
+                    return result
             elif kind is ml.While:
                 while True:
                     if self._switch():
@@ -661,13 +627,15 @@ class Interp:
                     cond = yield from self.eval_expr(stmt.cond, env)
                     if not self.as_bool(cond, stmt.loc):
                         break
-                    yield from self.exec_block(stmt.body, env)
+                    result = yield from self.exec_block(stmt.body, env)
+                    if result is not _NO_RETURN:
+                        return result
             elif kind is ml.Return:
                 value = stmt.value
-                value = None if value is None else (yield from self.eval_expr(value, env))
-                raise _ReturnSignal(value)
+                return None if value is None else (yield from self.eval_expr(value, env))
             else:
                 raise MiniRuntimeError(f"cannot execute {kind.__name__}", stmt.loc)
+        return _NO_RETURN
 
     # -- expressions
 
@@ -718,7 +686,8 @@ class Interp:
             site = self.unit.sites.get(id(expr))
             if site is not None:
                 yield from self._jp_enter(site, env.this, recv, args)
-            result = yield from self.invoke(recv, expr.name, args, expr.loc)
+            decl = _method_of(recv, expr.name, args, expr.loc)
+            result = yield from self.run_decl(recv, decl, args, expr.loc)
             if site is not None:
                 yield from self._jp_exit(site, env.this, recv, args)
             return result
@@ -748,7 +717,7 @@ class Interp:
                 args.append((yield from self.eval_expr(a, env)))
             if not isinstance(recv, (MObject, AspectInstance)):
                 raise MiniRuntimeError("spawn needs an object receiver", expr.loc)
-            tid = self.add_thread(self.invoke(recv, call.name, args, call.loc))
+            tid = self.add_thread(self._spawned(recv, call.name, args, call.loc))
             self.emit("spawn", f"t{tid}")
             return tid
         if kind is ml.Unary:

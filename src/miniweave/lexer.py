@@ -4,8 +4,9 @@ Lexical rules, common to every front-end:
 
 * a name starts with a letter (`str.isalpha`) or `_` and continues with
   letters, digits or `_`;
-* an integer literal is ASCII digits `0-9`; digits `.` digits is a float
-  literal (only annotation arguments accept one);
+* an integer literal is ASCII digits `0-9`, at most as many as Python
+  converts to an int; digits `.` digits is a float literal (only
+  annotation arguments accept one);
 * a string literal is `"..."` on one line, with the escapes `\\n \\t \\" \\\\`;
 * `//` starts a comment that runs to the end of the line;
 * spaces, tabs and `\\r` separate tokens; any other character that cannot
@@ -167,6 +168,15 @@ class TokenStream:
         want = text if text is not None else kind
         got = tok.text or tok.kind
         raise ParseError(f"expected {want!r}, found {got!r}", self.loc())
+
+    def expect_int(self) -> int:
+        """Pass the INT token at the cursor and return its value: the one
+        conversion of an integer literal, for every front-end."""
+        tok = self.expect(INT)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python converts
+            raise ParseError("integer literal too long", tok.loc(self.path)) from None
 
     def error(self, msg: str) -> ParseError:
         return ParseError(msg, self.loc())

@@ -393,8 +393,8 @@ class MiniParser:
         neg = self.ts.accept(PUNCT, "-") is not None
         tok = self.ts.cur
         if tok.kind == INT:
-            self.ts.advance()
-            return -int(tok.text) if neg else int(tok.text)
+            value = self.ts.expect_int()
+            return -value if neg else value
         if tok.kind == FLOAT:
             self.ts.advance()
             return -float(tok.text) if neg else float(tok.text)
@@ -635,8 +635,7 @@ class MiniParser:
             return expr
         loc = tok.loc(self.path)
         if tok.kind == INT:
-            self.ts.advance()
-            return IntLit(loc, int(tok.text))
+            return IntLit(loc, self.ts.expect_int())
         if tok.kind == FLOAT:
             raise self.ts.error("float literals are not part of the language")
         if tok.kind == STRING:

@@ -7,10 +7,10 @@ the hide filter, build the match table, and optionally emit the
 relationship report.
 
 The transformers are built in: `TRANSFORMS` maps each name to a function
-`(input_path, gen_dir, messages_path) -> GeneratedRecord`, and a name is
-also the input extension it handles (`x.cool` goes to "cool"). dsals.txt
-selects and orders them, one name per line (`#` comments and blank lines
-allowed).
+`(input_path, out_path, messages_path) -> GeneratedRecord`, and a name is
+also the input extension it handles (`x.cool` goes to "cool", which writes
+`<gen_dir>/x_cool.ma0`). dsals.txt selects and orders them, one name per
+line (`#` comments and blank lines allowed).
 """
 
 from __future__ import annotations
@@ -67,21 +67,19 @@ def _write_generated(path: str, text: str) -> None:
         raise CompileError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _transform_cool(input_path: str, gen_dir: str, messages_path: str | None) -> GeneratedRecord:
+def _transform_cool(input_path: str, out_path: str, messages_path: str | None) -> GeneratedRecord:
     coord = dsal_cool.parse_cool(read_source(input_path), input_path)
-    out_path = _gen_path(input_path, "cool", gen_dir)
     _write_generated(out_path, dsal_cool.gen_cool_aspect(coord))
     return GeneratedRecord(
         input_path, out_path, lambda program: dsal_cool.validate_cool(coord, program)
     )
 
 
-def _transform_audit(input_path: str, gen_dir: str, messages_path: str | None) -> GeneratedRecord:
+def _transform_audit(input_path: str, out_path: str, messages_path: str | None) -> GeneratedRecord:
     model = dsal_audit.parse_audit(read_source(input_path), input_path)
     if messages_path is None:
         messages_path = os.path.join(os.path.dirname(input_path) or ".", "messages.txt")
     catalog = dsal_audit.load_catalog(messages_path)
-    out_path = _gen_path(input_path, "audit", gen_dir)
     _write_generated(out_path, dsal_audit.gen_audit_aspect(model, catalog))
     return GeneratedRecord(
         input_path, out_path, lambda program: dsal_audit.validate_audit(model, catalog, program)
@@ -116,17 +114,22 @@ def transform_inputs(
 ) -> tuple[list[str], list[GeneratedRecord]]:
     """Replace DSAL inputs by their generated aspect files, in order; the
     first registered name that is the input's extension wins. Pass-through
-    otherwise."""
+    otherwise. An input whose generated path an earlier input already
+    produced is a compile error, raised before its transformer runs."""
     effective: list[str] = []
     generated: list[GeneratedRecord] = []
+    made_by: dict[str, str] = {}  # generated path -> the input it came from
     for path in input_paths:
         name = next((n for n in registry if path.endswith("." + n)), None)
         if name is None:
             effective.append(path)
-        else:
-            record = TRANSFORMS[name](path, gen_dir, messages_path)
-            generated.append(record)
-            effective.append(record.path)
+            continue
+        out_path = _gen_path(path, name, gen_dir)
+        if out_path in made_by:
+            raise CompileError(f"{path}: generates {out_path}, as {made_by[out_path]} does")
+        made_by[out_path] = path
+        generated.append(TRANSFORMS[name](path, out_path, messages_path))
+        effective.append(out_path)
     return effective, generated
 
 

@@ -9,6 +9,7 @@ monitors.
 from __future__ import annotations
 
 import re
+import sys
 
 from .diagnostics import Loc, MiniRuntimeError
 
@@ -119,13 +120,22 @@ def render_value(value) -> str:
 _PLACEHOLDER = re.compile(r"\{(\d+)\}")
 
 
+def placeholder_index(digits: str) -> int:
+    """The index of a `{digits}` placeholder; one with more digits than
+    Python converts is past any number of values."""
+    try:
+        return int(digits)
+    except ValueError:
+        return sys.maxsize
+
+
 def format_message(template: str, values) -> str:
     """Replace `{k}` placeholders with rendered values. Out-of-range -> error."""
 
     def sub(m: re.Match) -> str:
-        k = int(m.group(1))
+        k = placeholder_index(m.group(1))
         if k >= len(values):
-            raise MiniRuntimeError(f"format placeholder {{{k}}} out of range")
+            raise MiniRuntimeError(f"format placeholder {m.group(0)} out of range")
         return render_value(values[k])
 
     return _PLACEHOLDER.sub(sub, template)

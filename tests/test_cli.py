@@ -97,6 +97,9 @@ def test_internal_error_is_one_line_exit_five(workdir, capsys, monkeypatch):
 _RUNTIME_HEAD = "class P {\n  var x = 0;\n  constructor(a) { }\n}\nclass Main {\n  def main() {\n"
 
 
+_DIGITS = "1" * 5000  # more digits than Python converts to an int
+
+
 @pytest.mark.parametrize(
     "body, line, message",
     [
@@ -118,13 +121,19 @@ _RUNTIME_HEAD = "class P {\n  var x = 0;\n  constructor(a) { }\n}\nclass Main {\
         ("var n = 1;\nprint(n[0]);", 8, "indexing expects a list"),
         ("var xs = [1];\nprint(xs[true]);", 8, "list index must be an int"),
         ("var b = true;\nprint(-b);", 8, "expected an int, got true"),
+        # an index with more digits than Python converts is out of range too
+        (
+            f'print(format("{{{_DIGITS}}}", 1));',
+            7,
+            f"format placeholder {{{_DIGITS}}} out of range",
+        ),
     ],
     ids=[
         "ctor-arity", "call-non-object", "spawn-non-object", "len-arg", "push_back-arg",
         "format-template", "format-placeholder", "audit_emit-arg", "notify-not-held",
         "null-read", "null-write", "unknown-field-read", "unknown-field-write",
         "read-non-object", "write-non-object", "index-non-list", "index-non-int",
-        "negate-non-int",
+        "negate-non-int", "format-placeholder-too-long",
     ],
 )
 def test_runtime_check_exit_three(workdir, capsys, body, line, message):
@@ -512,3 +521,75 @@ def test_missing_dsals_path_exit_one(workdir, capsys, inputs):
         code = main([command, *inputs, "--dsals", "nope.txt"])
         assert capsys.readouterr() == ("", "error: nope.txt: file not found\n")
         assert code == 1
+
+
+_ADVICE = "before(): execution(Main.main) { }"
+_ARGS = "before(): call(*.f) && args({}) {{ }}"
+_TOO_LONG = "integer literal too long"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("long.ml0", f"class Long {{\n  def f() {{ print({_DIGITS}); }}\n}}\n", _TOO_LONG),
+        (
+            "a.ma0",
+            f"aspect A {{\n  @order({'9' * 400}) {_ADVICE}\n}}\n",
+            "@order value must be finite",
+        ),
+        ("a.ma0", f"aspect A {{\n  @order({_DIGITS}) {_ADVICE}\n}}\n", _TOO_LONG),
+        (
+            "a.ma0",
+            f'aspect A {{\n  @loc(file="x", line={_DIGITS}, module="x") {_ADVICE}\n}}\n',
+            _TOO_LONG,
+        ),
+        ("a.ma0", f"aspect A {{\n  {_ARGS.format(f'{_DIGITS}, 1')}\n}}\n", _TOO_LONG),
+        ("a.ma0", f"aspect A {{\n  {_ARGS.format(f'0, {_DIGITS}')}\n}}\n", _TOO_LONG),
+        ("a.ma0", f"aspect A {{\n  {_ARGS.format(f'0, -{_DIGITS}')}\n}}\n", _TOO_LONG),
+    ],
+    ids=[
+        "ml0-literal", "order-beyond-float", "order-literal", "loc-line", "args-position",
+        "args-value", "args-negative-value",
+    ],
+)
+def test_unconvertible_number_is_parse_error_exit_one(workdir, capsys, name, text, message):
+    # a number Python cannot convert is a located compile error, not exit 5
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / name).write_text(text)
+    code = main(["compile", "main.ml0", name])
+    assert capsys.readouterr() == ("", f"error: {name}:2: {message}\n")
+    assert code == 1
+
+
+def test_catalog_placeholder_too_long_is_compile_error_exit_one(workdir, capsys):
+    # a catalog placeholder past any value count, reported at the case that uses it
+    catalog = workdir / "demo" / "messages.txt"
+    catalog.write_text(catalog.read_text().replace("({3})", f"({{{_DIGITS}}})"))
+    code = main(["compile", "demo/jobs.ml0", "demo/jobs.audit"])
+    assert capsys.readouterr() == (
+        "",
+        f"error: demo/jobs.audit:2: message COPY_STARTED uses placeholder {{{_DIGITS}}} "
+        "but the case provides 4 value field(s)\n",
+    )
+    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "second", ["b/stack.cool", "a/stack.cool"], ids=["two-files", "same-file"]
+)
+def test_two_inputs_generating_one_file_exit_one(workdir, capsys, second):
+    # a second input with the same generated path is refused before its
+    # transformer runs, so the first input's aspect stays on disk
+    for d, cls in (("a", "BoundedStack"), ("b", "Other")):
+        os.mkdir(d)
+        cool = (workdir / "demo_stack" / "stack.cool").read_text()
+        (workdir / d / "stack.cool").write_text(cool.replace("BoundedStack", cls))
+    base = (workdir / "demo_stack" / "stack.ml0").read_text()
+    stack_class = base[: base.index("\n}\n") + 3]  # BoundedStack comes first
+    (workdir / "two.ml0").write_text(base + stack_class.replace("BoundedStack", "Other"))
+    code = main(["compile", "two.ml0", "a/stack.cool", second, "--dsals", "demo_stack/dsals.txt"])
+    gen = os.path.join("gen", "stack_cool.ma0")
+    assert capsys.readouterr() == ("", f"error: {second}: generates {gen}, as a/stack.cool does\n")
+    assert code == 1
+    assert "Coord_BoundedStack" in (workdir / gen).read_text()
+    assert "Coord_Other" not in (workdir / gen).read_text()
