@@ -1,9 +1,11 @@
 """MiniAspect front-end: aspect declarations, the pointcut language, metadata.
 
 An aspect source file (`.ma0`) holds `precedence` statements and aspect
-declarations. Aspects are singletons and implicitly privileged: advice and
-helper bodies may read or write fields of any object. Advice bodies see the
-implicit bindings `thisObject`, `targetObject`, `args`, and `jp`.
+declarations. An aspect is a class with advice: its fields and helpers are
+parsed by the class rules, and its singleton is an object whose class is
+the aspect. Aspects are implicitly privileged: advice and helper bodies may
+read or write fields of any object. Advice bodies see the implicit bindings
+`thisObject`, `targetObject`, `args`, and `jp`.
 
 Annotations: `@hideType` on an aspect, `@hideField` on aspect fields,
 `@hideMethod` on helpers or advice, and `@order(<number>)` /
@@ -222,7 +224,8 @@ class AdviceDecl:
     local_names: tuple[str, ...] = ()
 
     @property
-    def member_name(self) -> str:
+    def name(self) -> str:
+        """The member name hide specs and `within` see."""
         return f"advice#{self.index}"
 
     def describe(self) -> str:
@@ -242,7 +245,8 @@ class AspectDecl:
     def field_names(self) -> set[str]:
         return {f.name for f in self.fields}
 
-    def helper(self, name: str):
+    def method(self, name: str):
+        """The helper named `name`, or None; an aspect's helpers are its methods."""
         for h in self.helpers:
             if h.name == name:
                 return h
@@ -290,9 +294,7 @@ class AspectParser(ml.MiniParser):
         loc = self.ts.loc()
         self.ts.expect(NAME, "aspect")
         name = self.parse_decl_name()
-        for ann in anns:
-            if ann.name != "hideType":
-                raise ParseError(f"annotation @{ann.name} is not allowed on an aspect", ann.loc)
+        self.check_annotations(anns, ("hideType",), "an aspect")
         self.ts.expect(PUNCT, "{")
         fields: list = []
         helpers: list = []
@@ -305,8 +307,10 @@ class AspectParser(ml.MiniParser):
             if self.ts.at_name("var"):
                 fields.append(self.parse_field(member_anns))
             elif self.ts.at_name("def"):
+                for ann in member_anns:
+                    if ann.name in ("order", "loc"):
+                        raise ParseError(f"@{ann.name} is only allowed on advice", ann.loc)
                 helper = self.parse_method(member_anns)
-                self.check_helper_annotations(helper)
                 if any(h.name == helper.name for h in helpers):
                     raise ParseError(f"duplicate helper {name}.{helper.name!r}", helper.loc)
                 helpers.append(helper)
@@ -314,15 +318,11 @@ class AspectParser(ml.MiniParser):
                 advice.append(self.parse_advice(member_anns, len(advice)))
             else:
                 raise self.ts.error("expected a field, helper, advice, or precedence")
+        self.check_fields(name, fields)
         decl = AspectDecl(name, anns, fields, helpers, advice, loc, self.path)
         for adv in advice:
             adv.aspect_name = name
         return decl
-
-    def check_helper_annotations(self, helper) -> None:
-        for ann in helper.annotations:
-            if ann.name in ("order", "loc"):
-                raise ParseError(f"@{ann.name} is only allowed on advice", ann.loc)
 
     def parse_advice(self, anns, index: int) -> AdviceDecl:
         loc = self.ts.loc()
@@ -332,6 +332,7 @@ class AspectParser(ml.MiniParser):
         self.ts.expect(PUNCT, ":")
         pc = self.parse_pointcut()
         body = self.parse_block()
+        self.check_annotations(anns, ("order", "loc", "hideMethod"), "advice")
         order = None
         bridge = None
         for ann in anns:
@@ -343,10 +344,6 @@ class AspectParser(ml.MiniParser):
                 if bridge is not None:
                     raise ParseError("duplicate @loc", ann.loc)
                 bridge = self.read_bridge(ann)
-            elif ann.name == "hideMethod":
-                pass  # read by collect_hide_specs
-            else:
-                raise ParseError(f"annotation @{ann.name} is not allowed on advice", ann.loc)
         check_matchable(pc, loc)
         return AdviceDecl(kind, pc, body, index, order, bridge, anns, loc)
 

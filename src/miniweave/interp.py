@@ -54,7 +54,6 @@ from .diagnostics import CompileError, Loc, MiniRuntimeError
 from .joinpoints import ShadowTable
 from .matching import CflowFrame, MatchTable, advice_sequence_at, eval_residue
 from .values import (
-    AspectInstance,
     JpInfo,
     MObject,
     Monitor,
@@ -240,12 +239,7 @@ def _method_of(recv, name: str, args, loc: Loc) -> ml.MethodDecl:
     """The method or aspect helper a call of `name` on `recv` with `args` runs."""
     if recv is None:
         raise MiniRuntimeError(f"null dereference calling {name!r}", loc)
-    if isinstance(recv, MObject):
-        decl = recv.cls.method(name)
-    elif isinstance(recv, AspectInstance):
-        decl = recv.decl.helper(name)
-    else:
-        decl = None
+    decl = recv.cls.method(name) if isinstance(recv, MObject) else None
     if decl is None:
         raise MiniRuntimeError(
             f"unknown method {name!r} on {class_name_of(recv) or render_value(recv)}", loc
@@ -322,7 +316,9 @@ class Interp:
         self.records: list[tuple[int, int, str, str]] = []
         self.next_obj = 0
         self.next_mon = 0
-        self.aspect_instances: dict[str, AspectInstance] = {}
+        # every aspect's singleton exists before any aspect field initializer
+        # runs, since one may reach advice of an aspect declared later
+        self.aspect_instances = {a.name: MObject(a, None) for a in unit.aspects}
         self.classes = unit.program.by_name()
         # built on first dispatch: the `jp` event text per shadow, and per
         # (advice, shadow) pair the advice event tag plus, for advice whose
@@ -443,10 +439,9 @@ class Interp:
     # -- thread bodies
 
     def _main(self, entry_cls, entry_decl):
-        # aspect singletons first, then static blocks in program order, then entry
+        # aspect fields first, then static blocks in program order, then entry
         for aspect in self.unit.aspects:
-            inst = AspectInstance(aspect)
-            self.aspect_instances[aspect.name] = inst
+            inst = self.aspect_instances[aspect.name]
             for f in aspect.fields:
                 if f.init is not None:
                     env = self._push_frame(f.loc, {}, inst)
@@ -715,7 +710,7 @@ class Interp:
             args = []
             for a in call.args:
                 args.append((yield from self.eval_expr(a, env)))
-            if not isinstance(recv, (MObject, AspectInstance)):
+            if not isinstance(recv, MObject):
                 raise MiniRuntimeError("spawn needs an object receiver", expr.loc)
             tid = self.add_thread(self._spawned(recv, call.name, args, call.loc))
             self.emit("spawn", f"t{tid}")
@@ -828,10 +823,10 @@ class Interp:
     def field_read(self, obj, name: str, loc: Loc):
         if obj is None:
             raise MiniRuntimeError(f"null dereference reading {name!r}", loc)
-        if isinstance(obj, (MObject, AspectInstance)):
+        if isinstance(obj, MObject):
             if name in obj.fields:
                 return obj.fields[name]
-            raise MiniRuntimeError(f"unknown field {name!r} on {obj.class_name}", loc)
+            raise MiniRuntimeError(f"unknown field {name!r} on {obj.cls.name}", loc)
         if isinstance(obj, JpInfo):
             if name in JpInfo.FIELDS:
                 return getattr(obj, name)
@@ -841,11 +836,11 @@ class Interp:
     def field_write(self, obj, name: str, value, loc: Loc) -> None:
         if obj is None:
             raise MiniRuntimeError(f"null dereference writing {name!r}", loc)
-        if isinstance(obj, (MObject, AspectInstance)):
+        if isinstance(obj, MObject):
             if name in obj.fields:
                 obj.fields[name] = value
                 return
-            raise MiniRuntimeError(f"unknown field {name!r} on {obj.class_name}", loc)
+            raise MiniRuntimeError(f"unknown field {name!r} on {obj.cls.name}", loc)
         raise MiniRuntimeError(f"cannot write field {name!r} on {render_value(obj)}", loc)
 
     def index_check(self, seq, idx, loc: Loc) -> None:

@@ -132,12 +132,6 @@ def hide_spec_of(target: str, annotations, cls: str, member: str | None = None) 
     return spec
 
 
-def _check_annotation_categories(annotations, allowed: set[str], what: str) -> None:
-    for ann in annotations:
-        if ann.name not in allowed:
-            raise CompileError(f"annotation @{ann.name} is not allowed on a {what}", ann.loc)
-
-
 @dataclass
 class ShadowTable:
     shadows: list[Shadow]
@@ -284,36 +278,30 @@ class _Extractor:
             self.take_method(cls.ctor, cls.name, INIT_MEMBER)
         if cls.static_block is not None:
             self.take_method(cls.static_block, cls.name, STATIC_MEMBER)
-        for m in cls.methods:
-            self.add(
-                ShadowKind.METHOD_EXECUTION,
-                m.loc,
-                m,
-                cls=cls.name,
-                member=m.name,
-                arity=len(m.params),
-                within_cls=cls.name,
-                within_member=m.name,
-            )
-            self.take_method(m, cls.name, m.name)
+        self.take_methods(cls, cls.methods)
 
     def take_aspect(self, aspect) -> None:
         # aspect fields are initialized by the runtime outside any join point
         # span; their initializer expressions yield no shadows
-        for helper in aspect.helpers:
+        self.take_methods(aspect, aspect.helpers)
+        for adv in aspect.advice:
+            self.take_method(adv, aspect.name, adv.name)
+
+    def take_methods(self, owner, methods) -> None:
+        """Add each method's execution shadow, then its body shadows; an
+        aspect's helpers are its methods."""
+        for m in methods:
             self.add(
                 ShadowKind.METHOD_EXECUTION,
-                helper.loc,
-                helper,
-                cls=aspect.name,
-                member=helper.name,
-                arity=len(helper.params),
-                within_cls=aspect.name,
-                within_member=helper.name,
+                m.loc,
+                m,
+                cls=owner.name,
+                member=m.name,
+                arity=len(m.params),
+                within_cls=owner.name,
+                within_member=m.name,
             )
-            self.take_method(helper, aspect.name, helper.name)
-        for adv in aspect.advice:
-            self.take_method(adv, aspect.name, adv.member_name)
+            self.take_method(m, owner.name, m.name)
 
     def finish(self) -> ShadowTable:
         self.records.sort(key=lambda r: (r[0].path, r[0].line, r[0].col, r[1]))
@@ -347,37 +335,25 @@ def extract_shadows(program: ml.Program, aspects=()) -> ShadowTable:
 # ---------------------------------------------------------------------------
 
 
+def _owner_specs(owner, methods) -> list[HideSpec]:
+    """The hide specs of one class or aspect: its type, its fields, then
+    `methods`, in that order."""
+    name = owner.name
+    found = [hide_spec_of("type", owner.annotations, name)]
+    found += [hide_spec_of("field", f.annotations, name, f.name) for f in owner.fields]
+    found += [hide_spec_of("method", m.annotations, name, m.name) for m in methods]
+    return [spec for spec in found if spec is not None]
+
+
 def collect_hide_specs(program: ml.Program, aspects=()) -> list[HideSpec]:
-    """Gather HideSpecs from annotations, checking annotation categories.
-
-    The aspect parser admits only @hideType on an aspect and only
-    @order/@loc/@hideMethod on advice, so those two are not checked here.
-    """
+    """Gather the HideSpecs of every declaration, in declaration order: per
+    class its type, fields and methods, per aspect its type, fields,
+    helpers and advice. The parsers have already placed each annotation."""
     specs: list[HideSpec] = []
-
-    def put(spec: HideSpec | None) -> None:
-        if spec is not None:
-            specs.append(spec)
-
     for cls in program.classes:
-        _check_annotation_categories(cls.annotations, {"hideType"}, "class")
-        put(hide_spec_of("type", cls.annotations, cls.name))
-        for f in cls.fields:
-            _check_annotation_categories(f.annotations, {"hideField"}, "field")
-            put(hide_spec_of("field", f.annotations, cls.name, f.name))
-        for m in cls.methods:
-            _check_annotation_categories(m.annotations, {"hideMethod"}, "method")
-            put(hide_spec_of("method", m.annotations, cls.name, m.name))
+        specs += _owner_specs(cls, cls.methods)
     for aspect in aspects:
-        put(hide_spec_of("type", aspect.annotations, aspect.name))
-        for f in aspect.fields:
-            _check_annotation_categories(f.annotations, {"hideField"}, "field")
-            put(hide_spec_of("field", f.annotations, aspect.name, f.name))
-        for helper in aspect.helpers:
-            _check_annotation_categories(helper.annotations, {"hideMethod"}, "method")
-            put(hide_spec_of("method", helper.annotations, aspect.name, helper.name))
-        for adv in aspect.advice:
-            put(hide_spec_of("method", adv.annotations, aspect.name, adv.member_name))
+        specs += _owner_specs(aspect, aspect.helpers + aspect.advice)
     return specs
 
 

@@ -6,7 +6,7 @@ optional constructor, an optional static block, and methods. Statements
 are var/assign/if/while/return/expression; expressions cover literals,
 lists, `new`, member access, method calls, `spawn`, and a fixed set of
 builtins. Declarations may carry `@hideField` / `@hideMethod` /
-`@hideType` annotations.
+`@hideType` annotations; the parser rejects one on the wrong declaration.
 
 Every node class names its child fields in `child_fields`, and `walk`
 yields the nodes under a body in source order from an explicit stack; the
@@ -403,10 +403,21 @@ class MiniParser:
         if tok.kind == STRING:
             self.ts.advance()
             return tok.text
-        if tok.kind == NAME and tok.text in ("true", "false"):
-            self.ts.advance()
-            return tok.text == "true"
         raise self.ts.error("bad annotation argument")
+
+    def check_annotations(self, anns: list[Annotation], allowed, what: str) -> None:
+        """Reject the first annotation on `what` (say, "a field") not in `allowed`."""
+        for ann in anns:
+            if ann.name not in allowed:
+                raise ParseError(f"annotation @{ann.name} is not allowed on {what}", ann.loc)
+
+    def check_fields(self, owner: str, fields: list[FieldDecl]) -> None:
+        """A class or aspect declares each field name once."""
+        seen: set[str] = set()
+        for f in fields:
+            if f.name in seen:
+                raise ParseError(f"duplicate field {owner}.{f.name!r}", f.loc)
+            seen.add(f.name)
 
     # -- declarations
 
@@ -432,6 +443,7 @@ class MiniParser:
         loc = self.ts.loc()
         self.ts.expect(NAME, "class")
         name = self.parse_decl_name()
+        self.check_annotations(anns, ("hideType",), "a class")
         self.ts.expect(PUNCT, "{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
@@ -467,11 +479,7 @@ class MiniParser:
                 static_block = MethodDecl("static", [], body, [], mloc)
             else:
                 raise self.ts.error("expected a field, method, constructor, or static block")
-        seen_fields: set[str] = set()
-        for f in fields:
-            if f.name in seen_fields:
-                raise ParseError(f"duplicate field {name}.{f.name!r}", f.loc)
-            seen_fields.add(f.name)
+        self.check_fields(name, fields)
         return ClassDecl(name, fields, methods, ctor, static_block, anns, loc)
 
     def parse_decl_name(self) -> str:
@@ -481,6 +489,7 @@ class MiniParser:
         return tok.text
 
     def parse_field(self, anns: list[Annotation]) -> FieldDecl:
+        self.check_annotations(anns, ("hideField",), "a field")
         loc = self.ts.loc()
         self.ts.expect(NAME, "var")
         name = self.parse_decl_name()
@@ -491,6 +500,7 @@ class MiniParser:
         return FieldDecl(name, init, anns, loc)
 
     def parse_method(self, anns: list[Annotation]) -> MethodDecl:
+        self.check_annotations(anns, ("hideMethod",), "a method")
         loc = self.ts.loc()
         self.ts.expect(NAME, "def")
         name = self.parse_decl_name()

@@ -114,17 +114,21 @@ def transform_inputs(
 ) -> tuple[list[str], list[GeneratedRecord]]:
     """Replace DSAL inputs by their generated aspect files, in order; the
     first registered name that is the input's extension wins. Pass-through
-    otherwise. An input whose generated path an earlier input already
-    produced is a compile error, raised before its transformer runs."""
+    otherwise. An input whose generated path is a pass-through input, or an
+    earlier input already produced, is a compile error, raised before its
+    transformer runs, so no input file is overwritten."""
+    names = [next((n for n in registry if path.endswith("." + n)), None) for path in input_paths]
+    passed = {os.path.abspath(p) for p, name in zip(input_paths, names) if name is None}
     effective: list[str] = []
     generated: list[GeneratedRecord] = []
     made_by: dict[str, str] = {}  # generated path -> the input it came from
-    for path in input_paths:
-        name = next((n for n in registry if path.endswith("." + n)), None)
+    for path, name in zip(input_paths, names):
         if name is None:
             effective.append(path)
             continue
         out_path = _gen_path(path, name, gen_dir)
+        if os.path.abspath(out_path) in passed:
+            raise CompileError(f"{path}: generates {out_path}, which is also an input")
         if out_path in made_by:
             raise CompileError(f"{path}: generates {out_path}, as {made_by[out_path]} does")
         made_by[out_path] = path

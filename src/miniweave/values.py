@@ -15,38 +15,20 @@ from .diagnostics import Loc, MiniRuntimeError
 
 
 class MObject:
-    """A heap object: its class declaration plus a field store."""
+    """A heap object: its class declaration plus a field store. An aspect's
+    singleton is one whose class is the aspect declaration, with no number."""
 
     __slots__ = ("cls", "fields", "num")
 
-    def __init__(self, cls, num: int):
+    def __init__(self, cls, num: int | None):
         self.cls = cls
         self.fields = {f.name: None for f in cls.fields}
-        self.num = num  # creation index, for deterministic rendering
-
-    @property
-    def class_name(self) -> str:
-        return self.cls.name
+        self.num = num  # creation index, for deterministic rendering; None for an aspect
 
     def __repr__(self) -> str:
+        if self.num is None:
+            return f"<aspect {self.cls.name}>"
         return f"<{self.cls.name}@{self.num}>"
-
-
-class AspectInstance:
-    """The singleton instance backing one aspect declaration."""
-
-    __slots__ = ("decl", "fields")
-
-    def __init__(self, decl):
-        self.decl = decl
-        self.fields = {f.name: None for f in decl.fields}
-
-    @property
-    def class_name(self) -> str:
-        return self.decl.name
-
-    def __repr__(self) -> str:
-        return f"<aspect {self.decl.name}>"
 
 
 class Monitor:
@@ -84,8 +66,8 @@ class JpInfo:
 
 
 def class_name_of(value) -> str | None:
-    if isinstance(value, (MObject, AspectInstance)):
-        return value.class_name
+    if isinstance(value, MObject):
+        return value.cls.name
     return None
 
 
@@ -111,10 +93,40 @@ def render_value(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, list):
-        return "[" + ", ".join(render_value(v) for v in value) + "]"
+        if list in map(type, value):
+            return _render_nested(value)
+        return "[" + ", ".join([render_value(item) for item in value]) + "]"
     if isinstance(value, JpInfo):
         return value.signature
     return repr(value)
+
+
+def _render_nested(top: list) -> str:
+    """Render a list holding lists from an explicit stack, so its depth
+    costs no Python frames. A list met again while it is still open renders
+    as `[...]`, as Python's repr does."""
+    out = ["["]
+    open_ids = {id(top)}
+    stack = [(top, enumerate(top))]
+    while stack:
+        lst, items = stack[-1]
+        for i, item in items:
+            if i:
+                out.append(", ")
+            if not isinstance(item, list):
+                out.append(render_value(item))
+            elif id(item) in open_ids:
+                out.append("[...]")
+            else:
+                open_ids.add(id(item))
+                out.append("[")
+                stack.append((item, enumerate(item)))
+                break
+        else:
+            out.append("]")
+            open_ids.discard(id(lst))
+            stack.pop()
+    return "".join(out)
 
 
 _PLACEHOLDER = re.compile(r"\{(\d+)\}")

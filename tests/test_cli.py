@@ -593,3 +593,138 @@ def test_two_inputs_generating_one_file_exit_one(workdir, capsys, second):
     assert code == 1
     assert "Coord_BoundedStack" in (workdir / gen).read_text()
     assert "Coord_Other" not in (workdir / gen).read_text()
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        ["gen/stack_cool.ma0", "demo_stack/stack.cool"],
+        ["demo_stack/stack.cool", "gen/stack_cool.ma0"],
+        ["demo_stack/stack.cool", "./gen/stack_cool.ma0"],
+    ],
+    ids=["input-first", "input-last", "dot-spelling"],
+)
+def test_generated_path_that_is_an_input_exit_one(workdir, capsys, inputs):
+    # the transformer would overwrite the user's aspect; it does not run
+    os.mkdir("gen")
+    mine = "// mine\n\naspect Mine { }\n"
+    (workdir / "gen" / "stack_cool.ma0").write_text(mine)
+    args = ["compile", "demo_stack/stack.ml0", *inputs, "--dsals", "demo_stack/dsals.txt"]
+    code = main(args)
+    gen = os.path.join("gen", "stack_cool.ma0")
+    assert capsys.readouterr() == (
+        "",
+        f"error: demo_stack/stack.cool: generates {gen}, which is also an input\n",
+    )
+    assert code == 1
+    assert (workdir / "gen" / "stack_cool.ma0").read_text() == mine
+
+
+def test_duplicate_aspect_field_exit_one(workdir, capsys):
+    # the message a class gives for the same fault
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / "a.ma0").write_text(
+        "aspect A {\n  var a = 1;\n  var a = 2;\n"
+        "  before(): execution(Main.main) { print(this.a); }\n}\n"
+    )
+    code = main(["run", "main.ml0", "a.ma0"])
+    assert capsys.readouterr() == ("", "error: a.ma0:3: duplicate field A.'a'\n")
+    assert code == 1
+
+
+def test_boolean_annotation_value_exit_one(workdir, capsys):
+    # no annotation takes a boolean; @loc's line= is not read as `True`
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / "b.ma0").write_text(
+        'aspect B {\n  @loc(file="x.cool", line=true, module="x")\n'
+        "  before(): execution(Main.main) { }\n}\n"
+    )
+    code = main(["compile", "main.ml0", "b.ma0", "--relationships", "r.json"])
+    assert capsys.readouterr() == ("", "error: b.ma0:2: bad annotation argument\n")
+    assert code == 1
+    assert not (workdir / "r.json").exists()
+
+
+def test_misplaced_annotation_reported_before_later_file(workdir, capsys):
+    # placement is checked while the file is parsed, so a later file's
+    # syntax error is not reached
+    (workdir / "main.ml0").write_text("class Main {\n  @hideMethod var x;\n}\n")
+    (workdir / "bad.ml0").write_text("class Bad {\n")
+    code = main(["compile", "main.ml0", "bad.ml0"])
+    assert capsys.readouterr() == (
+        "",
+        "error: main.ml0:2: annotation @hideMethod is not allowed on a field\n",
+    )
+    assert code == 1
+
+
+# A list that holds itself, and one nested 3000 deep: the lines after
+# `var l = [];` in `Main.main` (line 4 on), then stdout and stderr.
+_LIST_HEAD = "class Main {\n  def main() {\n    var l = [];\n"
+_DEEP = "var i = 0;\nwhile (i < 3000) { l = [l]; i = i + 1; }\nprint(l);"
+
+
+@pytest.mark.parametrize(
+    "body, out, err, exit_code",
+    [
+        ("push_back(l, l);\nprint(l);", "[[...]]\n", "", 0),
+        ('push_back(l, l);\nprint(format("{0}", l));', "[[...]]\n", "", 0),
+        (
+            "push_back(l, l);\nprint(l + 1);",
+            "",
+            "runtime error: prog.ml0:5: expected an int, got [[...]]\n",
+            3,
+        ),
+        (_DEEP, "[" * 3001 + "]" * 3001 + "\n", "", 0),
+        ("var s = [1];\npush_back(l, s);\npush_back(l, s);\nprint(l);", "[[1], [1]]\n", "", 0),
+    ],
+    ids=["print-self", "format-self", "error-renders-self", "deep", "shared-twice"],
+)
+def test_printing_nested_lists(workdir, capsys, body, out, err, exit_code):
+    (workdir / "prog.ml0").write_text(_LIST_HEAD + body + "\n  }\n}\n")
+    code = main(["run", "prog.ml0"])
+    assert capsys.readouterr() == (out, err)
+    assert code == exit_code
+
+
+# An aspect singleton: `before` advice on `Main.main` (line 5 of a.ma0),
+# then stdout and stderr.
+_ASPECT_HEAD = "aspect A {\n  var n = 7;\n  def h(x) { return x + 1; }\n  def w() { print(\"w\"); }\n"
+
+
+@pytest.mark.parametrize(
+    "body, out, err",
+    [
+        ("print(this);", "<aspect A>\n", ""),
+        ("print(this.h(1));", "2\n", ""),
+        ("this.nope();", "", "runtime error: a.ma0:5: unknown method 'nope' on A\n"),
+        ("this.h();", "", "runtime error: a.ma0:5: A.h expects 1 argument(s), got 0\n"),
+        ("spawn this.w();", "w\n", ""),
+        ("print(n + this.n);", "14\n", ""),
+    ],
+    ids=["print", "helper-value", "unknown-helper", "helper-arity", "spawn-helper", "field"],
+)
+def test_aspect_object(workdir, capsys, body, out, err):
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / "a.ma0").write_text(
+        _ASPECT_HEAD + f"  before(): execution(Main.main) {{ {body} }}\n}}\n"
+    )
+    code = main(["run", "main.ml0", "a.ma0", "--trace", "t.txt"])
+    assert capsys.readouterr() == (out, err)
+    assert code == (3 if err else 0)
+    if body.startswith("spawn"):
+        assert "t1 print w" in (workdir / "t.txt").read_text()
+
+
+def test_aspect_initializer_reaches_advice_of_a_later_aspect(workdir, capsys):
+    # every singleton exists before any aspect field initializer runs
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / "a.ma0").write_text(
+        "aspect A {\n  var n = this.h(1);\n  def h(x) { return x + 1; }\n"
+        "  before(): execution(Main.main) { print(this.n); }\n}\n"
+        "aspect B {\n  var m = 5;\n"
+        "  before(): execution(A.h) { print(thisObject); print(this.m); }\n}\n"
+    )
+    code = main(["run", "main.ml0", "a.ma0"])
+    assert capsys.readouterr() == ("<aspect A>\nnull\n2\n", "")
+    assert code == 0
