@@ -1,11 +1,14 @@
 """MiniAspect front-end: aspect declarations, the pointcut language, metadata.
 
 An aspect source file (`.ma0`) holds `precedence` statements and aspect
-declarations. An aspect is a class with advice: its fields and helpers are
-parsed by the class rules, and its singleton is an object whose class is
-the aspect. Aspects are implicitly privileged: advice and helper bodies may
-read or write fields of any object. Advice bodies see the implicit bindings
-`thisObject`, `targetObject`, `args`, and `jp`.
+declarations. An aspect is a class with advice, as AspectJ compiles one:
+`AspectDecl` is a `ClassDecl` whose helpers are its `methods`, parsed by
+the class rules, and its singleton is an object whose class is the aspect.
+An advice is a `MethodDecl` named `advice#<index>` whose parameters are its
+bindings `thisObject`, `targetObject`, `args` and `jp`, so one resolver,
+`minilang.resolve_owner`, resolves class and aspect bodies alike. Aspects
+are implicitly privileged: advice and helper bodies may read or write
+fields of any object.
 
 Annotations: `@hideType` on an aspect, `@hideField` on aspect fields,
 `@hideMethod` on helpers or advice, and `@order(<number>)` /
@@ -210,47 +213,29 @@ class SourceBridge:
     module: str
 
 
-@dataclass
-class AdviceDecl:
+@dataclass(kw_only=True, slots=True)
+class AdviceDecl(ml.MethodDecl):
+    """An advice is a method named `advice#<index>` whose parameters are
+    ADVICE_BINDINGS; hide specs and `within` see that name."""
+
     kind: str  # "before" | "after"
     pointcut: object
-    body: list
     index: int  # declaration index within the aspect
-    order: float | None
-    bridge: SourceBridge | None
-    annotations: list
-    loc: Loc
+    order: float | None = None
+    bridge: SourceBridge | None = None
     aspect_name: str = ""
-    local_names: tuple[str, ...] = ()
-
-    @property
-    def name(self) -> str:
-        """The member name hide specs and `within` see."""
-        return f"advice#{self.index}"
 
     def describe(self) -> str:
         return f"{self.aspect_name}#{self.index}"
 
 
-@dataclass
-class AspectDecl:
-    name: str
-    annotations: list
-    fields: list
-    helpers: list
+@dataclass(kw_only=True)
+class AspectDecl(ml.ClassDecl):
+    """An aspect is a class with advice: its helpers are its `methods`, and
+    it has no constructor or static block."""
+
     advice: list[AdviceDecl]
-    loc: Loc
     path: str
-
-    def field_names(self) -> set[str]:
-        return {f.name for f in self.fields}
-
-    def method(self, name: str):
-        """The helper named `name`, or None; an aspect's helpers are its methods."""
-        for h in self.helpers:
-            if h.name == name:
-                return h
-        return None
 
 
 @dataclass
@@ -319,10 +304,11 @@ class AspectParser(ml.MiniParser):
             else:
                 raise self.ts.error("expected a field, helper, advice, or precedence")
         self.check_fields(name, fields)
-        decl = AspectDecl(name, anns, fields, helpers, advice, loc, self.path)
         for adv in advice:
             adv.aspect_name = name
-        return decl
+        return AspectDecl(
+            name, fields, helpers, None, None, anns, loc, advice=advice, path=self.path
+        )
 
     def parse_advice(self, anns, index: int) -> AdviceDecl:
         loc = self.ts.loc()
@@ -345,7 +331,10 @@ class AspectParser(ml.MiniParser):
                     raise ParseError("duplicate @loc", ann.loc)
                 bridge = self.read_bridge(ann)
         check_matchable(pc, loc)
-        return AdviceDecl(kind, pc, body, index, order, bridge, anns, loc)
+        return AdviceDecl(
+            f"advice#{index}", ADVICE_BINDINGS, body, anns, loc,
+            kind=kind, pointcut=pc, index=index, order=order, bridge=bridge,
+        )
 
     def read_order(self, ann) -> float:
         if ann.args is None or len(ann.args) != 1 or not isinstance(ann.args[0], (int, float)):
@@ -476,19 +465,8 @@ def parse_aspect_file(text: str, path: str) -> AspectFile:
 
 
 def resolve_aspects(aspects: list[AspectDecl], class_names: set[str]) -> None:
-    """Resolve names inside aspect bodies.
-
-    Bare names resolve to params/locals first, then to the aspect's own
-    fields (implicit `this.f`). Advice bodies additionally see the implicit
-    runtime bindings. `new` refers to base-program classes only.
-    """
+    """Resolve names inside aspect bodies, as `minilang.resolve_owner` does
+    for a class: an advice's bindings are its parameters. `new` refers to
+    base-program classes only."""
     for aspect in aspects:
-        resolver = ml.Resolver(aspect, set(class_names))
-        resolver.resolve_inits(aspect.fields)
-        for helper in aspect.helpers:
-            resolver.resolve_method(helper, has_this=True)
-        for adv in aspect.advice:
-            scope = set(ADVICE_BINDINGS)
-            ml._collect_locals(adv.body, scope)
-            adv.local_names = tuple(sorted(scope - set(ADVICE_BINDINGS)))
-            resolver.resolve(adv.body, scope, has_this=True)
+        ml.resolve_owner(aspect, class_names, aspect.methods + aspect.advice)

@@ -193,10 +193,10 @@ def validate_cool(coord: CoordinatorDecl, program: ml.Program) -> None:
         if add.requires is not None:
             _check_cool(add.requires, set(), state, target_fields)
         for block in (add.on_entry, add.on_exit):
-            scope: set[str] = set()
-            ml._collect_locals(block, scope)
-            for name in scope & _RESERVED_COOL:
-                raise CompileError(f"{name!r} is reserved in coordinator code", add.loc)
+            scope, _ = ml.scan_locals(block)
+            for name in scope:
+                if name in _RESERVED_COOL:
+                    raise CompileError(f"{name!r} is reserved in coordinator code", add.loc)
             _check_cool(block, scope, state, target_fields)
 
 
@@ -257,7 +257,7 @@ def _mutates_state(block, state: set[str]) -> bool:
     )
 
 
-def _renaming(index: dict[str, int], scope: set[str]):
+def _renaming(index: dict[str, int], scope: tuple[str, ...]):
     """How coordinator code in `scope` writes a bare name (see module doc)."""
 
     def rename(name: str) -> str:
@@ -300,7 +300,7 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
     for name, _, _ in coord.fields:
         index[name] = slot
         slot += 1
-    on_state = _renaming(index, set())
+    on_state = _renaming(index, ())
     aspect_name = f"Coord_{coord.target}"
     module = os.path.basename(coord.path)
 
@@ -357,10 +357,8 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
 
         on_entry = add.on_entry if add is not None else []
         on_exit = add.on_exit if add is not None else []
-        entry_scope: set[str] = set()
-        ml._collect_locals(on_entry, entry_scope)
-        exit_scope: set[str] = set()
-        ml._collect_locals(on_exit, exit_scope)
+        entry_scope, _ = ml.scan_locals(on_entry)
+        exit_scope, _ = ml.scan_locals(on_exit)
 
         out.append("")
         out.append("  @hideMethod")

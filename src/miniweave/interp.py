@@ -30,8 +30,11 @@ Each join-point site looks its AST node up in the unit's `sites` and, for
 a visible shadow, brackets its own work with `_jp_enter` (scheduling
 point, `jp` event, cflow push, before-advice in precedence order) and
 `_jp_exit` (after-advice in reverse precedence order, cflow pop). Hidden
-shadows have no site: no events, no cflow state. Advice gets a `jp`
-record only when its body names `jp`.
+shadows have no site: no events, no cflow state. An advice is a method
+whose parameters are its bindings (`thisObject`, `targetObject`, `args`,
+`jp`): `run_advice` binds them in the new frame as `run_decl` binds a
+method's arguments, with the aspect's singleton as `this`. `jp` is a
+record only when the advice body names it, else null.
 
 Events are kept as plain (step, thread, kind, text) tuples; the text of
 `jp` and advice events is built once per run and shadow. `ExecutionResult`
@@ -68,12 +71,6 @@ DEFAULT_STEP_LIMIT = 1_000_000
 # MiniLang frames (method, constructor, static, advice, initializer) per
 # thread; keeps deep recursion inside Python's own recursion limit
 MAX_CALL_DEPTH = 100
-
-# argument counts of the builtins; `format` takes a template and any number of values
-_BUILTIN_ARITY = {
-    "print": 1, "len": 1, "push_back": 2, "audit_emit": 1, "make_monitor": 0,
-    "monitor_acquire": 1, "monitor_release": 1, "monitor_wait": 1, "monitor_notify_all": 1,
-}
 
 _LITERALS = (ml.IntLit, ml.BoolLit, ml.StrLit)  # evaluate to their `value`
 
@@ -215,7 +212,7 @@ class WovenUnit:
         resolve_aspects(aspects, set(program.by_name()))
         specs = jp.collect_hide_specs(program, aspects)
         table = jp.extract_shadows(program, aspects)
-        visible = jp.apply_hide_filter(table, specs, strip_hide)
+        visible = jp.apply_hide_filter(table, [] if strip_hide else specs)
         mt = matching.build_match_table(aspects, visible, list(precedence))
         sites = {
             id(shadow.node): (shadow, *advice_sequence_at(shadow.sid, mt)) for shadow in visible
@@ -512,17 +509,19 @@ class Interp:
             )
         tag, jp_texts = texts
         self.emit("advice_enter", tag)
-        locals_ = _frame_locals(advice)
-        locals_["thisObject"] = this_obj
-        locals_["targetObject"] = target_obj
-        locals_["args"] = list(args)
+        info = None
         if jp_texts is not None:
-            locals_["jp"] = JpInfo(
+            info = JpInfo(
                 *jp_texts,
                 class_name_of(target_obj) or class_name_of(this_obj) or (shadow.cls or ""),
                 shadow.member or "",
                 shadow.arity if shadow.arity is not None else len(args),
             )
+        # the bindings' zip is a temporary: held in a local, it would live
+        # as long as the body runs
+        locals_ = _frame_locals(
+            advice, zip(advice.params, (this_obj, target_obj, list(args), info))
+        )
         env = self._push_frame(shadow.loc, locals_, inst)
         yield from self.exec_block(advice.body, env)
         self._pop_frame(env)
@@ -747,7 +746,7 @@ class Interp:
         for a in expr.args:
             args.append((yield from self.eval_expr(a, env)))
         loc = expr.loc
-        arity = _BUILTIN_ARITY.get(name)
+        arity = ml.BUILTINS.get(name)
         if arity is not None and len(args) != arity:
             raise MiniRuntimeError(f"{name} expects {arity} argument(s)", loc)
         if name == "print":

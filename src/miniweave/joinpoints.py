@@ -5,9 +5,16 @@ makes one `minilang.walk` over each body of the resolved base program and
 the aspect declarations: each field get, method call and field set it meets
 is a shadow, except the field an assignment writes (the set is its shadow)
 and the call a `spawn` launches. Method executions and the init kinds come
-from the declarations. The result is one table in source order. A shadow
+from the declarations; an aspect's helpers are its methods, and each advice
+body is one more body. The result is one table in source order. A shadow
 records where it arises (`loc`), not which input produced it: a shadow in
 generated code is one whose `loc.path` is a generated file.
+
+A call, get or set shadow has a static receiver class when its receiver is
+`this`, `new C(...)`, or a local the resolver gave a static class in the
+body's `local_classes` (declared once as one of those, not a parameter,
+never assigned); otherwise its `cls` is None, and matching turns a class
+in the pattern into a `target` residue.
 
 Hide specs (from @hideField/@hideMethod/@hideType annotations) suppress
 shadows before matching; `within` suppression is positional (all shadows
@@ -164,36 +171,9 @@ class _Extractor:
         self.records.append((loc, self.seq, kind, node, fields))
         self.seq += 1
 
-    # -- receiver class inference: `this`, `new C(...)`, and locals that are
-    #    declared as `var x = new C(...)` and never reassigned.
-
-    def local_classes(self, body: list, self_cls: str) -> dict[str, str]:
-        declared: dict[str, str] = {}
-        reassigned: set[str] = set()
-
-        def scan(stmts):
-            for st in stmts:
-                if isinstance(st, ml.VarDecl):
-                    if st.name in declared:
-                        reassigned.add(st.name)
-                    elif isinstance(st.init, ml.New):
-                        declared[st.name] = st.init.class_name
-                    elif isinstance(st.init, ml.ThisRef):
-                        declared[st.name] = self_cls
-                elif isinstance(st, ml.Assign):
-                    if isinstance(st.target, ml.LocalRef):
-                        reassigned.add(st.target.name)
-                elif isinstance(st, ml.If):
-                    for _, block in st.arms:
-                        scan(block)
-                    scan(st.orelse)
-                elif isinstance(st, ml.While):
-                    scan(st.body)
-
-        scan(body)
-        return {k: v for k, v in declared.items() if k not in reassigned}
-
-    def receiver_class(self, expr, self_cls: str, locals_map: dict[str, str]) -> str | None:
+    def receiver_class(self, expr, self_cls: str, locals_map) -> str | None:
+        """The static class of a receiver: `this`, `new C(...)`, or a local
+        in `locals_map` (from `minilang.scan_locals`); else None."""
         if isinstance(expr, ml.ThisRef):
             return self_cls
         if isinstance(expr, ml.New):
@@ -232,7 +212,7 @@ class _Extractor:
                 skip = node.call
 
     def take_method(self, m, self_cls: str, within_member: str) -> None:
-        self.take_body(m.body, self_cls, within_member, self.local_classes(m.body, self_cls))
+        self.take_body(m.body, self_cls, within_member, dict(m.local_classes))
 
     def take_class(self, cls: ml.ClassDecl) -> None:
         # init-kind shadows exist only where their span does: a field-initializer
@@ -283,13 +263,12 @@ class _Extractor:
     def take_aspect(self, aspect) -> None:
         # aspect fields are initialized by the runtime outside any join point
         # span; their initializer expressions yield no shadows
-        self.take_methods(aspect, aspect.helpers)
+        self.take_methods(aspect, aspect.methods)
         for adv in aspect.advice:
             self.take_method(adv, aspect.name, adv.name)
 
     def take_methods(self, owner, methods) -> None:
-        """Add each method's execution shadow, then its body shadows; an
-        aspect's helpers are its methods."""
+        """Add each method's execution shadow, then its body shadows."""
         for m in methods:
             self.add(
                 ShadowKind.METHOD_EXECUTION,
@@ -353,7 +332,7 @@ def collect_hide_specs(program: ml.Program, aspects=()) -> list[HideSpec]:
     for cls in program.classes:
         specs += _owner_specs(cls, cls.methods)
     for aspect in aspects:
-        specs += _owner_specs(aspect, aspect.helpers + aspect.advice)
+        specs += _owner_specs(aspect, aspect.methods + aspect.advice)
     return specs
 
 
@@ -401,17 +380,15 @@ def _hide_index(specs: list[HideSpec]):
     return by_signature, by_within, by_body_within
 
 
-def apply_hide_filter(
-    table: ShadowTable, specs: list[HideSpec], strip_hide: bool = False
-) -> ShadowTable:
+def apply_hide_filter(table: ShadowTable, specs: list[HideSpec]) -> ShadowTable:
     """Return the table minus suppressed shadows.
 
     Each suppressed shadow is attributed to exactly one (spec, kind) pair:
     the first match in spec declaration order, kinds in the order listed on
     the annotation (see the module docstring for the index that finds it).
-    strip_hide=True returns the input unchanged.
+    No specs returns a copy of the input.
     """
-    if strip_hide or not specs:
+    if not specs:
         return ShadowTable(list(table.shadows))
     by_signature, by_within, by_body_within = _hide_index(specs)
     visible: list[Shadow] = []

@@ -32,17 +32,11 @@ from . import lexer
 from .diagnostics import CompileError, Loc, ParseError
 from .lexer import EOF, FLOAT, INT, NAME, PUNCT, STRING, TokenStream
 
+# the builtins by name, each with its argument count; `format` takes a
+# template and any number of values
 BUILTINS = {
-    "print",
-    "len",
-    "push_back",
-    "make_monitor",
-    "monitor_acquire",
-    "monitor_release",
-    "monitor_wait",
-    "monitor_notify_all",
-    "format",
-    "audit_emit",
+    "print": 1, "len": 1, "push_back": 2, "format": None, "audit_emit": 1, "make_monitor": 0,
+    "monitor_acquire": 1, "monitor_release": 1, "monitor_wait": 1, "monitor_notify_all": 1,
 }
 
 RESERVED = {
@@ -251,16 +245,19 @@ class FieldDecl:
     loc: Loc
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl:
     name: str
     params: list[str]
     body: list
     annotations: list[Annotation]
     loc: Loc
-    # function-scoped locals, filled in by resolution; the interpreter hoists
-    # them to null so a var declared in one branch reads as null elsewhere
+    # filled in by resolution (`scan_locals`): the function-scoped locals,
+    # which the interpreter hoists to null so a var declared in one branch
+    # reads as null elsewhere, and a (local, class) pair for each local with
+    # a static class
     local_names: tuple[str, ...] = ()
+    local_classes: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass
@@ -320,11 +317,10 @@ def walk(roots):
 
 # Deepest nesting of parentheses, unary operators, brackets, argument lists
 # and blocks the parser accepts. Each level costs up to ten Python frames
-# here, and the passes that still recurse by nesting (the block scans such
-# as `_collect_locals`, rendering, the interpreter) take more, so the limit
-# keeps them well inside Python's default recursion limit. Operator and
-# `else if` chains are not nesting: the parser loops over them and `walk`
-# needs no frames for them.
+# here, and the passes that still recurse by nesting (rendering, the
+# interpreter) take more, so the limit keeps them well inside Python's
+# default recursion limit. Operator and `else if` chains are not nesting:
+# the parser loops over them and `walk` needs no frames for them.
 MAX_NESTING = 64
 
 # Binding strength of each binary operator, loosest first; a higher number
@@ -706,81 +702,106 @@ def parse_base(text: str, path: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def _collect_locals(body: list, acc: set[str]) -> None:
-    for stmt in body:
-        if isinstance(stmt, VarDecl):
-            acc.add(stmt.name)
-        elif isinstance(stmt, If):
-            for _, block in stmt.arms:
-                _collect_locals(block, acc)
-            _collect_locals(stmt.orelse, acc)
-        elif isinstance(stmt, While):
-            _collect_locals(stmt.body, acc)
+def scan_locals(body: list, params=(), self_cls: str | None = None):
+    """The locals a body declares and the static class of each that has one.
 
-
-class Resolver:
-    """Rewrites bare identifiers and checks that every name resolves.
-
-    A bare name in a method body resolves to a parameter or local first,
-    then to a field of the enclosing class or aspect `owner` (rewritten to
-    an implicit `this.name` access). Anything else is a compile error, and
-    the first one in source order is raised. Methods are function-scoped: a
-    `var` anywhere in the body introduces the name for the whole body.
+    One scan over the statements of `body`, nested blocks included (a `var`
+    or an assignment to a local is always a statement). Returns the
+    function-scoped locals that are not `params`, sorted, and a (local,
+    class) pair for each local with a static class. A local has one when it
+    is declared once, as `var x = new C(...)` (class C) or `var x = this`
+    (class `self_cls`), is not a parameter, and is never assigned.
     """
+    inits: dict[str, object] = {}  # local -> its one declaration's init; None if declared twice
+    assigned: set[str] = set()
+    blocks = [body]
+    while blocks:
+        for stmt in blocks.pop():
+            kind = type(stmt)
+            if kind is VarDecl:
+                inits[stmt.name] = None if stmt.name in inits else stmt.init
+            elif kind is Assign:
+                if type(stmt.target) is LocalRef:
+                    assigned.add(stmt.target.name)
+            elif kind is If:
+                blocks.extend(block for _, block in stmt.arms)
+                blocks.append(stmt.orelse)
+            elif kind is While:
+                blocks.append(stmt.body)
+    classes = []
+    for name, init in inits.items():
+        if name in assigned or name in params:
+            continue
+        if type(init) is New:
+            classes.append((name, init.class_name))
+        elif type(init) is ThisRef:
+            classes.append((name, self_cls))
+    names = tuple(sorted(name for name in inits if name not in params))
+    return names, tuple(classes)
 
-    def __init__(self, owner, class_names: set[str]):
-        self.fields = owner.field_names()
-        self.class_names = class_names
 
-    def resolve_inits(self, fields: list) -> None:
-        """Resolve the field initializers, which see `this` and no locals."""
-        inits = [f for f in fields if f.init is not None]
-        roots = [f.init for f in inits]
-        self.resolve(roots, set(), has_this=True)
-        for f, init in zip(inits, roots):
-            f.init = init
+def resolve_owner(owner: ClassDecl, class_names: set[str], methods) -> None:
+    """Resolve every body of the class or aspect `owner`, rewriting in place.
 
-    def resolve_method(self, m: MethodDecl, has_this: bool) -> None:
-        scope = set(m.params)
-        _collect_locals(m.body, scope)
-        m.local_names = tuple(sorted(scope - set(m.params)))
-        self.resolve(m.body, scope, has_this)
+    `owner`'s field initializers see `this` and no locals; then each body in
+    `methods` (a method, constructor, static block, helper or advice; None
+    is skipped) gets its `local_names` and `local_classes` from
+    `scan_locals` and is resolved. A bare name in a body resolves to a
+    parameter or local first, then to a field of `owner` (rewritten to an
+    implicit `this.name` access). Anything else is a compile error, and the
+    first one met is raised. Bodies are function-scoped: a `var` anywhere in
+    a body introduces the name for the whole body. Only the static block
+    has no `this`.
+    """
+    fields = owner.field_names()
+    inits = [f for f in owner.fields if f.init is not None]
+    roots = [f.init for f in inits]
+    _resolve(roots, set(), fields, True, class_names)
+    for f, init in zip(inits, roots):
+        f.init = init
+    for m in methods:
+        if m is None:
+            continue
+        m.local_names, m.local_classes = scan_locals(m.body, m.params, owner.name)
+        scope = {*m.params, *m.local_names}
+        has_this = m is not owner.static_block
+        _resolve(m.body, scope, fields - scope if has_this else (), has_this, class_names)
 
-    def resolve(self, roots: list, scope: set[str], has_this: bool) -> None:
-        """Resolve every node under `roots` in one walk, rewriting in place."""
-        # a bare name in `bare` becomes `this.name` in its parent before the
-        # walk reaches it
-        bare = self.fields - scope if has_this else ()
-        _bind(roots, bare)
-        for node in walk(roots):
-            kind = type(node)
-            if kind is LocalRef:
-                if node.name not in scope:
-                    raise CompileError(f"unresolved name {node.name!r}", node.loc)
-                continue
-            if kind is ThisRef:
-                if not has_this:
-                    raise CompileError("'this' is not available here", node.loc)
-                continue
-            if kind is BuiltinCall:
-                if node.name not in BUILTINS:
-                    raise CompileError(f"unknown function {node.name!r}", node.loc)
-            elif kind is New:
-                if node.class_name not in self.class_names:
-                    raise CompileError(f"unknown class {node.class_name!r}", node.loc)
-            if not bare:
-                continue
-            if kind is If:
-                conds = [cond for cond, _ in node.arms]
-                _bind(conds, bare)
-                node.arms = [(cond, body) for cond, (_, body) in zip(conds, node.arms)]
-                continue
-            for name in kind.child_fields:
-                child = getattr(node, name)
-                if type(child) is list:
-                    _bind(child, bare)
-                elif type(child) is LocalRef and child.name in bare:
-                    setattr(node, name, FieldGet(child.loc, ThisRef(child.loc), child.name))
+
+def _resolve(roots: list, scope: set[str], bare, has_this: bool, class_names) -> None:
+    """Resolve every node under `roots` in one walk, rewriting in place; a
+    bare name in `bare` becomes `this.name` in its parent before the walk
+    reaches it."""
+    _bind(roots, bare)
+    for node in walk(roots):
+        kind = type(node)
+        if kind is LocalRef:
+            if node.name not in scope:
+                raise CompileError(f"unresolved name {node.name!r}", node.loc)
+            continue
+        if kind is ThisRef:
+            if not has_this:
+                raise CompileError("'this' is not available here", node.loc)
+            continue
+        if kind is BuiltinCall:
+            if node.name not in BUILTINS:
+                raise CompileError(f"unknown function {node.name!r}", node.loc)
+        elif kind is New:
+            if node.class_name not in class_names:
+                raise CompileError(f"unknown class {node.class_name!r}", node.loc)
+        if not bare:
+            continue
+        if kind is If:
+            conds = [cond for cond, _ in node.arms]
+            _bind(conds, bare)
+            node.arms = [(cond, body) for cond, (_, body) in zip(conds, node.arms)]
+            continue
+        for name in kind.child_fields:
+            child = getattr(node, name)
+            if type(child) is list:
+                _bind(child, bare)
+            elif type(child) is LocalRef and child.name in bare:
+                setattr(node, name, FieldGet(child.loc, ThisRef(child.loc), child.name))
 
 
 def _bind(nodes: list, bare) -> None:
@@ -793,11 +814,4 @@ def _bind(nodes: list, bare) -> None:
 def resolve_program(program: Program) -> None:
     names = set(program.by_name())
     for cls in program.classes:
-        resolver = Resolver(cls, names)
-        resolver.resolve_inits(cls.fields)
-        for m in cls.methods:
-            resolver.resolve_method(m, has_this=True)
-        if cls.ctor is not None:
-            resolver.resolve_method(cls.ctor, has_this=True)
-        if cls.static_block is not None:
-            resolver.resolve_method(cls.static_block, has_this=False)
+        resolve_owner(cls, names, [*cls.methods, cls.ctor, cls.static_block])

@@ -4,7 +4,9 @@ The pipeline is: load the registry, transform DSAL inputs into generated
 MiniAspect files (first matching extension wins, pass-through otherwise),
 parse everything, validate the DSAL models against the base program, apply
 the hide filter, build the match table, and optionally emit the
-relationship report.
+relationship report. A compile error located in a generated file, from
+parsing or from weaving, ends in `(generated from <input>)`, naming the
+DSAL input that file came from.
 
 The transformers are built in: `TRANSFORMS` maps each name to a function
 `(input_path, out_path, messages_path) -> GeneratedRecord`, and a name is
@@ -154,31 +156,28 @@ def compile(paths: list[str], options: CompileOptions | None = None) -> CompileA
     classes: list = []
     aspects: list[AspectDecl] = []
     precedence: list[str] = []
-    for path in effective:
-        if path.endswith(".ml0"):
-            program_part = ml.parse_base(read_source(path), path)
-            classes.extend(program_part.classes)
-        elif path.endswith(".ma0"):
-            try:
+    try:
+        for path in effective:
+            if path.endswith(".ml0"):
+                classes.extend(ml.parse_base(read_source(path), path).classes)
+            elif path.endswith(".ma0"):
                 part = parse_aspect_file(read_source(path), path)
-            except CompileError as e:
-                if path in origin_of:
-                    raise CompileError(
-                        f"{e.msg} (generated from {origin_of[path]})", e.loc
-                    ) from None
-                raise
-            aspects.extend(part.aspects)
-            for name in part.precedence:
-                if name not in precedence:
-                    precedence.append(name)
-        else:
-            raise CompileError(f"{path}: unsupported input (no transformation registered)")
-
-    program = ml.Program(classes)
-    for rec in generated:
-        rec.validate(program)
-
-    unit = WovenUnit.build(program, aspects, precedence, strip_hide=options.strip_hide)
+                aspects.extend(part.aspects)
+                for name in part.precedence:
+                    if name not in precedence:
+                        precedence.append(name)
+            else:
+                raise CompileError(f"{path}: unsupported input (no transformation registered)")
+        program = ml.Program(classes)
+        for rec in generated:
+            rec.validate(program)
+        unit = WovenUnit.build(program, aspects, precedence, strip_hide=options.strip_hide)
+    except CompileError as e:
+        # a fault in a generated file is a fault of the DSAL input it came from
+        origin = origin_of.get(e.loc.path) if e.loc is not None else None
+        if origin is None:
+            raise
+        raise CompileError(f"{e.msg} (generated from {origin})", e.loc) from None
     relationships = None
     if options.relationships_path is not None:
         relationships = bridge.emit_relationship_map(

@@ -312,7 +312,8 @@ def test_criterion_5_ordering():
         res = run_src(ORDER_BASE, src)
         def key(pair):
             name, order = pair
-            probe = AdviceDecl("before", None, [], 0, order, None, [], Loc("t", 1), name)
+            probe = AdviceDecl("advice#0", (), [], [], Loc("t", 1), kind="before", pointcut=None,
+                               index=0, order=order, aspect_name=name)
             return sort_key(probe, names)
         oracle = [f"{n}#0" for n, _ in sorted(zip(names, orders), key=key)]
         assert _entries(res) == oracle
@@ -449,7 +450,8 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def _advice(aspect: str, index: int, order):
-    return AdviceDecl("before", None, [], index, order, None, [], Loc("t.ma0", 1), aspect)
+    return AdviceDecl(f"advice#{index}", (), [], [], Loc("t.ma0", 1), kind="before",
+                      pointcut=None, index=index, order=order, aspect_name=aspect)
 
 
 def test_criterion_9_comparator_laws():

@@ -20,7 +20,8 @@ from miniweave.diagnostics import Loc
 
 
 def adv(loc: Loc, bridge: SourceBridge | None) -> AdviceDecl:
-    return AdviceDecl("before", None, [], 0, None, bridge, [], loc, "A")
+    return AdviceDecl("advice#0", (), [], [], loc, kind="before", pointcut=None, index=0,
+                      bridge=bridge, aspect_name="A")
 
 
 class TestAdviceHandle:

@@ -728,3 +728,48 @@ def test_aspect_initializer_reaches_advice_of_a_later_aspect(workdir, capsys):
     code = main(["run", "main.ml0", "a.ma0"])
     assert capsys.readouterr() == ("<aspect A>\nnull\n2\n", "")
     assert code == 0
+
+
+# A call `x.m()` under `before(): call(C.m)`. The receiver has a static
+# class only when it is `this`, `new C(...)`, or a local declared once as
+# one of those and never assigned; otherwise the advice runs only on a `C`
+# target (a `target(C)` residue). Below, `x.m()` is at line 9 of prog.ml0.
+_RECEIVER_PROGRAMS = {
+    "declared-once": "var x = new C();\n    var y = 0;\n    x.m();",
+    "declared-twice": "var x = 1;\n    var y = 0;\n    x.m();\n    var x = new C();",
+    "assigned": "var x = new C();\n    x = 1;\n    x.m();",
+    "redeclares-param": "var y = 0;\n    var z = 0;\n    x.m();\n    var x = new C();",
+}
+
+
+@pytest.mark.parametrize(
+    "case, out, err",
+    [
+        ("declared-once", "advised\n", ""),
+        ("declared-twice", "", "runtime error: prog.ml0:9: unknown method 'm' on 1\n"),
+        ("assigned", "", "runtime error: prog.ml0:9: unknown method 'm' on 1\n"),
+        ("redeclares-param", "", "runtime error: prog.ml0:9: unknown method 'm' on 1\n"),
+    ],
+)
+def test_receiver_class_of_a_local(workdir, capsys, case, out, err):
+    (workdir / "prog.ml0").write_text(
+        "class C {\n  def m() { }\n}\nclass Main {\n  def main() { this.f(1); }\n"
+        f"  def f(x) {{\n    {_RECEIVER_PROGRAMS[case]}\n  }}\n}}\n"
+    )
+    (workdir / "a.ma0").write_text('aspect A {\n  before(): call(C.m) { print("advised"); }\n}\n')
+    code = main(["run", "prog.ml0", "a.ma0"])
+    assert capsys.readouterr() == (out, err)
+    assert code == (3 if err else 0)
+
+
+def test_weave_error_in_generated_file_names_its_input(workdir, capsys):
+    # two inputs of one DSAL each generate a `Logs` aspect; the weaver's
+    # error is located in the second generated file and names its input
+    shutil.copy("demo/jobs.audit", "demo/more.audit")
+    code = main(["compile", "demo/jobs.ml0", "demo/jobs.audit", "demo/more.audit"])
+    gen = os.path.join("gen", "more_audit.ma0")
+    assert capsys.readouterr() == (
+        "",
+        f"error: {gen}:3: duplicate aspect 'Logs' (generated from demo/more.audit)\n",
+    )
+    assert code == 1

@@ -123,8 +123,8 @@ class TestGeneratedAspect:
         aspect = parse_aspect_file(src, "gen/jobs_audit.ma0").aspects[0]
         assert aspect.name == "Logs"
         assert [a.name for a in aspect.annotations] == ["hideType"]
-        assert [h.name for h in aspect.helpers] == ["audit"]
-        assert [a.name for a in aspect.helpers[0].annotations] == ["hideMethod"]
+        assert [h.name for h in aspect.methods] == ["audit"]
+        assert [a.name for a in aspect.methods[0].annotations] == ["hideMethod"]
         # one advice per (type, transition) pair present in the model
         assert len(aspect.advice) == 5 + 5
         for adv in aspect.advice:
@@ -177,7 +177,7 @@ class TestGeneratedAspect:
     def test_zero_cases_aspect(self):
         model = parse_audit("logs for X: ;", "x.audit")
         aspect = parse_aspect_file(gen_audit_aspect(model, {}), "g.ma0").aspects[0]
-        assert [h.name for h in aspect.helpers] == ["audit"]
+        assert [h.name for h in aspect.methods] == ["audit"]
         assert aspect.advice == []
 
     def test_unknown_message_id_at_generation(self):

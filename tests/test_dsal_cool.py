@@ -263,7 +263,7 @@ class TestGeneratedAspect:
         aspect = parse_aspect_file(src, "gen/stack_cool.ma0").aspects[0]
         assert [a.name for a in aspect.annotations] == ["hideType"]
         # exactly six hidden helpers for the two coordinated methods
-        helper_names = {h.name for h in aspect.helpers}
+        helper_names = {h.name for h in aspect.methods}
         assert helper_names == {
             "canEnter_push",
             "enter_push",
@@ -273,7 +273,7 @@ class TestGeneratedAspect:
             "exit_pop",
         }
         assert [f.name for f in aspect.fields] == ["states", "mon"]
-        for h in aspect.helpers:
+        for h in aspect.methods:
             assert [a.name for a in h.annotations] == ["hideMethod"]
         for f in aspect.fields:
             assert [a.name for a in f.annotations] == ["hideField"]

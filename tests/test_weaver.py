@@ -54,7 +54,7 @@ class TestParseAspect:
         """
         a = parse_aspect(src, "logs.ma0")
         assert [ann.name for ann in a.annotations] == ["hideType"]
-        assert a.helpers[0].name == "audit"
+        assert a.methods[0].name == "audit"
         adv = a.advice[0]
         assert adv.bridge is not None
         assert adv.bridge.file == "demo/jobs.audit"
