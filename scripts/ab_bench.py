@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, summarised per end-to-end metric.
+
+Usage:
+
+    python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --pairs N \\
+        --seconds S --seed K
+
+Each pair runs `perfbench/run.py --workload W --seed K --seconds S --trace 0`
+once in each checkout, one after the other. The side that runs first
+alternates from pair to pair, starting with the parent, so a drift in the
+host's load falls on both sides alike. Each run's last line of standard
+output is its JSON result. For every end-to-end metric of `BENCHMARK.json`
+the summary gives each side's median and quartiles, the median ratio
+change/parent, how many pairs each side won (a tie counts for neither), and
+whether the medians differ by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def end_to_end_metrics(path: str = os.path.join(ROOT, "BENCHMARK.json")) -> list[tuple[str, str]]:
+    """(name, "lower" or "higher" is better) of each end-to-end metric."""
+    with open(path, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), interpolated inclusively."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent: list[dict], change: list[dict], metrics) -> list[dict]:
+    """One row per metric present in every run: `parent` and `change` hold
+    each pair's metric values ({name: value}), in pair order."""
+    rows = []
+    for name, better in metrics:
+        if not all(name in run for run in parent + change):
+            continue
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        sign = 1 if better == "lower" else -1
+        p_q, c_q = quartiles(p), quartiles(c)
+        rows.append({
+            "metric": name,
+            "better": better,
+            "parent": p_q,
+            "change": c_q,
+            "ratio": c_q[1] / p_q[1] if p_q[1] else float("nan"),
+            "change_wins": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
+            "parent_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+            "resolved": abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0],
+        })
+    return rows
+
+
+def render(rows: list[dict], pairs: int) -> str:
+    def span(q):
+        return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+    lines = [
+        "| metric | parent p50 [q1, q3] | change p50 [q1, q3] | change/parent "
+        f"| change wins /{pairs} | parent wins /{pairs} | gap > parent IQR |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for r in rows:
+        lines.append(
+            f"| {r['metric']} ({r['better']}) | {span(r['parent'])} | {span(r['change'])} "
+            f"| {r['ratio']:.3f} | {r['change_wins']} | {r['parent_wins']} "
+            f"| {'yes' if r['resolved'] else 'no'} |"
+        )
+    return "\n".join(lines)
+
+
+def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict:
+    """The JSON result of one `perfbench/run.py --trace 0` run in `checkout`."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: perfbench/run.py exited {proc.returncode}: "
+                         f"{proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_dir")
+    ap.add_argument("change_dir")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    sides = {"parent": args.parent_dir, "change": args.change_dir}
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            res = run_once(sides[side], args.workload, args.seconds, args.seed)
+            results[side].append(res)
+            print(f"pair {i + 1}/{args.pairs} {side}: correct {res['correct']}, "
+                  f"failed {res['failed']}/{res['attempted']}", file=sys.stderr)
+    values = {side: [{k: m["value"] for k, m in res["metrics"].items() if "value" in m}
+                     for res in runs] for side, runs in results.items()}
+    print(f"workload {args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
+    for side, runs in results.items():
+        print(f"{side}: {sum(r['failed'] for r in runs)} of "
+              f"{sum(r['attempted'] for r in runs)} ops failed")
+    print(render(summarize(values["parent"], values["change"], end_to_end_metrics()), args.pairs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError
 from .joinpoints import ShadowKind
-from .lexer import EOF, NAME, PUNCT
+from .lexer import EOF, INT, NAME, PUNCT, STRING
 
 ADVICE_BINDINGS = ("thisObject", "targetObject", "args", "jp")
 
@@ -269,9 +269,9 @@ class AspectParser(ml.MiniParser):
 
     def parse_precedence(self) -> list[str]:
         self.ts.expect(NAME, "precedence")
-        names = [self.ts.expect(NAME).text]
+        names = [self.ts.expect(NAME)]
         while self.ts.accept(PUNCT, ","):
-            names.append(self.ts.expect(NAME).text)
+            names.append(self.ts.expect(NAME))
         self.ts.expect(PUNCT, ";")
         return names
 
@@ -312,7 +312,7 @@ class AspectParser(ml.MiniParser):
 
     def parse_advice(self, anns, index: int) -> AdviceDecl:
         loc = self.ts.loc()
-        kind = self.ts.advance().text  # before | after
+        kind = self.ts.advance()  # before | after
         self.ts.expect(PUNCT, "(")
         self.ts.expect(PUNCT, ")")
         self.ts.expect(PUNCT, ":")
@@ -389,8 +389,7 @@ class AspectParser(ml.MiniParser):
 
     def parse_pc_primitive(self):
         loc = self.ts.loc()
-        tok = self.ts.expect(NAME)
-        word = tok.text
+        word = self.ts.expect(NAME)
         self.ts.expect(PUNCT, "(")
         if word in ("execution", "call", "get", "set"):
             pattern = self.parse_name_pattern()
@@ -402,7 +401,7 @@ class AspectParser(ml.MiniParser):
                 "set": PcSet,
             }[word](pattern)
         if word in ("this", "target", "within"):
-            type_name = self.ts.expect(NAME).text
+            type_name = self.ts.expect(NAME)
             self.ts.expect(PUNCT, ")")
             return {"this": PcThis, "target": PcTarget, "within": PcWithin}[word](type_name)
         if word == "args":
@@ -420,12 +419,10 @@ class AspectParser(ml.MiniParser):
     def parse_args_literal(self):
         if self.ts.accept(PUNCT, "*"):
             return _WILDCARD
-        tok = self.ts.cur
-        if tok.kind == "int":
+        if self.ts.kind == INT:
             return self.ts.expect_int()
-        if tok.kind == "string":
-            self.ts.advance()
-            return tok.text
+        if self.ts.kind == STRING:
+            return self.ts.advance()
         if self.ts.at_name("true"):
             self.ts.advance()
             return True
@@ -436,7 +433,7 @@ class AspectParser(ml.MiniParser):
             self.ts.advance()
             return None
         neg = self.ts.accept(PUNCT, "-")
-        if neg and self.ts.cur.kind == "int":
+        if neg and self.ts.kind == INT:
             return -self.ts.expect_int()
         raise self.ts.error("expected a literal or * in args()")
 
@@ -451,7 +448,7 @@ class AspectParser(ml.MiniParser):
     def parse_pattern_segment(self) -> str:
         if self.ts.accept(PUNCT, "*"):
             return "*"
-        return self.ts.expect(NAME).text
+        return self.ts.expect(NAME)
 
 
 def parse_aspect_file(text: str, path: str) -> AspectFile:

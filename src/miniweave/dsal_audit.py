@@ -78,7 +78,7 @@ class AuditParser(ml.MiniParser):
         loc = self.ts.loc()
         self.ts.expect(NAME, "logs")
         self.ts.expect(NAME, "for")
-        target = self.ts.expect(NAME).text
+        target = self.ts.expect(NAME)
         self.ts.expect(PUNCT, ":")
         cases: list[Case] = []
         while not self.ts.accept(PUNCT, ";"):
@@ -88,19 +88,19 @@ class AuditParser(ml.MiniParser):
     def parse_case(self) -> Case:
         loc = self.ts.loc()
         self.ts.expect(NAME, "case")
-        tok = self.ts.expect(NAME)
-        if tok.text not in TRANSITIONS:
-            raise ParseError(f"unknown transition {tok.text!r}", tok.loc(self.path))
-        transition = tok.text
+        tloc = self.ts.loc()
+        transition = self.ts.expect(NAME)
+        if transition not in TRANSITIONS:
+            raise ParseError(f"unknown transition {transition!r}", tloc)
         guards: list[str] = []
         while self.ts.accept(PUNCT, "&"):
-            guards.append(self.ts.expect(NAME).text)
+            guards.append(self.ts.expect(NAME))
         self.ts.expect(NAME, "log")
-        message = self.ts.expect(NAME).text
+        message = self.ts.expect(NAME)
         values: list[str] = []
         if self.ts.accept(NAME, "with"):
             while self.ts.at(NAME) and not self.ts.at_name("case"):
-                values.append(self.ts.advance().text)
+                values.append(self.ts.advance())
             if not values:
                 raise self.ts.error("'with' needs at least one field name")
         return Case(transition, guards, message, values, loc)

@@ -79,7 +79,7 @@ class CoolParser(ml.MiniParser):
     def parse_coordinator(self) -> CoordinatorDecl:
         loc = self.ts.loc()
         self.ts.expect(NAME, "coordinator")
-        target = self.ts.expect(NAME).text
+        target = self.ts.expect(NAME)
         self.ts.expect(PUNCT, "{")
         selfex: list = []
         mutex: list = []
@@ -140,14 +140,14 @@ class CoolParser(ml.MiniParser):
         names: list[str] = []
         if not self.ts.at_punct("}"):
             while True:
-                names.append(self.ts.expect(NAME).text)
+                names.append(self.ts.expect(NAME))
                 if not self.ts.accept(PUNCT, ","):
                     break
         self.ts.expect(PUNCT, "}")
         return names
 
     def parse_addition(self, loc: Loc) -> MethodAddition:
-        name = self.ts.expect(NAME).text
+        name = self.ts.expect(NAME)
         self.ts.expect(PUNCT, ":")
         requires = None
         on_entry: list = []

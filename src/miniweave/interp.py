@@ -34,7 +34,8 @@ shadows have no site: no events, no cflow state. An advice is a method
 whose parameters are its bindings (`thisObject`, `targetObject`, `args`,
 `jp`): `run_advice` binds them in the new frame as `run_decl` binds a
 method's arguments, with the aspect's singleton as `this`. `jp` is a
-record only when the advice body names it, else null.
+record only when the advice body names it (`names_jp`, recorded by the
+resolver), else null.
 
 Events are kept as plain (step, thread, kind, text) tuples; the text of
 `jp` and advice events is built once per run and shadow. `ExecutionResult`
@@ -226,10 +227,6 @@ def _frame_locals(decl, bound=()) -> dict:
     locals_ = dict.fromkeys(decl.local_names)
     locals_.update(bound)
     return locals_
-
-
-def _names_jp(advice) -> bool:
-    return any(type(n) is ml.LocalRef and n.name == "jp" for n in ml.walk(advice.body))
 
 
 def _method_of(recv, name: str, args, loc: Loc) -> ml.MethodDecl:
@@ -504,7 +501,7 @@ class Interp:
             texts = self.texts[key] = (
                 f"{advice.describe()} at {shadow.kind} {shadow.signature}",
                 (str(shadow.kind), shadow.signature, str(shadow.loc))
-                if _names_jp(advice)
+                if advice.names_jp
                 else None,
             )
         tag, jp_texts = texts
@@ -750,7 +747,11 @@ class Interp:
         if arity is not None and len(args) != arity:
             raise MiniRuntimeError(f"{name} expects {arity} argument(s)", loc)
         if name == "print":
-            self.emit("print", render_value(args[0]))
+            try:
+                text = render_value(args[0])
+            except MiniRuntimeError as e:
+                raise MiniRuntimeError(e.msg, loc) from None
+            self.emit("print", text)
             return None
         if name == "len":
             if isinstance(args[0], (list, str)):

@@ -1,14 +1,16 @@
 """Join-point shadow model: extraction from compilation units and @hide filtering.
 
 A shadow is the static location a join point arises from. Extraction
-makes one `minilang.walk` over each body of the resolved base program and
-the aspect declarations: each field get, method call and field set it meets
-is a shadow, except the field an assignment writes (the set is its shadow)
-and the call a `spawn` launches. Method executions and the init kinds come
-from the declarations; an aspect's helpers are its methods, and each advice
-body is one more body. The result is one table in source order. A shadow
-records where it arises (`loc`), not which input produced it: a shadow in
-generated code is one whose `loc.path` is a generated file.
+reads each body of the resolved base program and the aspect declarations
+from its `shadow_nodes`, the field gets, method calls, assignments and
+spawns the resolver recorded in walk order, and walks no body itself: each
+field get, method call and field set is a shadow, except the field an
+assignment writes (the set is its shadow) and the call a `spawn` launches.
+Method executions and the init kinds come from the declarations; an
+aspect's helpers are its methods, and each advice body is one more body.
+The result is one table in source order. A shadow records where it arises
+(`loc`), not which input produced it: a shadow in generated code is one
+whose `loc.path` is a generated file.
 
 A call, get or set shadow has a static receiver class when its receiver is
 `this`, `new C(...)`, or a local the resolver gave a static class in the
@@ -62,7 +64,7 @@ PREINIT_MEMBER = "<preinit>"
 STATIC_MEMBER = "<clinit>"
 
 
-@dataclass
+@dataclass(slots=True)
 class Shadow:
     sid: int
     kind: ShadowKind
@@ -162,98 +164,75 @@ class ShadowTable:
 # ---------------------------------------------------------------------------
 
 
+def _receiver_class(expr, self_cls: str, locals_map) -> str | None:
+    """The static class of a receiver: `this`, `new C(...)`, or a local in
+    `locals_map` (from `minilang.scan_locals`); else None."""
+    kind = type(expr)
+    if kind is ml.ThisRef:
+        return self_cls
+    if kind is ml.New:
+        return expr.class_name
+    if kind is ml.LocalRef:
+        return locals_map.get(expr.name)
+    return None
+
+
 class _Extractor:
     def __init__(self):
-        self.records: list[tuple[Loc, int, ShadowKind, object, dict]] = []
-        self.seq = 0
+        # (loc, seq, kind, cls, member, arity, within_cls, within_member, node)
+        self.records: list[tuple] = []
 
-    def add(self, kind: ShadowKind, loc: Loc, node, **fields) -> None:
-        self.records.append((loc, self.seq, kind, node, fields))
-        self.seq += 1
+    def add(self, kind, loc, node, cls, member, arity, within_cls, within_member) -> None:
+        seq = len(self.records)
+        self.records.append((loc, seq, kind, cls, member, arity, within_cls, within_member, node))
 
-    def receiver_class(self, expr, self_cls: str, locals_map) -> str | None:
-        """The static class of a receiver: `this`, `new C(...)`, or a local
-        in `locals_map` (from `minilang.scan_locals`); else None."""
-        if isinstance(expr, ml.ThisRef):
-            return self_cls
-        if isinstance(expr, ml.New):
-            return expr.class_name
-        if isinstance(expr, ml.LocalRef):
-            return locals_map.get(expr.name)
-        return None
-
-    def take_body(self, roots, self_cls: str, within_member: str, locals_map) -> None:
-        """Add the call, get and set shadows under `roots`, in one walk."""
-        within = {"within_cls": self_cls, "within_member": within_member}
+    def take_body(self, nodes, self_cls: str, within_member: str, locals_map) -> None:
+        """Add the call, get and set shadows of one body from its `nodes`,
+        the resolver's record of its gets, calls, assignments and spawns."""
+        add = self.add
         # an assignment's target and a spawn's call are not shadows of their
-        # own; the walk yields each right after its parent
+        # own; each comes right after its parent
         skip = None
-        for node in ml.walk(roots):
+        for node in nodes:
             kind = type(node)
-            if kind is ml.FieldGet:
-                if node is not skip:
-                    cls = self.receiver_class(node.obj, self_cls, locals_map)
-                    self.add(ShadowKind.FIELD_GET, node.loc, node, cls=cls, member=node.name,
-                             arity=None, **within)
-            elif kind is ml.MethodCall:
-                if node is not skip:
-                    cls = self.receiver_class(node.obj, self_cls, locals_map)
-                    self.add(ShadowKind.METHOD_CALL, node.loc, node, cls=cls, member=node.name,
-                             arity=len(node.args), **within)
-            elif kind is ml.Assign:
+            if kind is ml.Assign:
                 target = skip = node.target
                 if type(target) is ml.FieldGet:
-                    cls = self.receiver_class(target.obj, self_cls, locals_map)
-                    self.add(ShadowKind.FIELD_SET, target.loc, node, cls=cls, member=target.name,
-                             arity=None, **within)
+                    cls = _receiver_class(target.obj, self_cls, locals_map)
+                    add(ShadowKind.FIELD_SET, target.loc, node, cls, target.name, None,
+                        self_cls, within_member)
             elif kind is ml.Spawn:
                 # spawn is a thread-launch primitive, not a call site: only
                 # the execution join point on the new thread exists
                 skip = node.call
+            elif node is not skip:
+                cls = _receiver_class(node.obj, self_cls, locals_map)
+                if kind is ml.FieldGet:
+                    add(ShadowKind.FIELD_GET, node.loc, node, cls, node.name, None,
+                        self_cls, within_member)
+                else:
+                    add(ShadowKind.METHOD_CALL, node.loc, node, cls, node.name, len(node.args),
+                        self_cls, within_member)
 
     def take_method(self, m, self_cls: str, within_member: str) -> None:
-        self.take_body(m.body, self_cls, within_member, dict(m.local_classes))
+        self.take_body(m.shadow_nodes, self_cls, within_member, dict(m.local_classes))
 
     def take_class(self, cls: ml.ClassDecl) -> None:
         # init-kind shadows exist only where their span does: a field-initializer
         # span, a constructor body, a static block
         initialized = [f for f in cls.fields if f.init is not None]
         if initialized:
-            self.add(
-                ShadowKind.PRE_INITIALIZATION,
-                initialized[0].loc,
-                cls,
-                cls=cls.name,
-                member=None,
-                arity=None,
-                within_cls=cls.name,
-                within_member=PREINIT_MEMBER,
-            )
+            self.add(ShadowKind.PRE_INITIALIZATION, initialized[0].loc, cls,
+                     cls.name, None, None, cls.name, PREINIT_MEMBER)
         if cls.ctor is not None:
-            self.add(
-                ShadowKind.INITIALIZATION,
-                cls.ctor.loc,
-                cls.ctor,
-                cls=cls.name,
-                member=None,
-                arity=None,
-                within_cls=cls.name,
-                within_member=INIT_MEMBER,
-            )
+            self.add(ShadowKind.INITIALIZATION, cls.ctor.loc, cls.ctor,
+                     cls.name, None, None, cls.name, INIT_MEMBER)
         if cls.static_block is not None:
-            self.add(
-                ShadowKind.STATIC_INITIALIZATION,
-                cls.static_block.loc,
-                cls.static_block,
-                cls=cls.name,
-                member=None,
-                arity=None,
-                within_cls=cls.name,
-                within_member=STATIC_MEMBER,
-            )
+            self.add(ShadowKind.STATIC_INITIALIZATION, cls.static_block.loc, cls.static_block,
+                     cls.name, None, None, cls.name, STATIC_MEMBER)
         # field initializers are evaluated as part of instance initialization,
         # so their shadows sit within <init> (same as constructor-body shadows)
-        self.take_body([f.init for f in initialized], cls.name, INIT_MEMBER, {})
+        self.take_body(cls.init_shadow_nodes, cls.name, INIT_MEMBER, {})
         if cls.ctor is not None:
             self.take_method(cls.ctor, cls.name, INIT_MEMBER)
         if cls.static_block is not None:
@@ -270,30 +249,24 @@ class _Extractor:
     def take_methods(self, owner, methods) -> None:
         """Add each method's execution shadow, then its body shadows."""
         for m in methods:
-            self.add(
-                ShadowKind.METHOD_EXECUTION,
-                m.loc,
-                m,
-                cls=owner.name,
-                member=m.name,
-                arity=len(m.params),
-                within_cls=owner.name,
-                within_member=m.name,
-            )
+            self.add(ShadowKind.METHOD_EXECUTION, m.loc, m,
+                     owner.name, m.name, len(m.params), owner.name, m.name)
             self.take_method(m, owner.name, m.name)
 
     def finish(self) -> ShadowTable:
         self.records.sort(key=lambda r: (r[0].path, r[0].line, r[0].col, r[1]))
         return ShadowTable(
             [
-                Shadow(sid, kind, loc=loc, node=node, **fields)
-                for sid, (loc, _seq, kind, node, fields) in enumerate(self.records)
+                Shadow(sid, kind, cls, member, arity, within_cls, within_member, loc, node)
+                for sid, (loc, _seq, kind, cls, member, arity, within_cls, within_member, node)
+                in enumerate(self.records)
             ]
         )
 
 
 def extract_shadows(program: ml.Program, aspects=()) -> ShadowTable:
-    """Extract every join-point shadow from the program and aspect declarations.
+    """Extract every join-point shadow from the resolved program and aspect
+    declarations.
 
     Each shadow carries the node it arises from (the expression or
     statement for call/get/set, the method for execution, the class, its

@@ -12,8 +12,12 @@ Lexical rules, common to every front-end:
 * spaces, tabs and `\\r` separate tokens; any other character that cannot
   start a token is an error at its `file:line`.
 
-No token spans a newline, so `tokenize` runs one compiled pattern over each
-line and reads a token's column straight from the match.
+`tokenize` runs one compiled pattern over the whole text; a newline is one
+more alternative of it, which counts the line. The result, `Tokens`, holds
+the tokens as four parallel lists (kind, text, line, column) rather than an
+object per token; `len` counts them, EOF included. `TokenStream` is the
+parsers' cursor over them: it keeps the current token's kind and text, and
+builds a `Loc` only when a node or an error asks for one.
 """
 
 from __future__ import annotations
@@ -31,152 +35,165 @@ EOF = "eof"
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-# The inside of a string literal: no bare quote or backslash, only valid escapes.
-_STRING_BODY = r'[^"\\]*(?:\\[nt"\\][^"\\]*)*'
+# The inside of a string literal: no bare quote, backslash or newline, only
+# valid escapes.
+_STRING_BODY = r'[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'
 
-# Each match skips leading blanks, then takes one token, a comment, or the
-# end of the line (the ungrouped alternative, so trailing blanks match too).
-# The last group takes any other single character, so every position of a
-# line is covered and a character that starts no token is never skipped.
+# Each match skips leading blanks, then takes one token, a newline, a
+# comment or the end of the text (the ungrouped alternatives, so trailing
+# blanks match too). The last group takes any other single
+# character, so every position is covered and a character that starts no
+# token is never skipped.
 _TOKEN_RE = re.compile(
     r"""[ \t\r]*(?:
       ([A-Za-z_]\w*)                                          # 1 name
     | (&&|\|\||[=!<>]=|/(?!/)|[{}()\[\];,.=<>+\-*%!@:&|])     # 2 punct
-    | (?://.*)?$                                              # comment, end
-    | ([0-9]+[.][0-9]+)                                       # 3 float
-    | ([0-9]+)                                                # 4 int
+    | (\n)                                                    # 3 newline
+    | //[^\n]* | \Z                                           # comment, end
+    | ([0-9]+[.][0-9]+)                                       # 4 float
+    | ([0-9]+)                                                # 5 int
     | "("""
     + _STRING_BODY
-    + r""")"                                                  # 5 string
-    | (\w+)                                                   # 6 other word
-    | (.)                                                     # 7 anything else
+    + r""")"                                                  # 6 string
+    | (\w+)                                                   # 7 other word
+    | (.)                                                     # 8 anything else
     )""",
     re.VERBOSE,
 )
-_G_NAME, _G_PUNCT, _G_FLOAT, _G_INT, _G_STRING, _G_WORD = range(1, 7)
+_G_NEWLINE, _G_STRING, _G_WORD = 3, 6, 7
+# the kind of each token group; a word is a name once its first letter checks
+_KINDS = (None, NAME, PUNCT, None, FLOAT, INT, STRING, NAME, None)
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
+class Tokens:
+    """The tokens of one source as parallel lists, ending with EOF."""
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+    __slots__ = ("kinds", "texts", "lines", "cols")
 
-    def loc(self, path: str) -> Loc:
-        return Loc(path, self.line, self.col)
+    def __init__(self):
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.lines: list[int] = []
+        self.cols: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
 
 def _unescape(m: re.Match) -> str:
     return _ESCAPES[m.group(1)]
 
 
-def _bad_char(text: str, start: int, path: str, line: int) -> ParseError:
-    """The error for a character at `text[start]` that starts no token."""
-    ch = text[start]
+def _bad_char(src: str, start: int, loc: Loc) -> ParseError:
+    """The error for a character at `src[start]` that starts no token."""
+    ch = src[start]
     if ch == '"':
-        end = _STRING_PREFIX.match(text, start).end()
-        msg = "bad string escape" if end < len(text) else "unterminated string literal"
+        end = _STRING_PREFIX.match(src, start).end()
+        bad_escape = end < len(src) and src[end] != "\n"
+        msg = "bad string escape" if bad_escape else "unterminated string literal"
     else:
         msg = f"unexpected character {ch!r}"
-    return ParseError(msg, Loc(path, line, start + 1))
+    return ParseError(msg, loc)
 
 
-def tokenize(src: str, path: str) -> list[Token]:
+def tokenize(src: str, path: str) -> Tokens:
     """The tokens of `src`, ending with EOF; a ParseError at the first bad one."""
-    tokens: list[Token] = []
-    append = tokens.append
-    finditer = _TOKEN_RE.finditer
-    lines = src.split("\n")
-    for line, text in enumerate(lines, 1):
-        for m in finditer(text):
-            g = m.lastindex
-            if g is None:
-                continue
-            if g == _G_NAME:
-                append(Token(NAME, m[g], line, m.start(g) + 1))
-            elif g == _G_PUNCT:
-                append(Token(PUNCT, m[g], line, m.start(g) + 1))
-            elif g == _G_INT:
-                append(Token(INT, m[g], line, m.start(g) + 1))
-            elif g == _G_STRING:
-                value = m[g]
-                if "\\" in value:
-                    value = _ESCAPE.sub(_unescape, value)
-                # the group starts after the opening quote
-                append(Token(STRING, value, line, m.start(g)))
-            elif g == _G_FLOAT:
-                append(Token(FLOAT, m[g], line, m.start(g) + 1))
-            # a word led by a non-ASCII letter is a name; one led by any
-            # other word character (a non-ASCII digit, say) is an error
-            elif g == _G_WORD and m[g][0].isalpha():
-                append(Token(NAME, m[g], line, m.start(g) + 1))
-            else:
-                raise _bad_char(text, m.start(g), path, line)
-    append(Token(EOF, "", len(lines), len(lines[-1]) + 1))
+    tokens = Tokens()
+    add_kind, add_text = tokens.kinds.append, tokens.texts.append
+    add_line, add_col = tokens.lines.append, tokens.cols.append
+    line = 1
+    base = -1  # the offset just before the current line, so col = offset - base
+    for m in _TOKEN_RE.finditer(src):
+        g = m.lastindex
+        if g == _G_NEWLINE:
+            line += 1
+            base = m.start(g)
+            continue
+        if g is None:  # a comment
+            continue
+        text = m[g]
+        start = m.start(g)
+        if g == _G_STRING:
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+            start -= 1  # the token starts at the opening quote
+        # a word led by a non-ASCII letter is a name; one led by any other
+        # word character (a non-ASCII digit, say) is an error
+        elif g >= _G_WORD and (g > _G_WORD or not text[0].isalpha()):
+            raise _bad_char(src, start, Loc(path, line, start - base))
+        add_kind(_KINDS[g])
+        add_text(text)
+        add_line(line)
+        add_col(start - base)
+    add_kind(EOF)
+    add_text("")
+    add_line(line)
+    add_col(len(src) - base)
     return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with the usual expect/accept helpers.
+    """Cursor over `Tokens` with the usual expect/accept helpers.
 
-    `cur` is the token at `pos`; only `advance` moves it, and never past EOF.
+    `kind` and `text` are those of the token at `pos`; only `advance` moves
+    it, and never past EOF. The helpers that pass a token return its text.
     """
 
-    def __init__(self, tokens: list[Token], path: str):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens, path: str):
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.lines = tokens.lines
+        self.cols = tokens.cols
         self.path = path
         self.pos = 0
-        self.cur = tokens[0]
+        self.kind = self.kinds[0]
+        self.text = self.texts[0]
 
     def loc(self) -> Loc:
-        return self.cur.loc(self.path)
+        pos = self.pos
+        return Loc(self.path, self.lines[pos], self.cols[pos])
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.cur
-        return tok.kind == kind and (text is None or tok.text == text)
+        return self.kind == kind and (text is None or self.text == text)
 
     def at_punct(self, text: str) -> bool:
-        tok = self.cur
-        return tok.text == text and tok.kind == PUNCT
+        return self.text == text and self.kind == PUNCT
 
     def at_name(self, text: str | None = None) -> bool:
-        tok = self.cur
-        return tok.kind == NAME and (text is None or tok.text == text)
+        return self.kind == NAME and (text is None or self.text == text)
 
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != EOF:
-            self.pos += 1
-            self.cur = self.tokens[self.pos]
-        return tok
+    def advance(self) -> str:
+        text = self.text
+        if self.kind != EOF:
+            pos = self.pos = self.pos + 1
+            self.kind = self.kinds[pos]
+            self.text = self.texts[pos]
+        return text
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.cur
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
-        return None
+    def accept(self, kind: str, text: str | None = None) -> bool:
+        if self.kind == kind and (text is None or self.text == text):
+            self.advance()
+            return True
+        return False
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.cur
-        if tok.kind == kind and (text is None or tok.text == text):
+    def expect(self, kind: str, text: str | None = None) -> str:
+        if self.kind == kind and (text is None or self.text == text):
             return self.advance()
         want = text if text is not None else kind
-        got = tok.text or tok.kind
+        got = self.text or self.kind
         raise ParseError(f"expected {want!r}, found {got!r}", self.loc())
 
     def expect_int(self) -> int:
         """Pass the INT token at the cursor and return its value: the one
         conversion of an integer literal, for every front-end."""
-        tok = self.expect(INT)
         try:
-            return int(tok.text)
+            value = int(self.text) if self.kind == INT else None
         except ValueError:  # more digits than Python converts
-            raise ParseError("integer literal too long", tok.loc(self.path)) from None
+            raise self.error("integer literal too long") from None
+        self.expect(INT)
+        return value
 
     def error(self, msg: str) -> ParseError:
         return ParseError(msg, self.loc())

@@ -9,10 +9,13 @@ in the pattern also becomes a residue (a runtime target-class test).
 The match table is built with kinded fast-match: `aspects.check_matchable`
 guarantees every top-level disjunct an `aspects.anchor`, a positive
 execution/call/get/set atom, and a shadow can only match that disjunct if
-its kind and member agree with the atom. Each advice is indexed under
-(ShadowKind, member) of its anchor per disjunct, with member "*" for a wildcard, so a shadow
-runs the full `match` only on the advice filed under its (kind, member)
-or (kind, "*"). Advice reaches the table only through the aspect parser,
+its kind and member agree with the atom, and, when the shadow's class is
+known statically, its class too. Each advice is indexed under (ShadowKind,
+member, class) of its anchor per disjunct, with "*" for a wildcard member or
+class, so a shadow runs the full `match` only on the advice filed under its
+kind, its member or "*", and its class or "*". A shadow of unknown class
+gets every class's advice, since `match` turns the class into a `target`
+residue. Advice reaches the table only through the aspect parser,
 so there is no fallback for an unanchored disjunct. The advice is sorted
 into precedence order once per build, by `advice_sort_key` over the
 `precedence_ranks` map, and the index keeps that order.
@@ -143,7 +146,7 @@ def advice_sort_key(advice: AdviceDecl, ranks: dict[str, int]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchEntry:
     advice: AdviceDecl
     residue: object
@@ -165,27 +168,36 @@ class MatchTable:
                 yield self.shadows[sid], entry
 
 
-def _index_advice(ordered: list[AdviceDecl]) -> dict[ShadowKind, dict[str, list[int]]]:
-    """ShadowKind -> member or "*" -> positions in `ordered`, ascending.
+def _index_advice(ordered: list[AdviceDecl]) -> dict[ShadowKind, dict[str, dict]]:
+    """ShadowKind -> member or "*" -> class, "*" or None -> positions in
+    `ordered`, ascending.
 
-    A member's list also holds the kind's "*" positions, so one lookup, with
-    "*" as the fallback, gives a shadow its candidates. Every disjunct has
-    an anchor: `check_matchable` rejects advice with one that has none.
+    Each disjunct's anchor files its advice under the anchor's member and
+    class. A member's entry also holds the kind's "*" member, and a class's
+    list the "*" class, so two lookups give a shadow its candidates: under
+    its member, else "*", then under its class, else "*". A shadow whose
+    class is unknown looks up None, which holds every class: its match may
+    still pass by a `target` residue. Every disjunct has an anchor:
+    `check_matchable` rejects advice with one that has none.
     """
-    index: dict[ShadowKind, dict[str, list[int]]] = {}
+    anchors: dict[ShadowKind, dict[str, dict[str, set[int]]]] = {}
     for pos, adv in enumerate(ordered):
         pc = adv.pointcut
         for disjunct in pc.parts if type(pc) is PcOr else (pc,):
             atom = anchor(disjunct)
-            kind, member = KIND_FOR_PRIM[type(atom)], atom.pattern.member
-            bucket = index.setdefault(kind, {}).setdefault(member, [])
-            if not bucket or bucket[-1] != pos:
-                bucket.append(pos)
-    for by_member in index.values():
-        wild = by_member.get("*")
-        if wild:
-            for member, bucket in by_member.items():
-                by_member[member] = sorted({*bucket, *wild})
+            by_member = anchors.setdefault(KIND_FOR_PRIM[type(atom)], {})
+            by_class = by_member.setdefault(atom.pattern.member, {})
+            by_class.setdefault(atom.pattern.cls, set()).add(pos)
+    index: dict[ShadowKind, dict[str, dict]] = {}
+    for kind, by_member in anchors.items():
+        wild = by_member.get("*", {})
+        index[kind] = {}
+        for member, by_class in by_member.items():
+            merged = {c: by_class.get(c, set()) | wild.get(c, set()) for c in {*by_class, *wild}}
+            any_class = merged.get("*", set())
+            lists = {c: sorted(found | any_class) for c, found in merged.items()}
+            lists[None] = sorted(set().union(*merged.values()))
+            index[kind][member] = lists
     return index
 
 
@@ -207,8 +219,11 @@ def build_match_table(
         by_member = index.get(shadow.kind)
         if by_member is None:
             continue
+        by_class = by_member.get(shadow.member) or by_member.get("*")
+        if by_class is None:
+            continue
         hits = []
-        for pos in by_member.get(shadow.member) or by_member.get("*", ()):
+        for pos in by_class.get(shadow.cls) or by_class.get("*", ()):
             adv = ordered[pos]
             residue = match(adv.pointcut, shadow)
             if residue is not None:

@@ -10,8 +10,11 @@ builtins. Declarations may carry `@hideField` / `@hideMethod` /
 
 Every node class names its child fields in `child_fields`, and `walk`
 yields the nodes under a body in source order from an explicit stack; the
-resolver here, shadow extraction and the COOL checker each make one such
-walk per body instead of spelling out the AST in their own recursion. An
+resolver here and the COOL checker each make one such walk per body instead
+of spelling out the AST in their own recursion. The resolver's walk also
+records each body's `shadow_nodes` (its field gets, method calls,
+assignments and spawns, in walk order) and whether it names `jp`, so shadow
+extraction and advice dispatch never walk a body again. An
 `if` with its `else if` chain is one `If` node holding a list of
 (cond, body) arms.
 
@@ -258,6 +261,10 @@ class MethodDecl:
     # a static class
     local_names: tuple[str, ...] = ()
     local_classes: tuple[tuple[str, str], ...] = ()
+    # also filled in by resolution (`_resolve`): the body's join-point nodes
+    # in walk order, and whether the body names `jp`
+    shadow_nodes: list | tuple = ()
+    names_jp: bool = False
 
 
 @dataclass
@@ -269,6 +276,8 @@ class ClassDecl:
     static_block: MethodDecl | None
     annotations: list[Annotation]
     loc: Loc
+    # the field initializers' join-point nodes, filled in by resolution
+    init_shadow_nodes: list | tuple = ()
 
     def field_names(self) -> set[str]:
         return {f.name for f in self.fields}
@@ -357,7 +366,7 @@ class MiniParser:
         while self.ts.at_punct("@"):
             loc = self.ts.loc()
             self.ts.advance()
-            name = self.ts.expect(NAME).text
+            name = self.ts.expect(NAME)
             args: list = []
             if self.ts.accept(PUNCT, "("):
                 args = self.parse_annotation_args(name)
@@ -379,26 +388,25 @@ class MiniParser:
     def parse_annotation_arg(self):
         loc = self.ts.loc()
         if self.ts.at(NAME):
-            name = self.ts.advance().text
+            name = self.ts.advance()
             if self.ts.accept(PUNCT, "="):
                 return (name, self.parse_annotation_value())
             return name
         return self.parse_annotation_value()
 
     def parse_annotation_value(self):
-        neg = self.ts.accept(PUNCT, "-") is not None
-        tok = self.ts.cur
-        if tok.kind == INT:
+        neg = self.ts.accept(PUNCT, "-")
+        kind = self.ts.kind
+        if kind == INT:
             value = self.ts.expect_int()
             return -value if neg else value
-        if tok.kind == FLOAT:
-            self.ts.advance()
-            return -float(tok.text) if neg else float(tok.text)
+        if kind == FLOAT:
+            value = float(self.ts.advance())
+            return -value if neg else value
         if neg:
             raise self.ts.error("expected a number after '-'")
-        if tok.kind == STRING:
-            self.ts.advance()
-            return tok.text
+        if kind == STRING:
+            return self.ts.advance()
         raise self.ts.error("bad annotation argument")
 
     def check_annotations(self, anns: list[Annotation], allowed, what: str) -> None:
@@ -479,10 +487,10 @@ class MiniParser:
         return ClassDecl(name, fields, methods, ctor, static_block, anns, loc)
 
     def parse_decl_name(self) -> str:
-        tok = self.ts.expect(NAME)
-        if tok.text in RESERVED:
-            raise ParseError(f"{tok.text!r} is a reserved word", tok.loc(self.path))
-        return tok.text
+        ts = self.ts
+        if ts.kind == NAME and ts.text in RESERVED:
+            raise ts.error(f"{ts.text!r} is a reserved word")
+        return ts.expect(NAME)
 
     def parse_field(self, anns: list[Annotation]) -> FieldDecl:
         self.check_annotations(anns, ("hideField",), "a field")
@@ -587,19 +595,20 @@ class MiniParser:
         left = self.parse_unary()
         ts = self.ts
         while True:
-            tok = ts.cur
-            prec = _BINARY_PREC.get(tok.text, 0) if tok.kind == PUNCT else 0
+            prec = _BINARY_PREC.get(ts.text, 0) if ts.kind == PUNCT else 0
             if prec <= min_prec:
                 return left
-            ts.advance()
+            loc = ts.loc()
+            op = ts.advance()
             right = self.parse_expr(prec)
-            left = Binary(tok.loc(self.path), tok.text, left, right)
+            left = Binary(loc, op, left, right)
 
     def parse_unary(self) -> Node:
-        tok = self.ts.cur
-        if tok.kind == PUNCT and (tok.text == "!" or tok.text == "-"):
-            self.ts.advance()
-            return Unary(tok.loc(self.path), tok.text, self.nested(self.parse_unary))
+        ts = self.ts
+        if ts.kind == PUNCT and (ts.text == "!" or ts.text == "-"):
+            loc = ts.loc()
+            op = ts.advance()
+            return Unary(loc, op, self.nested(self.parse_unary))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Node:
@@ -607,7 +616,7 @@ class MiniParser:
         while True:
             if self.ts.accept(PUNCT, "."):
                 loc = self.ts.loc()
-                name = self.ts.expect(NAME).text
+                name = self.ts.expect(NAME)
                 if self.ts.accept(PUNCT, "("):
                     args = self.parse_args()
                     expr = MethodCall(loc, expr, name, args)
@@ -633,58 +642,51 @@ class MiniParser:
         return args
 
     def parse_primary(self) -> Node:
-        tok = self.ts.cur
-        if self.ts.at_punct("("):
-            self.ts.advance()
+        ts = self.ts
+        if ts.at_punct("("):
+            ts.advance()
             expr = self.nested(self.parse_expr)
-            self.ts.expect(PUNCT, ")")
+            ts.expect(PUNCT, ")")
             return expr
-        loc = tok.loc(self.path)
-        if tok.kind == INT:
-            return IntLit(loc, self.ts.expect_int())
-        if tok.kind == FLOAT:
-            raise self.ts.error("float literals are not part of the language")
-        if tok.kind == STRING:
-            self.ts.advance()
-            return StrLit(loc, tok.text)
-        if self.ts.at_punct("["):
-            self.ts.advance()
+        loc = ts.loc()
+        kind = ts.kind
+        if kind == INT:
+            return IntLit(loc, ts.expect_int())
+        if kind == FLOAT:
+            raise ts.error("float literals are not part of the language")
+        if kind == STRING:
+            return StrLit(loc, ts.advance())
+        if ts.at_punct("["):
+            ts.advance()
             items = []
-            if not self.ts.at_punct("]"):
+            if not ts.at_punct("]"):
                 while True:
                     items.append(self.nested(self.parse_expr))
-                    if not self.ts.accept(PUNCT, ","):
+                    if not ts.accept(PUNCT, ","):
                         break
-            self.ts.expect(PUNCT, "]")
+            ts.expect(PUNCT, "]")
             return ListLit(loc, items)
-        if tok.kind == NAME:
-            word = tok.text
+        if kind == NAME:
+            word = ts.advance()
             if word == "true":
-                self.ts.advance()
                 return BoolLit(loc, True)
             if word == "false":
-                self.ts.advance()
                 return BoolLit(loc, False)
             if word == "null":
-                self.ts.advance()
                 return NullLit(loc)
             if word == "this":
-                self.ts.advance()
                 return ThisRef(loc)
             if word == "new":
-                self.ts.advance()
-                cls = self.ts.expect(NAME).text
-                self.ts.expect(PUNCT, "(")
+                cls = ts.expect(NAME)
+                ts.expect(PUNCT, "(")
                 args = self.parse_args()
                 return New(loc, cls, args)
             if word == "spawn":
-                self.ts.advance()
                 call = self.nested(self.parse_postfix)
                 if not isinstance(call, MethodCall):
                     raise ParseError("spawn expects a method call", loc)
                 return Spawn(loc, call)
-            self.ts.advance()
-            if self.ts.accept(PUNCT, "("):
+            if ts.accept(PUNCT, "("):
                 args = self.parse_args()
                 return BuiltinCall(loc, word, args)
             return LocalRef(loc, word)
@@ -756,7 +758,7 @@ def resolve_owner(owner: ClassDecl, class_names: set[str], methods) -> None:
     fields = owner.field_names()
     inits = [f for f in owner.fields if f.init is not None]
     roots = [f.init for f in inits]
-    _resolve(roots, set(), fields, True, class_names)
+    owner.init_shadow_nodes, _ = _resolve(roots, set(), fields, True, class_names)
     for f, init in zip(inits, roots):
         f.init = init
     for m in methods:
@@ -765,20 +767,31 @@ def resolve_owner(owner: ClassDecl, class_names: set[str], methods) -> None:
         m.local_names, m.local_classes = scan_locals(m.body, m.params, owner.name)
         scope = {*m.params, *m.local_names}
         has_this = m is not owner.static_block
-        _resolve(m.body, scope, fields - scope if has_this else (), has_this, class_names)
+        bare = fields - scope if has_this else ()
+        m.shadow_nodes, m.names_jp = _resolve(m.body, scope, bare, has_this, class_names)
 
 
-def _resolve(roots: list, scope: set[str], bare, has_this: bool, class_names) -> None:
+# the nodes a body's call, get and set shadows arise from (see joinpoints)
+_SHADOW_NODES = {FieldGet, MethodCall, Assign, Spawn}
+
+
+def _resolve(roots: list, scope: set[str], bare, has_this: bool, class_names):
     """Resolve every node under `roots` in one walk, rewriting in place; a
     bare name in `bare` becomes `this.name` in its parent before the walk
-    reaches it."""
+    reaches it. Returns the resolved nodes of `_SHADOW_NODES` kinds, in walk
+    order, and whether a name `jp` is read."""
     _bind(roots, bare)
+    shadow_nodes = []
+    names_jp = False
     for node in walk(roots):
         kind = type(node)
         if kind is LocalRef:
             if node.name not in scope:
                 raise CompileError(f"unresolved name {node.name!r}", node.loc)
+            names_jp = names_jp or node.name == "jp"
             continue
+        if kind in _SHADOW_NODES:
+            shadow_nodes.append(node)
         if kind is ThisRef:
             if not has_this:
                 raise CompileError("'this' is not available here", node.loc)
@@ -802,6 +815,7 @@ def _resolve(roots: list, scope: set[str], bare, has_this: bool, class_names) ->
                 _bind(child, bare)
             elif type(child) is LocalRef and child.name in bare:
                 setattr(node, name, FieldGet(child.loc, ThisRef(child.loc), child.name))
+    return shadow_nodes or (), names_jp
 
 
 def _bind(nodes: list, bare) -> None:

@@ -89,7 +89,10 @@ def render_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # more digits than Python converts
+            raise MiniRuntimeError("value too large") from None
     if isinstance(value, str):
         return value
     if isinstance(value, list):

@@ -687,6 +687,25 @@ def test_printing_nested_lists(workdir, capsys, body, out, err, exit_code):
     assert code == exit_code
 
 
+# An int of 10**8192 digits, past the 4300 Python converts to decimal: `x`
+# is squared 13 times on line 5; the builtin call is on line 6.
+_HUGE_HEAD = (
+    "class Main {\n  def main() {\n    var x = 10;\n    var i = 0;\n"
+    "    while (i < 13) { x = x * x; i = i + 1; }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "call", ["print(x);", 'print(format("{0}", x));', "print([x]);"],
+    ids=["print", "format", "print-list"],
+)
+def test_printing_a_huge_int_is_a_located_runtime_error(workdir, capsys, call):
+    (workdir / "prog.ml0").write_text(_HUGE_HEAD + f"    {call}\n  }}\n}}\n")
+    code = main(["run", "prog.ml0"])
+    assert capsys.readouterr() == ("", "runtime error: prog.ml0:6: value too large\n")
+    assert code == 3
+
+
 # An aspect singleton: `before` advice on `Main.main` (line 5 of a.ma0),
 # then stdout and stderr.
 _ASPECT_HEAD = "aspect A {\n  var n = 7;\n  def h(x) { return x + 1; }\n  def w() { print(\"w\"); }\n"

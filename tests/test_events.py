@@ -158,7 +158,10 @@ def test_jp_fields_at_every_shadow_kind(monkeypatch):
     monkeypatch.setattr(
         matching,
         "_index_advice",
-        lambda ordered: {kind: {"*": list(range(len(ordered)))} for kind in ShadowKind},
+        lambda ordered: {
+            kind: {"*": dict.fromkeys(("*", None), list(range(len(ordered))))}
+            for kind in ShadowKind
+        },
     )
     built = _count_inits(monkeypatch, values.JpInfo)
     res = run(WovenUnit.build(program, part.aspects))

@@ -1,7 +1,10 @@
 """Shadow extraction and @hide filtering, including the randomized properties."""
 
 import dataclasses
+import hashlib
+import os
 import random
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -632,3 +635,129 @@ def test_render_else_if_chain_is_flat():
         "  }",
         "}",
     ]
+
+
+# -- the shadow table, pinned byte for byte
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _table_rows(table) -> list[str]:
+    return [
+        f"{s.sid} {s.kind} {s.signature} {s.within_cls}.{s.within_member} "
+        f"{s.loc.path}:{s.loc.line}:{s.loc.col}"
+        for s in table
+    ]
+
+
+# (sid, kind, signature, within, loc) rows and the `--explain-hides` lines
+SHADOW_TABLE_PINS = {
+    "demo_stack": (
+        "a920cceb6cf6739856112c956e9b92ed640e38ea3a30b4b2b9cb43a41bb5f145",
+        "3466f36b1121af2dcc49da28a90836b02c8fd8761150c490ec4120a7fd31a5be",
+    ),
+    "demo": (
+        "7acd94cd3007965564c2a00b5ca528c411baa5a62b9bbf98f5771c8410830fa6",
+        "14ed0bf19b32c841b684d257080a0ed65fd3ed7ffb77e2d15b3edbf8cfca0f7a",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "demo, inputs",
+    [
+        ("demo_stack", ["stack.ml0", "stack.cool", "auditor.ma0"]),
+        ("demo", ["jobs.ml0", "jobs.audit"]),
+    ],
+)
+def test_demo_shadow_table_is_pinned(demo, inputs, tmp_path, monkeypatch, capsys):
+    from conftest import ROOT
+    from miniweave import pipeline
+    from miniweave.cli import main
+
+    shutil.copytree(os.path.join(ROOT, demo), tmp_path / demo)
+    monkeypatch.chdir(tmp_path)
+    paths = [f"{demo}/{name}" for name in inputs]
+    assert main(["compile", *paths, "--explain-hides"]) == 0
+    hidden = capsys.readouterr().out.splitlines()
+    assert hidden and all(line.startswith("HIDDEN ") for line in hidden)
+    unit = pipeline.compile(paths, pipeline.CompileOptions(dsals_path=f"{demo}/dsals.txt")).unit
+    assert (_digest(_table_rows(unit.all_shadows)), _digest(hidden)) == SHADOW_TABLE_PINS[demo]
+
+
+RANDPROG_TABLE_PINS = {
+    0: (
+        "81f29a5be1e810d00eb60168df23ab9363d0798208d2a0fe0147cfb12703d652",
+        "4e7123fac2b60709fb571b9fa238140dafa952de43a892ec6e1b00fc159b534a",
+    ),
+    5: (
+        "e54a719428714f5ddc197a02438c107d8eeada5613ab29b29beb9f2967a3f5fa",
+        "7f6c7b4c5f074bf3cfe5932ae11ac6ca6dc47cb0ec8c731a6217935ca456ae9c",
+    ),
+    9: (
+        "30c91fbbf2efc9c836bb717273bed9b8f0cfe1d14396eba65d138207ca8ec38f",
+        "ad37f9b0399d9648a68e5a19fd267e700fa69e1ec78ccb497a4aff34270c9fea",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDPROG_TABLE_PINS))
+def test_random_program_shadow_table_is_pinned(seed):
+    table, specs = _random_case(seed)
+    hidden = apply_hide_filter(table, specs).diagnostics()
+    assert hidden
+    assert (_digest(_table_rows(table)), _digest(hidden)) == RANDPROG_TABLE_PINS[seed]
+
+
+# -- the resolver's record of each body's join-point nodes
+
+_SHADOW_NODE_KINDS = (ml.FieldGet, ml.MethodCall, ml.Assign, ml.Spawn)
+
+# every recorded kind, `jp` read in one advice body only, and field
+# initializers in a class and an aspect
+_RECORDING_ASPECT = """
+aspect Rec {
+  var n = 0;
+  var k = [this.n];
+  def h(o) { o.f0 = this.n; spawn this.h(o); }
+  before(): execution(*.m0) { this.n = this.n + 1; print(jp.member); }
+  after(): call(*.m0) { this.h(null); }
+}
+"""
+
+
+def _recorded_bodies(program, aspects):
+    """(roots, recorded nodes, names_jp or None) of every body."""
+    for owner in [*program.classes, *aspects]:
+        yield [f.init for f in owner.fields if f.init is not None], owner.init_shadow_nodes, None
+        for m in [*owner.methods, owner.ctor, owner.static_block, *getattr(owner, "advice", ())]:
+            if m is not None:
+                yield m.body, m.shadow_nodes, m.names_jp
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_resolver_records_each_bodys_shadow_nodes(seed):
+    from miniweave.interp import WovenUnit
+
+    # F's bare field names become `this.<name>` gets and sets as resolved
+    src = random_program_source(random.Random(seed)) + (
+        "class F { var g = new C0().m0(); var h = g; def r() { h = g; return h; } }\n"
+    )
+    program = mw.parse_base(src, "rand.ml0")
+    aspects = mw.parse_aspect_file(_RECORDING_ASPECT, "rec.ma0").aspects
+    # a second build resolves the same AST again: the records are rebuilt
+    for _ in range(2):
+        WovenUnit.build(program, aspects)
+        jp_bodies = 0
+        for roots, recorded, names_jp in _recorded_bodies(program, aspects):
+            walked = list(ml.walk(roots))
+            assert [id(n) for n in recorded] == [
+                id(n) for n in walked if type(n) in _SHADOW_NODE_KINDS
+            ]
+            if names_jp is not None:
+                reads_jp = any(type(n) is ml.LocalRef and n.name == "jp" for n in walked)
+                assert names_jp == reads_jp
+                jp_bodies += reads_jp
+        assert jp_bodies == 1

@@ -1,12 +1,13 @@
 """Base-language parser and interpreter behavior."""
 
+import os
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_unit, run_src
+from conftest import ROOT, build_unit, run_src
 from oracles import edges, parse_aspect, thread_ids
 
 import miniweave as mw
@@ -296,7 +297,8 @@ def reference_tokenize(src: str, path: str) -> list[tuple]:
 
 
 def token_tuples(src: str, path: str) -> list[tuple]:
-    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src, path)]
+    tokens = tokenize(src, path)
+    return list(zip(tokens.kinds, tokens.texts, tokens.lines, tokens.cols))
 
 
 def lex_outcome(lex, src: str):
@@ -354,6 +356,32 @@ class TestLexer:
         assert got[-1] == ("eof", "", want[-1][2], len(last) + 1)
         if want[-1] != got[-1]:
             assert "//" in last
+
+    @pytest.mark.parametrize(
+        "src, msg",
+        [
+            ('x = "a\nb";', "unterminated string literal"),
+            ('x = "a\\\nb";', "bad string escape"),
+            ('x;\n"ab', "unterminated string literal"),
+            ('"a\\', "bad string escape"),
+        ],
+        ids=["newline", "escaped-newline", "end-of-text", "escape-at-end"],
+    )
+    def test_a_string_literal_stops_at_the_line_end(self, src, msg):
+        got = lex_outcome(token_tuples, src)
+        assert got == lex_outcome(reference_tokenize, src)
+        assert got[:2] == ("error", msg)
+
+    @pytest.mark.parametrize(
+        "name", ["demo/jobs.ml0", "demo/jobs.audit", "demo_stack/stack.ml0",
+                 "demo_stack/stack.cool", "demo_stack/auditor.ma0"],
+    )
+    def test_len_is_the_token_count_with_eof(self, name):
+        # the benchmark's `minilang.tokens` counter reads `len` of the result
+        assert len(tokenize('print("x"); // c\n', "t.ml0")) == 6
+        with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
+            src = fh.read()
+        assert len(tokenize(src, name)) == len(reference_tokenize(src, name))
 
     @pytest.mark.parametrize("digit", ["²", "٣", "１"])
     def test_non_ascii_digits_are_not_literals(self, digit):

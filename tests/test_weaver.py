@@ -17,9 +17,12 @@ from miniweave.aspects import (
     PcCall,
     PcCflow,
     PcExecution,
+    KIND_FOR_PRIM,
     PcNot,
+    PcOr,
     PcThis,
     PcWithin,
+    anchor,
     parse_aspect_file,
     resolve_aspects,
 )
@@ -362,15 +365,39 @@ def test_match_table_equals_all_pairs_reference(seed):
     assert list(mt.shadows) == [s.sid for s in visible]
 
 
+def class_index_skips(advice, shadow) -> bool:
+    """Whether `advice` has a disjunct anchored on the shadow's kind and
+    member, and the class index still skips it: the shadow's class is known
+    and no such anchor names that class or "*"."""
+    pc = advice.pointcut
+    atoms = [anchor(d) for d in (pc.parts if type(pc) is PcOr else (pc,))]
+    atoms = [
+        a for a in atoms
+        if KIND_FOR_PRIM[type(a)] is shadow.kind and a.pattern.member_matches(shadow.member)
+    ]
+    return (
+        bool(atoms) and shadow.cls is not None
+        and all(a.pattern.cls not in ("*", shadow.cls) for a in atoms)
+    )
+
+
 def test_random_weaves_cover_the_pointcut_features():
     # the property above is only as strong as its inputs: across a few
-    # seeds the tables must hold every kind of residue and ordering ties
+    # seeds the tables must hold every kind of residue and ordering ties,
+    # some advice must anchor `||` disjuncts on two concrete classes, and
+    # the class index must skip some candidate of a shadow's kind and member
     residues = set()
     kinds = set()
-    unresolved = tied = False
+    unresolved = tied = two_classes = skipped = False
     for seed in range(30):
         aspects, visible, precedence = random_weave(seed)
         mt = build_match_table(aspects, visible, precedence)
+        all_advice = [adv for aspect in aspects for adv in aspect.advice]
+        for adv in all_advice:
+            if type(adv.pointcut) is PcOr:
+                classes = {anchor(d).pattern.cls for d in adv.pointcut.parts} - {"*"}
+                two_classes = two_classes or len(classes) >= 2
+        skipped = skipped or any(class_index_skips(adv, s) for s in visible for adv in all_advice)
         for s, entry in mt.pairs():
             residues.add(render_residue(entry.residue))
             kinds.add(s.kind)
@@ -384,7 +411,7 @@ def test_random_weaves_cover_the_pointcut_features():
     assert "" in residues
     assert {ShadowKind.METHOD_EXECUTION, ShadowKind.METHOD_CALL, ShadowKind.FIELD_GET,
             ShadowKind.FIELD_SET} <= kinds
-    assert tied and unresolved
+    assert tied and unresolved and two_classes and skipped
 
 
 class TestAdviceSequence:
