@@ -10,8 +10,18 @@ it yields only when the scheduler switches threads or the step limit is
 reached, and otherwise counts the step and goes on without suspending its
 `yield from` chain. A thread that must wait parks itself: it sets its own
 `status` (BLOCKED on a held monitor, WAITING in `monitor_wait`) and
-`monitor`, then yields, and `pick_next` passes it over until the monitor
-is free. `pick_next` scans only the unfinished threads, in rotation order.
+`monitor`, joins that monitor's `blocked` or `waiting` list, then yields.
+
+The scheduler does not scan threads. `ready` is an int bitmask over
+rotation indexes: bit i is set while the thread at `rotation[i]` can run
+(RUNNABLE, or BLOCKED on a free monitor). `pick_next`, the one method a
+subclass overrides to choose otherwise, returns the index of the lowest set
+bit at or after `rot_pos`, wrapping. The mask changes only where
+eligibility does: a spawn shifts it at the insert index; a finish or a
+park clears the running thread's bit (`cur_idx`, kept across inserts by
+`add_thread`); `_set_holder` sets or clears the bits of a monitor's
+BLOCKED threads as it is freed or taken. A monitor caches those bits until
+a spawn moves the indexes or a notify moves its `waiting` list to `blocked`.
 
 Each MiniLang frame (method, constructor, static block, advice, field
 initializer) is one `_Env` on its thread's `frames`: locals, `this` and the
@@ -64,6 +74,7 @@ from .values import (
     class_name_of,
     format_message,
     render_value,
+    shown_value,
     value_eq,
 )
 
@@ -236,7 +247,7 @@ def _method_of(recv, name: str, args, loc: Loc) -> ml.MethodDecl:
     decl = recv.cls.method(name) if isinstance(recv, MObject) else None
     if decl is None:
         raise MiniRuntimeError(
-            f"unknown method {name!r} on {class_name_of(recv) or render_value(recv)}", loc
+            f"unknown method {name!r} on {class_name_of(recv) or shown_value(recv)}", loc
         )
     if len(decl.params) != len(args):
         raise MiniRuntimeError(
@@ -268,25 +279,15 @@ class _Thread:
         self.cflow: list[CflowFrame] = []
 
 
-def _eligible(t: _Thread) -> bool:
-    if t.status == RUNNABLE:
-        return True
-    if t.status == BLOCKED:
-        return t.monitor is not None and t.monitor.holder is None
-    return False
-
-
 def detect_deadlock(threads: list[_Thread], step: int) -> DeadlockReport | None:
-    """Report the stuck threads, or None while anything can still run."""
-    unfinished = [t for t in threads if t.status != FINISHED]
-    if not unfinished or any(_eligible(t) for t in threads):
-        return None
+    """The report of a run no thread can continue: each thread parked on a
+    monitor, in thread order. None when no thread is parked."""
     stuck = [
         StuckThread(t.tid, t.monitor, t.monitor.holder, t.status)
-        for t in unfinished
+        for t in threads
         if t.monitor is not None
     ]
-    return DeadlockReport(step, stuck)
+    return DeadlockReport(step, stuck) if stuck else None
 
 
 class Interp:
@@ -299,13 +300,10 @@ class Interp:
         self.threads: list[_Thread] = []
         self.rotation: list[int] = []
         self.rot_pos = 0
-        # (rotation index, thread) of each unfinished thread, in rotation
-        # order, and for each rotation index the position in `live` of the
-        # first entry at or after it, wrapping; rebuilt on spawn and finish
-        self.live: list[tuple[int, _Thread]] = []
-        self.live_from: list[int] = []
+        self.ready = 0  # bit i: the thread at rotation[i] can run
         self.current: _Thread | None = None
-        self.picked: _Thread | None = None  # the pick a scheduling point yielded on
+        self.cur_idx = -1  # the rotation index of `current`
+        self.picked: int | None = None  # the pick a scheduling point yielded on
         self.steps = 0
         self.records: list[tuple[int, int, str, str]] = []
         self.next_obj = 0
@@ -330,56 +328,88 @@ class Interp:
         tid = len(self.threads)
         t = _Thread(tid, gen)
         self.threads.append(t)
-        if not self.rotation:
-            self.rotation.append(tid)
-        else:
+        idx = 0
+        if self.rotation:
             idx = self.rng.randrange(len(self.rotation) + 1)
-            self.rotation.insert(idx, tid)
             if idx <= self.rot_pos:
                 self.rot_pos += 1
-        self._rebuild_live()
+            if idx <= self.cur_idx:
+                self.cur_idx += 1
+        self.rotation.insert(idx, tid)
+        low = self.ready & ((1 << idx) - 1)
+        self.ready = (self.ready - low) << 1 | low | 1 << idx
         return tid
 
-    def finish_thread(self, t: _Thread) -> None:
-        t.status = FINISHED
-        self._rebuild_live()
+    def finish_thread(self) -> None:
+        self.current.status = FINISHED
+        self.ready &= ~(1 << self.cur_idx)
 
-    def _rebuild_live(self) -> None:
-        threads = self.threads
-        self.live = live = [
-            (idx, threads[tid])
-            for idx, tid in enumerate(self.rotation)
-            if threads[tid].status != FINISHED
-        ]
-        live_from = []
-        pos = 0
-        for idx in range(len(self.rotation)):
-            while pos < len(live) and live[pos][0] < idx:
-                pos += 1
-            live_from.append(pos if pos < len(live) else 0)
-        self.live_from = live_from
+    def _park(self, status: str, mon: Monitor) -> None:
+        """The running thread parks BLOCKED or WAITING on `mon`."""
+        t = self.current
+        t.status = status
+        t.monitor = mon
+        bit = 1 << self.cur_idx
+        if status == BLOCKED:
+            mon.blocked.append(t)
+            mon.bits |= bit
+        else:
+            mon.waiting.append(t)
+        self.ready &= ~bit
 
-    def pick_next(self) -> _Thread | None:
-        """The first eligible thread in rotation order from `rot_pos`."""
-        live = self.live
-        n = len(live)
-        start = self.live_from[self.rot_pos]
-        for off in range(n):
-            idx, t = live[(start + off) % n]
-            if _eligible(t):
-                self.rot_pos = (idx + 1) % len(self.rotation)
-                return t
-        return None
+    def _set_holder(self, mon: Monitor, tid: int | None) -> None:
+        """Give `mon` to thread `tid`, or free it (None): a thread BLOCKED on
+        it can run exactly while it is free."""
+        mon.holder = tid
+        if mon.blocked:
+            if mon.bits_at != len(self.rotation):  # a spawn or notify since
+                mon.bits = sum(1 << self.rotation.index(w.tid) for w in mon.blocked)
+                mon.bits_at = len(self.rotation)
+            self.ready = self.ready | mon.bits if tid is None else self.ready & ~mon.bits
+
+    def _notify_all(self, mon: Monitor) -> None:
+        for w in mon.waiting:
+            w.status = BLOCKED
+        mon.blocked += mon.waiting
+        mon.waiting.clear()
+        mon.bits_at = -1
+
+    def _resume(self, idx: int) -> _Thread:
+        """Run the thread at rotation index `idx` next; a BLOCKED one leaves
+        its monitor's list, as it was picked only once the monitor was free."""
+        self.cur_idx = idx
+        self.current = t = self.threads[self.rotation[idx]]
+        if t.status == BLOCKED:
+            t.status = RUNNABLE
+            t.monitor.blocked.remove(t)
+            t.monitor.bits &= ~(1 << idx)
+            t.monitor = None
+        return t
+
+    def pick_next(self) -> int | None:
+        """The rotation index of the first eligible thread from `rot_pos`,
+        wrapping, with `rot_pos` moved past it; None when none can run."""
+        ready = self.ready
+        pos = self.rot_pos
+        later = ready >> pos
+        if later:
+            idx = pos + (later & -later).bit_length() - 1
+        elif ready:
+            idx = (ready & -ready).bit_length() - 1
+        else:
+            return None
+        self.rot_pos = (idx + 1) % len(self.rotation)
+        return idx
 
     def _switch(self) -> bool:
         """A scheduling point of the running thread: take the step in place
         when the scheduler picks that thread again within the step limit,
         else keep the pick for `run` and return True (the caller yields)."""
-        t = self.pick_next()
-        if t is self.current and self.steps < self.step_limit:
+        idx = self.pick_next()
+        if idx == self.cur_idx and self.steps < self.step_limit:
             self.steps += 1
             return False
-        self.picked = t
+        self.picked = idx
         return True
 
     def run(self, entry: str) -> ExecutionResult:
@@ -388,10 +418,10 @@ class Interp:
         while True:
             # a scheduling point that yielded left its pick; a parked or
             # finished thread did not
-            t, self.picked = self.picked, None
-            if t is None:
-                t = self.pick_next()
-            if t is None:
+            idx, self.picked = self.picked, None
+            if idx is None:
+                idx = self.pick_next()
+            if idx is None:
                 report = detect_deadlock(self.threads, self.steps)
                 if report is None:
                     return self._result("completed")
@@ -399,14 +429,11 @@ class Interp:
             if self.steps >= self.step_limit:
                 return self._result("step-limit-exceeded")
             self.steps += 1
-            self.current = t
-            if t.status == BLOCKED:
-                t.status = RUNNABLE
-                t.monitor = None
+            t = self._resume(idx)
             try:
                 next(t.gen)
             except StopIteration:
-                self.finish_thread(t)
+                self.finish_thread()
                 self.emit("finish", "")
             except MiniRuntimeError as e:
                 return self._result("runtime-error", error=str(e))
@@ -467,7 +494,7 @@ class Interp:
         t.frames.pop()
         for mon in env.acquired:
             if mon.holder == t.tid:
-                mon.holder = None
+                self._set_holder(mon, None)
 
     # -- join point dispatch
 
@@ -786,7 +813,7 @@ class Interp:
         if name == "monitor_release":
             if mon.holder != t.tid:
                 raise MiniRuntimeError("release of a monitor not held", loc)
-            mon.holder = None
+            self._set_holder(mon, None)
             for frame in reversed(t.frames):
                 if mon in frame.acquired:
                     frame.acquired.remove(mon)
@@ -795,25 +822,21 @@ class Interp:
         if name == "monitor_notify_all":
             if mon.holder != t.tid:
                 raise MiniRuntimeError("notify on a monitor not held", loc)
-            for other in self.threads:
-                if other.status == WAITING and other.monitor is mon:
-                    other.status = BLOCKED
+            self._notify_all(mon)
             return None
         if name == "monitor_wait":
             if mon.holder != t.tid:
                 raise MiniRuntimeError("wait on a monitor not held", loc)
             # atomic release-and-park; re-acquire before continuing
-            mon.holder = None
-            t.status = WAITING
-            t.monitor = mon
+            self._set_holder(mon, None)
+            self._park(WAITING, mon)
             yield None
         elif name != "monitor_acquire":
             raise MiniRuntimeError(f"unknown builtin {name!r}", loc)
         while mon.holder is not None:  # parked until pick_next finds it free
-            t.status = BLOCKED
-            t.monitor = mon
+            self._park(BLOCKED, mon)
             yield None
-        mon.holder = t.tid
+        self._set_holder(mon, t.tid)
         if name == "monitor_acquire":
             env.acquired.append(mon)
         return None
@@ -831,7 +854,7 @@ class Interp:
             if name in JpInfo.FIELDS:
                 return getattr(obj, name)
             raise MiniRuntimeError(f"unknown join point attribute {name!r}", loc)
-        raise MiniRuntimeError(f"unknown field {name!r} on {render_value(obj)}", loc)
+        raise MiniRuntimeError(f"unknown field {name!r} on {shown_value(obj)}", loc)
 
     def field_write(self, obj, name: str, value, loc: Loc) -> None:
         if obj is None:
@@ -841,7 +864,7 @@ class Interp:
                 obj.fields[name] = value
                 return
             raise MiniRuntimeError(f"unknown field {name!r} on {obj.cls.name}", loc)
-        raise MiniRuntimeError(f"cannot write field {name!r} on {render_value(obj)}", loc)
+        raise MiniRuntimeError(f"cannot write field {name!r} on {shown_value(obj)}", loc)
 
     def index_check(self, seq, idx, loc: Loc) -> None:
         if not isinstance(seq, list):
@@ -854,11 +877,11 @@ class Interp:
     def as_bool(self, value, loc: Loc) -> bool:
         if isinstance(value, bool):
             return value
-        raise MiniRuntimeError(f"expected a bool, got {render_value(value)}", loc)
+        raise MiniRuntimeError(f"expected a bool, got {shown_value(value)}", loc)
 
     def as_int(self, value, loc: Loc) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise MiniRuntimeError(f"expected an int, got {render_value(value)}", loc)
+            raise MiniRuntimeError(f"expected an int, got {shown_value(value)}", loc)
         return value
 
 

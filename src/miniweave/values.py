@@ -32,14 +32,22 @@ class MObject:
 
 
 class Monitor:
-    """Non-reentrant monitor: re-acquisition by the holder blocks forever."""
+    """Non-reentrant monitor: re-acquisition by the holder blocks forever.
+    The interpreter keeps the threads parked on it in `blocked` (waiting to
+    acquire it) and `waiting` (in `monitor_wait`, until a notify), and in
+    `bits` the rotation bits of `blocked`, valid while the rotation holds
+    `bits_at` threads."""
 
-    __slots__ = ("num", "holder", "created_at")
+    __slots__ = ("num", "holder", "created_at", "blocked", "waiting", "bits", "bits_at")
 
     def __init__(self, num: int, created_at: Loc | None = None):
         self.num = num
         self.holder: int | None = None
         self.created_at = created_at
+        self.blocked: list = []
+        self.waiting: list = []
+        self.bits = 0
+        self.bits_at = 0
 
     def __repr__(self) -> str:
         return f"<monitor:{self.num}>"
@@ -102,6 +110,14 @@ def render_value(value) -> str:
     if isinstance(value, JpInfo):
         return value.signature
     return repr(value)
+
+
+def shown_value(value) -> str:
+    """`value` as an error message names it: rendered, unless too large."""
+    try:
+        return render_value(value)
+    except MiniRuntimeError:
+        return "a value too large to print"
 
 
 def _render_nested(top: list) -> str:

@@ -10,6 +10,7 @@ test can check the woven or compiled result against it:
 - `restricted_keys`: a match table as (advice, shadow, residue) triples
   that do not depend on shadow ids;
 - `edges`/`thread_ids`: the waits-for graph of a deadlock report;
+- `eligible`/`ScanInterp`: the scheduler as a scan of every thread's state;
 - `parse_aspect`: a source that holds exactly one aspect.
 """
 
@@ -21,7 +22,7 @@ import miniweave.minilang as ml
 from miniweave.aspects import AdviceDecl, AspectDecl, parse_aspect_file
 from miniweave.diagnostics import CompileError, Loc, ParseError
 from miniweave.dsal_cool import CoordinatorDecl
-from miniweave.interp import DeadlockReport
+from miniweave.interp import BLOCKED, RUNNABLE, DeadlockReport, Interp
 from miniweave.joinpoints import Shadow
 from miniweave.matching import MatchTable, advice_sort_key, precedence_ranks, render_residue
 
@@ -156,6 +157,40 @@ def thread_ids(report: DeadlockReport) -> set[int]:
 def edges(report: DeadlockReport) -> list[tuple[int, int]]:
     """(waiter, holder) for each stuck thread whose monitor has a holder."""
     return [(s.tid, s.holder) for s in report.stuck if s.holder is not None]
+
+
+# ---------------------------------------------------------------------------
+# Scheduling by scan
+# ---------------------------------------------------------------------------
+
+
+def eligible(t) -> bool:
+    """A thread can run: RUNNABLE, or BLOCKED on a monitor no one holds."""
+    if t.status == RUNNABLE:
+        return True
+    if t.status == BLOCKED:
+        return t.monitor is not None and t.monitor.holder is None
+    return False
+
+
+class ScanInterp(Interp):
+    """The interpreter with the full-rotation scan for a scheduler: each
+    pick tests every thread from the cursor on, finished ones included, and
+    reads only thread and monitor state, never the `ready` mask. Each pick
+    also checks that the mask holds exactly the threads the scan finds
+    eligible."""
+
+    def pick_next(self) -> int | None:
+        n = len(self.rotation)
+        ok = [eligible(self.threads[tid]) for tid in self.rotation]
+        mask = sum(1 << i for i, e in enumerate(ok) if e)
+        assert mask == self.ready, f"step {self.steps}: ready {self.ready:b}, scan {mask:b}"
+        for off in range(n):
+            idx = (self.rot_pos + off) % n
+            if ok[idx]:
+                self.rot_pos = (idx + 1) % n
+                return idx
+        return None
 
 
 # ---------------------------------------------------------------------------

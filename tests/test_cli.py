@@ -706,6 +706,25 @@ def test_printing_a_huge_int_is_a_located_runtime_error(workdir, capsys, call):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "stmt, message",
+    [
+        ("if (x) { }", "expected a bool, got"),
+        ("var y = -[x];", "expected an int, got"),
+        ("x.m();", "unknown method 'm' on"),
+        ("var y = x.f;", "unknown field 'f' on"),
+        ("x.f = 1;", "cannot write field 'f' on"),
+    ],
+    ids=["bool", "int", "method", "field-read", "field-write"],
+)
+def test_an_error_naming_a_huge_int_is_located(workdir, capsys, stmt, message):
+    (workdir / "prog.ml0").write_text(_HUGE_HEAD + f"    {stmt}\n  }}\n}}\n")
+    code = main(["run", "prog.ml0"])
+    err = f"runtime error: prog.ml0:6: {message} a value too large to print\n"
+    assert capsys.readouterr() == ("", err)
+    assert code == 3
+
+
 # An aspect singleton: `before` advice on `Main.main` (line 5 of a.ma0),
 # then stdout and stderr.
 _ASPECT_HEAD = "aspect A {\n  var n = 7;\n  def h(x) { return x + 1; }\n  def w() { print(\"w\"); }\n"
