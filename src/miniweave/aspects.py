@@ -10,6 +10,11 @@ bindings `thisObject`, `targetObject`, `args` and `jp`, so one resolver,
 are implicitly privileged: advice and helper bodies may read or write
 fields of any object.
 
+A pointcut is a tree of frozen nodes: `PcKind` (execution, call, get or
+set, with the shadow kind `KIND_OF_WORD` gives its word), `PcBinding` (this
+or target), `PcWithin`, `PcArgs` and `PcCflow`, combined by `PcAnd`, `PcOr`
+and `PcNot`. A node's `str` is source text that parses back to an equal node.
+
 Annotations: `@hideType` on an aspect, `@hideField` on aspect fields,
 `@hideMethod` on helpers or advice, and `@order(<number>)` /
 `@loc(file=..., line=..., module=...)` on advice only.
@@ -24,6 +29,7 @@ from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError
 from .joinpoints import ShadowKind
 from .lexer import EOF, INT, NAME, PUNCT, STRING
+from .render import escape_string
 
 ADVICE_BINDINGS = ("thisObject", "targetObject", "args", "jp")
 
@@ -33,67 +39,39 @@ ADVICE_BINDINGS = ("thisObject", "targetObject", "args", "jp")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamePattern:
-    """`Class.member` with `*` usable for either segment; a bare segment
-    means "any class, this member"."""
+# the word of each kinded primitive, with the shadow kind it fixes
+KIND_OF_WORD = {
+    "execution": ShadowKind.METHOD_EXECUTION,
+    "call": ShadowKind.METHOD_CALL,
+    "get": ShadowKind.FIELD_GET,
+    "set": ShadowKind.FIELD_SET,
+}
+_WORD_OF_KIND = {kind: word for word, kind in KIND_OF_WORD.items()}
 
+
+@dataclass(frozen=True)
+class PcKind:
+    """`execution`, `call`, `get` or `set` of `Class.member`, with `*`
+    usable for either segment; a bare segment means "any class, this
+    member". The only primitive that fixes a shadow's kind statically."""
+
+    kind: ShadowKind
     cls: str  # literal name or "*"
-    member: str
+    member: str  # literal name or "*"
 
     def __str__(self) -> str:
-        return f"{self.cls}.{self.member}"
-
-    def member_matches(self, name: str) -> bool:
-        return self.member == "*" or self.member == name
+        return f"{_WORD_OF_KIND[self.kind]}({self.cls}.{self.member})"
 
 
 @dataclass(frozen=True)
-class PcExecution:
-    pattern: NamePattern
+class PcBinding:
+    """`this(Type)` or `target(Type)`: a runtime test of one binding's class."""
 
-    def __str__(self) -> str:
-        return f"execution({self.pattern})"
-
-
-@dataclass(frozen=True)
-class PcCall:
-    pattern: NamePattern
-
-    def __str__(self) -> str:
-        return f"call({self.pattern})"
-
-
-@dataclass(frozen=True)
-class PcGet:
-    pattern: NamePattern
-
-    def __str__(self) -> str:
-        return f"get({self.pattern})"
-
-
-@dataclass(frozen=True)
-class PcSet:
-    pattern: NamePattern
-
-    def __str__(self) -> str:
-        return f"set({self.pattern})"
-
-
-@dataclass(frozen=True)
-class PcThis:
+    binding: str  # "this" | "target"
     type_name: str
 
     def __str__(self) -> str:
-        return f"this({self.type_name})"
-
-
-@dataclass(frozen=True)
-class PcTarget:
-    type_name: str
-
-    def __str__(self) -> str:
-        return f"target({self.type_name})"
+        return f"{self.binding}({self.type_name})"
 
 
 _WILDCARD = object()
@@ -114,7 +92,7 @@ class PcArgs:
         if isinstance(self.value, bool):
             lit = "true" if self.value else "false"
         elif isinstance(self.value, str):
-            lit = f'"{self.value}"'
+            lit = f'"{escape_string(self.value)}"'
         elif self.value is None:
             lit = "null"
         else:
@@ -168,19 +146,10 @@ def _paren(pc) -> str:
     return str(pc)
 
 
-# the primitives that fix a shadow's kind statically, with that kind
-KIND_FOR_PRIM = {
-    PcExecution: ShadowKind.METHOD_EXECUTION,
-    PcCall: ShadowKind.METHOD_CALL,
-    PcGet: ShadowKind.FIELD_GET,
-    PcSet: ShadowKind.FIELD_SET,
-}
-
-
 def anchor(conjunct):
-    """A positive execution/call/get/set atom every match of `conjunct`
-    needs, or None if it has none."""
-    if type(conjunct) in KIND_FOR_PRIM:
+    """A positive `PcKind` every match of `conjunct` needs, or None if it
+    has none."""
+    if type(conjunct) is PcKind:
         return conjunct
     if type(conjunct) is PcAnd:
         for part in conjunct.parts:
@@ -391,30 +360,26 @@ class AspectParser(ml.MiniParser):
         loc = self.ts.loc()
         word = self.ts.expect(NAME)
         self.ts.expect(PUNCT, "(")
-        if word in ("execution", "call", "get", "set"):
-            pattern = self.parse_name_pattern()
-            self.ts.expect(PUNCT, ")")
-            return {
-                "execution": PcExecution,
-                "call": PcCall,
-                "get": PcGet,
-                "set": PcSet,
-            }[word](pattern)
-        if word in ("this", "target", "within"):
-            type_name = self.ts.expect(NAME)
-            self.ts.expect(PUNCT, ")")
-            return {"this": PcThis, "target": PcTarget, "within": PcWithin}[word](type_name)
-        if word == "args":
+        if word in KIND_OF_WORD:
+            first = self.parse_pattern_segment()
+            if self.ts.accept(PUNCT, "."):
+                pc = PcKind(KIND_OF_WORD[word], first, self.parse_pattern_segment())
+            else:  # bare segment: any class, this member
+                pc = PcKind(KIND_OF_WORD[word], "*", first)
+        elif word in ("this", "target"):
+            pc = PcBinding(word, self.ts.expect(NAME))
+        elif word == "within":
+            pc = PcWithin(self.ts.expect(NAME))
+        elif word == "args":
             pos = self.ts.expect_int()
             self.ts.expect(PUNCT, ",")
-            value = self.parse_args_literal()
-            self.ts.expect(PUNCT, ")")
-            return PcArgs(pos, value)
-        if word == "cflow":
-            inner = self.nested(self.parse_pointcut)
-            self.ts.expect(PUNCT, ")")
-            return PcCflow(inner)
-        raise ParseError(f"unknown pointcut primitive {word!r}", loc)
+            pc = PcArgs(pos, self.parse_args_literal())
+        elif word == "cflow":
+            pc = PcCflow(self.nested(self.parse_pointcut))
+        else:
+            raise ParseError(f"unknown pointcut primitive {word!r}", loc)
+        self.ts.expect(PUNCT, ")")
+        return pc
 
     def parse_args_literal(self):
         if self.ts.accept(PUNCT, "*"):
@@ -436,14 +401,6 @@ class AspectParser(ml.MiniParser):
         if neg and self.ts.kind == INT:
             return -self.ts.expect_int()
         raise self.ts.error("expected a literal or * in args()")
-
-    def parse_name_pattern(self) -> NamePattern:
-        first = self.parse_pattern_segment()
-        if self.ts.accept(PUNCT, "."):
-            second = self.parse_pattern_segment()
-            return NamePattern(first, second)
-        # bare segment: any class, this member
-        return NamePattern("*", first)
 
     def parse_pattern_segment(self) -> str:
         if self.ts.accept(PUNCT, "*"):

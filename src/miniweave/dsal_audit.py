@@ -197,9 +197,11 @@ def gen_audit_aspect(model: AuditModel, catalog: dict[str, str]) -> str:
         for case in cmd.cases:
             if case.message not in catalog:
                 raise CompileError(f"unknown message id {case.message!r}", case.loc)
-    module = os.path.basename(model.path)
+    # escaped: both go into string literals, and the path into a one-line comment
+    path = escape_string(model.path)
+    module = escape_string(os.path.basename(model.path))
     out: list[str] = []
-    out.append(f"// generated by the audit transformer from {model.path}")
+    out.append(f"// generated by the audit transformer from {path}")
     out.append("@hideType")
     out.append("aspect Logs {")
     out.append("  @hideMethod")
@@ -217,7 +219,7 @@ def gen_audit_aspect(model: AuditModel, catalog: dict[str, str]) -> str:
                 pointcut += f" && args(0, {_PAUSE_ARG[transition]})"
             first_line = cases[0].loc.line
             out.append("")
-            out.append(f'  @loc(file="{model.path}", line={first_line}, module="{module}")')
+            out.append(f'  @loc(file="{path}", line={first_line}, module="{module}")')
             out.append(f"  after(): {pointcut} {{")
             indent = "    "
             if transition == "finish":

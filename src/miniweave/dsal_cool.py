@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError
 from .lexer import EOF, NAME, PUNCT
-from .render import render_block, render_expr
+from .render import escape_string, render_block, render_expr
 
 # names the generated protocol code uses internally
 _RESERVED_COOL = {"t", "st", "i", "entry", "this", "thisObject", "targetObject", "args", "jp"}
@@ -302,7 +302,9 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
         slot += 1
     on_state = _renaming(index, ())
     aspect_name = f"Coord_{coord.target}"
-    module = os.path.basename(coord.path)
+    # escaped: both go into string literals, and the path into a one-line comment
+    path = escape_string(coord.path)
+    module = escape_string(os.path.basename(coord.path))
 
     init_exprs = ["0"] * len(methods)
     for _, init, _ in coord.conditions + coord.fields:
@@ -324,7 +326,7 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
         out.append("    }")
 
     out: list[str] = []
-    out.append(f"// generated by the cool transformer from {coord.path}")
+    out.append(f"// generated by the cool transformer from {path}")
     out.append("@hideType")
     out.append(f"aspect {aspect_name} {{")
     out.append("  @hideField")
@@ -388,7 +390,7 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
 
     for m in methods:
         line = clause_line(coord, m)
-        bridge = f'@loc(file="{coord.path}", line={line}, module="{module}")'
+        bridge = f'@loc(file="{path}", line={line}, module="{module}")'
         out.append("")
         out.append(f"  {bridge}")
         out.append(f"  before(): execution({coord.target}.{m}) {{")

@@ -179,12 +179,13 @@ def _receiver_class(expr, self_cls: str, locals_map) -> str | None:
 
 class _Extractor:
     def __init__(self):
-        # (loc, seq, kind, cls, member, arity, within_cls, within_member, node)
-        self.records: list[tuple] = []
+        self.shadows: list[Shadow] = []
 
     def add(self, kind, loc, node, cls, member, arity, within_cls, within_member) -> None:
-        seq = len(self.records)
-        self.records.append((loc, seq, kind, cls, member, arity, within_cls, within_member, node))
+        # sid 0 until `finish` numbers the shadows
+        self.shadows.append(
+            Shadow(0, kind, cls, member, arity, within_cls, within_member, loc, node)
+        )
 
     def take_body(self, nodes, self_cls: str, within_member: str, locals_map) -> None:
         """Add the call, get and set shadows of one body from its `nodes`,
@@ -254,14 +255,13 @@ class _Extractor:
             self.take_method(m, owner.name, m.name)
 
     def finish(self) -> ShadowTable:
-        self.records.sort(key=lambda r: (r[0].path, r[0].line, r[0].col, r[1]))
-        return ShadowTable(
-            [
-                Shadow(sid, kind, cls, member, arity, within_cls, within_member, loc, node)
-                for sid, (loc, _seq, kind, cls, member, arity, within_cls, within_member, node)
-                in enumerate(self.records)
-            ]
-        )
+        """Number the shadows in source order; the sort is stable, so shadows
+        at one location keep the order they were added in."""
+        shadows = self.shadows
+        shadows.sort(key=lambda s: (s.loc.path, s.loc.line, s.loc.col))
+        for sid, shadow in enumerate(shadows):
+            shadow.sid = sid
+        return ShadowTable(shadows)
 
 
 def extract_shadows(program: ml.Program, aspects=()) -> ShadowTable:

@@ -1,24 +1,25 @@
 """Pointcut matching, advice ordering, and the match table.
 
-Static matching decides execution/call/get/set and within against the
-shadow; this/target/args/cflow tests are collected into a residue that the
-interpreter evaluates at dispatch time. When a call/get/set shadow's
-receiver class could not be resolved statically, a concrete class segment
-in the pattern also becomes a residue (a runtime target-class test).
+Static matching decides each `PcKind` (execution/call/get/set) and within
+against the shadow; `PcBinding` (this/target), args and cflow tests are
+collected into a residue that the interpreter evaluates at dispatch time.
+When a call/get/set shadow's receiver class could not be resolved
+statically, a concrete class segment in the pattern also becomes a residue
+(a runtime `target` test).
 
 The match table is built with kinded fast-match: `aspects.check_matchable`
 guarantees every top-level disjunct an `aspects.anchor`, a positive
-execution/call/get/set atom, and a shadow can only match that disjunct if
-its kind and member agree with the atom, and, when the shadow's class is
-known statically, its class too. Each advice is indexed under (ShadowKind,
-member, class) of its anchor per disjunct, with "*" for a wildcard member or
-class, so a shadow runs the full `match` only on the advice filed under its
-kind, its member or "*", and its class or "*". A shadow of unknown class
-gets every class's advice, since `match` turns the class into a `target`
-residue. Advice reaches the table only through the aspect parser,
-so there is no fallback for an unanchored disjunct. The advice is sorted
-into precedence order once per build, by `advice_sort_key` over the
-`precedence_ranks` map, and the index keeps that order.
+`PcKind`, and a shadow can only match that disjunct if its kind and member
+agree with the anchor, and, when the shadow's class is known statically,
+its class too. Each advice is indexed under the anchor's (kind, member,
+class) per disjunct, with "*" for a wildcard member or class, so a shadow
+runs the full `match` only on the advice filed under its kind, its member
+or "*", and its class or "*". A shadow of unknown class gets every class's
+advice, since `match` turns the class into a `target` residue. Advice
+reaches the table only through the aspect parser, so there is no fallback
+for an unanchored disjunct. The advice is sorted into precedence order once
+per build, by `advice_sort_key` over the `precedence_ranks` map, and the
+index keeps that order.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ from dataclasses import dataclass
 from math import inf
 
 from .aspects import (
-    KIND_FOR_PRIM,
     AdviceDecl,
     AspectDecl,
     PcAnd,
     PcArgs,
+    PcBinding,
     PcCflow,
+    PcKind,
     PcNot,
     PcOr,
-    PcTarget,
-    PcThis,
     PcWithin,
     anchor,
 )
@@ -61,20 +61,20 @@ def match(pc, shadow: Shadow):
     a negated residue; combinators fold the three-valued outcomes.
     """
     cls = type(pc)
-    if cls in KIND_FOR_PRIM:
-        if shadow.kind is not KIND_FOR_PRIM[cls]:
+    if cls is PcKind:
+        if shadow.kind is not pc.kind:
             return None
-        if not pc.pattern.member_matches(shadow.member):
+        if pc.member != "*" and pc.member != shadow.member:
             return None
-        if pc.pattern.cls == "*":
+        if pc.cls == "*":
             return TRUE
         if shadow.cls is None:
             # receiver class unknown statically: test the runtime target
-            return PcTarget(pc.pattern.cls)
-        return TRUE if pc.pattern.cls == shadow.cls else None
+            return PcBinding("target", pc.cls)
+        return TRUE if pc.cls == shadow.cls else None
     if cls is PcWithin:
         return TRUE if shadow.within_cls == pc.type_name else None
-    if cls in (PcThis, PcTarget, PcArgs, PcCflow):
+    if cls in (PcBinding, PcArgs, PcCflow):
         return pc
     if cls is PcNot:
         inner = match(pc.inner, shadow)
@@ -185,9 +185,9 @@ def _index_advice(ordered: list[AdviceDecl]) -> dict[ShadowKind, dict[str, dict]
         pc = adv.pointcut
         for disjunct in pc.parts if type(pc) is PcOr else (pc,):
             atom = anchor(disjunct)
-            by_member = anchors.setdefault(KIND_FOR_PRIM[type(atom)], {})
-            by_class = by_member.setdefault(atom.pattern.member, {})
-            by_class.setdefault(atom.pattern.cls, set()).add(pos)
+            by_member = anchors.setdefault(atom.kind, {})
+            by_class = by_member.setdefault(atom.member, {})
+            by_class.setdefault(atom.cls, set()).add(pos)
     index: dict[ShadowKind, dict[str, dict]] = {}
     for kind, by_member in anchors.items():
         wild = by_member.get("*", {})
@@ -274,10 +274,9 @@ def eval_residue(residue, this_obj, target_obj, args, frames) -> bool:
     if residue is TRUE:
         return True
     cls = type(residue)
-    if cls is PcThis:
-        return class_name_of(this_obj) == residue.type_name
-    if cls is PcTarget:
-        return class_name_of(target_obj) == residue.type_name
+    if cls is PcBinding:
+        obj = this_obj if residue.binding == "this" else target_obj
+        return class_name_of(obj) == residue.type_name
     if cls is PcArgs:
         if residue.position >= len(args):
             return False

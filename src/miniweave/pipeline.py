@@ -163,9 +163,7 @@ def compile(paths: list[str], options: CompileOptions | None = None) -> CompileA
             elif path.endswith(".ma0"):
                 part = parse_aspect_file(read_source(path), path)
                 aspects.extend(part.aspects)
-                for name in part.precedence:
-                    if name not in precedence:
-                        precedence.append(name)
+                precedence.extend(part.precedence)
             else:
                 raise CompileError(f"{path}: unsupported input (no transformation registered)")
         program = ml.Program(classes)

@@ -28,9 +28,7 @@ def build_unit(
     for i, src in enumerate(aspect_srcs):
         part = parse_aspect_file(src, f"aspects{i}.ma0")
         aspects.extend(part.aspects)
-        for name in part.precedence:
-            if name not in precedence:
-                precedence.append(name)
+        precedence.extend(part.precedence)
     return WovenUnit.build(program, aspects, precedence, strip_hide=strip_hide)
 
 

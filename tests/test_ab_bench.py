@@ -50,3 +50,34 @@ def test_metrics_are_read_from_the_benchmark_declaration():
     names = dict(ab_bench.end_to_end_metrics())
     assert names["compile_ms_p50"] == "lower"
     assert names["steps_per_s"] == "higher"
+
+
+def test_rows_flag_a_median_worse_than_its_bound():
+    parent = [{"setup_s": v, "steps_per_s": s} for v, s in [(0.10, 200), (0.12, 210), (0.11, 190)]]
+    change = [{"setup_s": v, "steps_per_s": s} for v, s in [(0.14, 170), (0.13, 150), (0.15, 160)]]
+    metrics = [("setup_s", "lower"), ("steps_per_s", "higher")]
+    rows = ab_bench.summarize(parent, change, metrics, {"setup_s": 0.25, "steps_per_s": 0.2})
+    setup_row, steps_row = rows
+    # 0.11 -> 0.14 is 27% worse; 200 -> 160 is 20% worse, not more
+    assert setup_row["over_bound"] and not steps_row["over_bound"]
+    rows = ab_bench.summarize(parent, change, metrics, {"setup_s": 0.3, "steps_per_s": 0.19})
+    assert [r["over_bound"] for r in rows] == [False, True]
+    # a gain is never over its bound
+    assert not ab_bench.summarize(change, parent, metrics, {"setup_s": 0, "steps_per_s": 0})[0][
+        "over_bound"
+    ]
+    table = ab_bench.render(rows, 3).splitlines()
+    assert table[0].endswith("| gap > parent IQR | worse by > bound |")
+    assert table[1] == "|---|---|---|---|---|---|---|---|"
+    assert table[2].endswith("| no (0.3) |")
+    assert table[3].endswith("| YES (0.19) |")
+
+
+def test_workloads_are_one_a_list_or_all():
+    assert ab_bench.select_workloads("spy_deep") == ["spy_deep"]
+    assert ab_bench.select_workloads("spy_deep, weave_large") == ["spy_deep", "weave_large"]
+    assert ab_bench.select_workloads("all") == [
+        "weave_large", "jobs_audit", "stack_cool", "spy_deep"
+    ]
+    with pytest.raises(ValueError, match="unknown workload"):
+        ab_bench.select_workloads("spy_deep,nope")

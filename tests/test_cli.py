@@ -811,3 +811,32 @@ def test_weave_error_in_generated_file_names_its_input(workdir, capsys):
         f"error: {gen}:3: duplicate aspect 'Logs' (generated from demo/more.audit)\n",
     )
     assert code == 1
+
+
+# a directory name that is no plain string literal: `"` and `\`
+_ODD_DIR = 'we"ird\\dir'
+
+
+@pytest.mark.parametrize(
+    "demo, inputs",
+    [
+        ("demo_stack", ["stack.ml0", "stack.cool", "auditor.ma0"]),
+        ("demo", ["jobs.ml0", "jobs.audit"]),
+    ],
+    ids=["cool", "audit"],
+)
+def test_dsal_input_in_a_quoted_directory_runs(workdir, capsys, demo, inputs):
+    # the generated @loc(file=..., module=...) values are escaped string
+    # literals, so they parse, and the bridged handle names the raw path
+    shutil.copytree(demo, _ODD_DIR)
+    paths = [os.path.join(_ODD_DIR, name) for name in inputs]
+    dsals = os.path.join(_ODD_DIR, "dsals.txt")
+    assert main(["run", *paths, "--dsals", dsals, "--gen-dir", "g1"]) == 0
+    assert main(["relationships", *paths, "--dsals", dsals, "--gen-dir", "g2",
+                 "-o", "rel.json"]) == 0
+    capsys.readouterr()
+    dsal_path = paths[1]
+    rel = json.loads((workdir / "rel.json").read_text())
+    bridged = [r for r in rel["advises"] if r["module"] == os.path.basename(dsal_path)]
+    assert bridged
+    assert all(r["advice"].startswith(dsal_path + ":") for r in bridged)

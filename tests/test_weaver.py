@@ -11,25 +11,25 @@ from hypothesis import strategies as st
 import miniweave as mw
 import miniweave.minilang as ml
 from miniweave.aspects import (
-    NamePattern,
+    AspectParser,
     PcAnd,
     PcArgs,
-    PcCall,
+    PcBinding,
     PcCflow,
-    PcExecution,
-    KIND_FOR_PRIM,
+    PcKind,
     PcNot,
     PcOr,
-    PcThis,
     PcWithin,
     anchor,
     parse_aspect_file,
     resolve_aspects,
 )
 from miniweave.diagnostics import CompileError, ParseError
+from miniweave.lexer import EOF
 from miniweave.joinpoints import ShadowKind, apply_hide_filter, collect_hide_specs, extract_shadows
 from miniweave.matching import TRUE, build_match_table, match, render_residue
 
+from conftest import build_unit
 from oracles import parse_aspect
 from randprog import random_program_source
 
@@ -119,7 +119,7 @@ class TestMatch:
     def test_universal_call_pattern(self):
         table = table_for("class A { def f() { this.f(); } }")
         call = shadow(table, ShadowKind.METHOD_CALL, "A.f/0")
-        pc = PcCall(NamePattern("*", "*"))
+        pc = PcKind(ShadowKind.METHOD_CALL, "*", "*")
         assert match(pc, call) is TRUE
         execution = shadow(table, ShadowKind.METHOD_EXECUTION, "A.f/0")
         assert match(pc, execution) is None
@@ -127,9 +127,11 @@ class TestMatch:
     def test_execution_with_this_residue(self):
         table = table_for("class CopyJob { def start() { } }")
         s = shadow(table, ShadowKind.METHOD_EXECUTION, "CopyJob.start/0")
-        pc = PcAnd((PcExecution(NamePattern("*", "start")), PcThis("CopyJob")))
+        pc = PcAnd(
+            (PcKind(ShadowKind.METHOD_EXECUTION, "*", "start"), PcBinding("this", "CopyJob"))
+        )
         residue = match(pc, s)
-        assert residue == PcThis("CopyJob")
+        assert residue == PcBinding("this", "CopyJob")
         assert render_residue(residue) == "this(CopyJob)"
 
     def test_cflow_collects_into_residue_and_within_is_static(self):
@@ -159,22 +161,29 @@ class TestMatch:
             "class A { var b = null; def f() { this.b.g(); } }"
         )
         call = shadow(table, ShadowKind.METHOD_CALL, "?.g/0")
-        from miniweave.aspects import PcTarget
-
-        assert match(PcCall(NamePattern("B", "g")), call) == PcTarget("B")
-        assert match(PcCall(NamePattern("*", "g")), call) is TRUE
-        assert match(PcCall(NamePattern("B", "other")), call) is None
+        assert match(PcKind(ShadowKind.METHOD_CALL, "B", "g"), call) == PcBinding("target", "B")
+        assert match(PcKind(ShadowKind.METHOD_CALL, "*", "g"), call) is TRUE
+        assert match(PcKind(ShadowKind.METHOD_CALL, "B", "other"), call) is None
 
     def test_not_folds_three_valued(self):
         table = table_for("class A { def f() { } }")
         s = shadow(table, ShadowKind.METHOD_EXECUTION, "A.f/0")
-        assert match(PcNot(PcExecution(NamePattern("*", "f"))), s) is None
-        assert match(PcNot(PcExecution(NamePattern("*", "g"))), s) is TRUE
-        assert match(PcNot(PcThis("A")), s) == PcNot(PcThis("A"))
+        assert match(PcNot(PcKind(ShadowKind.METHOD_EXECUTION, "*", "f")), s) is None
+        assert match(PcNot(PcKind(ShadowKind.METHOD_EXECUTION, "*", "g")), s) is TRUE
+        assert match(PcNot(PcBinding("this", "A")), s) == PcNot(PcBinding("this", "A"))
 
     def test_args_literal_renders(self):
         assert str(PcArgs(0, True)) == "args(0, true)"
         assert str(PcArgs(1, "x")) == 'args(1, "x")'
+
+    def test_args_string_residue_is_escaped(self):
+        # a string literal in args() is written back escaped, so the residue
+        # text in relationships.json parses as the pointcut it came from
+        src = r'aspect Spy { before(): execution(A.f) && args(0, "a\"b") && args(1, "c\\d") { } }'
+        unit = build_unit("class A { def f(x, y) { } }", src)
+        [(_, entry)] = list(unit.match_table.pairs())
+        assert render_residue(entry.residue) == r'args(0, "a\"b") && args(1, "c\\d")'
+        assert entry.residue == PcAnd((PcArgs(0, 'a"b'), PcArgs(1, "c\\d")))
 
 
 class TestBuildMatchTable:
@@ -271,6 +280,8 @@ class RandomPointcuts:
     `||` across kinds, `!`, within, this/target/args and nested cflow."""
 
     KINDS = ("execution", "call", "get", "set")
+    # as written in source; the strings hold an escaped `"` and `\`
+    ARGS_LITERALS = ("*", "1", "null", "-2", "true", r'"a\"b"', r'"c\\d"')
 
     def __init__(self, rng, classes, methods, fields, aspects):
         self.rng = rng
@@ -298,7 +309,7 @@ class RandomPointcuts:
             f"!within({t})",
             f"this({t})",
             f"target({t})",
-            f"args(0, {rng.choice(['*', '1', 'null', '-2', 'true'])})",
+            f"args(0, {rng.choice(self.ARGS_LITERALS)})",
             f"!{self.atom()}",
             f"({self.atom()} || {self.atom()})",
         ]
@@ -365,6 +376,27 @@ def test_match_table_equals_all_pairs_reference(seed):
     assert list(mt.shadows) == [s.sid for s in visible]
 
 
+def parse_pointcut_text(text: str):
+    parser = AspectParser(text, "pc")
+    pc = parser.parse_pointcut()
+    assert parser.ts.at(EOF)
+    return pc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_pointcut_text_round_trips(seed):
+    # what `str` writes, for an advice's pointcut and for a residue in
+    # relationships.json, parses back to the same node
+    aspects, visible, precedence = random_weave(seed)
+    for aspect in aspects:
+        for adv in aspect.advice:
+            assert parse_pointcut_text(str(adv.pointcut)) == adv.pointcut
+    for _, entry in build_match_table(aspects, visible, precedence).pairs():
+        if entry.residue is not TRUE:
+            assert parse_pointcut_text(render_residue(entry.residue)) == entry.residue
+
+
 def class_index_skips(advice, shadow) -> bool:
     """Whether `advice` has a disjunct anchored on the shadow's kind and
     member, and the class index still skips it: the shadow's class is known
@@ -373,11 +405,11 @@ def class_index_skips(advice, shadow) -> bool:
     atoms = [anchor(d) for d in (pc.parts if type(pc) is PcOr else (pc,))]
     atoms = [
         a for a in atoms
-        if KIND_FOR_PRIM[type(a)] is shadow.kind and a.pattern.member_matches(shadow.member)
+        if a.kind is shadow.kind and a.member in ("*", shadow.member)
     ]
     return (
         bool(atoms) and shadow.cls is not None
-        and all(a.pattern.cls not in ("*", shadow.cls) for a in atoms)
+        and all(a.cls not in ("*", shadow.cls) for a in atoms)
     )
 
 
@@ -395,7 +427,7 @@ def test_random_weaves_cover_the_pointcut_features():
         all_advice = [adv for aspect in aspects for adv in aspect.advice]
         for adv in all_advice:
             if type(adv.pointcut) is PcOr:
-                classes = {anchor(d).pattern.cls for d in adv.pointcut.parts} - {"*"}
+                classes = {anchor(d).cls for d in adv.pointcut.parts} - {"*"}
                 two_classes = two_classes or len(classes) >= 2
         skipped = skipped or any(class_index_skips(adv, s) for s in visible for adv in all_advice)
         for s, entry in mt.pairs():
