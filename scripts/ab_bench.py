@@ -18,7 +18,10 @@ pairs each side won (a tie counts for neither), whether the medians differ
 by more than the parent's interquartile range, and whether the change's
 median is worse than the parent's by more than the metric's `bound`: its
 relative change, (change - parent) / parent, or the negative of that where
-higher is better, exceeds the bound.
+higher is better, exceeds the bound. That column reads `unresolved` where
+it is not, but either side's interquartile range is wider than the bound
+times that side's median, so the runs spread too widely to tell; it reads
+`no` whenever every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ def summarize(parent: list[dict], change: list[dict], metrics, bounds=None) -> l
     """One row per metric present in every run: `parent` and `change` hold
     each pair's metric values ({name: value}), in pair order. With `bounds`
     ({name: bound}), each row also says whether the change's median is
-    worse than the parent's by more than its metric's bound."""
+    worse than the parent's by more than its metric's bound and, if not,
+    whether the runs spread too widely to tell (see the module docstring)."""
     rows = []
     for name, better in metrics:
         if not all(name in run for run in parent + change):
@@ -98,8 +102,11 @@ def summarize(parent: list[dict], change: list[dict], metrics, bounds=None) -> l
             "resolved": abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0],
         }
         if bounds is not None:
-            row["bound"] = bounds[name]
-            row["over_bound"] = sign * (ratio - 1) > bounds[name]
+            bound = row["bound"] = bounds[name]
+            row["over_bound"] = sign * (ratio - 1) > bound
+            spread = any(q[2] - q[0] > bound * q[1] for q in (p_q, c_q))
+            every_run_wins = all(sign * (b - a) < 0 for a in p for b in c)
+            row["unresolved"] = not row["over_bound"] and spread and not every_run_wins
         rows.append(row)
     return rows
 
@@ -120,9 +127,15 @@ def render(rows: list[dict], pairs: int) -> str:
             f"| {r['metric']} ({r['better']}) | {span(r['parent'])} | {span(r['change'])} "
             f"| {r['ratio']:.3f} | {r['change_wins']} | {r['parent_wins']} "
             f"| {'yes' if r['resolved'] else 'no'} |"
-            + (f" {'YES' if r['over_bound'] else 'no'} ({r['bound']:g}) |" if bounded else "")
+            + (f" {_verdict(r)} ({r['bound']:g}) |" if bounded else "")
         )
     return "\n".join(lines)
+
+
+def _verdict(row: dict) -> str:
+    if row["over_bound"]:
+        return "YES"
+    return "unresolved" if row["unresolved"] else "no"
 
 
 def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict:

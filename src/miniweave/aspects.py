@@ -3,10 +3,12 @@
 An aspect source file (`.ma0`) holds `precedence` statements and aspect
 declarations. An aspect is a class with advice, as AspectJ compiles one:
 `AspectDecl` is a `ClassDecl` whose helpers are its `methods`, parsed by
-the class rules, and its singleton is an object whose class is the aspect.
-An advice is a `MethodDecl` named `advice#<index>` whose parameters are its
-bindings `thisObject`, `targetObject`, `args` and `jp`, so one resolver,
-`minilang.resolve_owner`, resolves class and aspect bodies alike. Aspects
+the class rules (`MiniParser.parse_members`, with `AspectParser.parse_member`
+taking advice and `precedence` where a class takes a constructor or static
+block), and its singleton is an object whose class is the aspect. An
+advice is a `MethodDecl` named `advice#<index>` whose parameters are its
+bindings `thisObject`, `targetObject`, `args` and `jp`, so
+`minilang.resolve_program` resolves class and aspect bodies alike. Aspects
 are implicitly privileged: advice and helper bodies may read or write
 fields of any object.
 
@@ -206,6 +208,10 @@ class AspectDecl(ml.ClassDecl):
     advice: list[AdviceDecl]
     path: str
 
+    def bodies(self) -> list[ml.MethodDecl]:
+        """The helpers, then the advice."""
+        return [*self.methods, *self.advice]
+
 
 @dataclass
 class AspectFile:
@@ -219,21 +225,22 @@ class AspectFile:
 
 
 class AspectParser(ml.MiniParser):
+    """The class parser, with advice and `precedence` as an aspect's extra members."""
+
     def parse_file(self) -> AspectFile:
-        out = AspectFile()
+        self.out = out = AspectFile()
         while not self.ts.at(EOF):
             if self.ts.at_name("precedence"):
                 out.precedence.extend(self.parse_precedence())
                 continue
             anns = self.parse_annotations()
-            if not self.ts.at_name("aspect"):
+            loc = self.ts.loc()
+            if not self.ts.accept(NAME, "aspect"):
                 raise self.ts.error("expected 'aspect' or 'precedence'")
-            out.aspects.append(self.parse_aspect_decl(anns, out))
-        seen = set()
-        for a in out.aspects:
-            if a.name in seen:
-                raise ParseError(f"duplicate aspect {a.name!r}", a.loc)
-            seen.add(a.name)
+            name = self.parse_decl_name()
+            self.check_annotations(anns, ("hideType",), "an aspect")
+            aspect = AspectDecl(name, [], [], None, None, anns, loc, advice=[], path=self.path)
+            out.aspects.append(self.parse_members(aspect))
         return out
 
     def parse_precedence(self) -> list[str]:
@@ -244,42 +251,21 @@ class AspectParser(ml.MiniParser):
         self.ts.expect(PUNCT, ";")
         return names
 
-    def parse_aspect_decl(self, anns, out: AspectFile) -> AspectDecl:
-        loc = self.ts.loc()
-        self.ts.expect(NAME, "aspect")
-        name = self.parse_decl_name()
-        self.check_annotations(anns, ("hideType",), "an aspect")
-        self.ts.expect(PUNCT, "{")
-        fields: list = []
-        helpers: list = []
-        advice: list[AdviceDecl] = []
-        while not self.ts.accept(PUNCT, "}"):
-            if self.ts.at_name("precedence"):
-                out.precedence.extend(self.parse_precedence())
-                continue
-            member_anns = self.parse_annotations()
-            if self.ts.at_name("var"):
-                fields.append(self.parse_field(member_anns))
-            elif self.ts.at_name("def"):
-                for ann in member_anns:
-                    if ann.name in ("order", "loc"):
-                        raise ParseError(f"@{ann.name} is only allowed on advice", ann.loc)
-                helper = self.parse_method(member_anns)
-                if any(h.name == helper.name for h in helpers):
-                    raise ParseError(f"duplicate helper {name}.{helper.name!r}", helper.loc)
-                helpers.append(helper)
-            elif self.ts.at_name("before") or self.ts.at_name("after"):
-                advice.append(self.parse_advice(member_anns, len(advice)))
-            else:
-                raise self.ts.error("expected a field, helper, advice, or precedence")
-        self.check_fields(name, fields)
-        for adv in advice:
-            adv.aspect_name = name
-        return AspectDecl(
-            name, fields, helpers, None, None, anns, loc, advice=advice, path=self.path
-        )
+    def parse_method(self, anns) -> ml.MethodDecl:
+        for ann in anns:
+            if ann.name in ("order", "loc"):
+                raise ParseError(f"@{ann.name} is only allowed on advice", ann.loc)
+        return super().parse_method(anns)
 
-    def parse_advice(self, anns, index: int) -> AdviceDecl:
+    def parse_member(self, owner: AspectDecl, anns) -> None:
+        if self.ts.at_name("precedence") and not anns:
+            self.out.precedence.extend(self.parse_precedence())
+        elif self.ts.at_name("before") or self.ts.at_name("after"):
+            owner.advice.append(self.parse_advice(owner, anns))
+        else:
+            raise self.ts.error("expected a field, helper, advice, or precedence")
+
+    def parse_advice(self, owner: AspectDecl, anns) -> AdviceDecl:
         loc = self.ts.loc()
         kind = self.ts.advance()  # before | after
         self.ts.expect(PUNCT, "(")
@@ -300,9 +286,10 @@ class AspectParser(ml.MiniParser):
                     raise ParseError("duplicate @loc", ann.loc)
                 bridge = self.read_bridge(ann)
         check_matchable(pc, loc)
+        index = len(owner.advice)
         return AdviceDecl(
-            f"advice#{index}", ADVICE_BINDINGS, body, anns, loc,
-            kind=kind, pointcut=pc, index=index, order=order, bridge=bridge,
+            f"advice#{index}", ADVICE_BINDINGS, body, anns, loc, kind=kind, pointcut=pc,
+            index=index, order=order, bridge=bridge, aspect_name=owner.name,
         )
 
     def read_order(self, ann) -> float:
@@ -411,16 +398,3 @@ class AspectParser(ml.MiniParser):
 def parse_aspect_file(text: str, path: str) -> AspectFile:
     """Parse a `.ma0` source: aspects plus any precedence statements."""
     return AspectParser(text, path).parse_file()
-
-
-# ---------------------------------------------------------------------------
-# Resolution
-# ---------------------------------------------------------------------------
-
-
-def resolve_aspects(aspects: list[AspectDecl], class_names: set[str]) -> None:
-    """Resolve names inside aspect bodies, as `minilang.resolve_owner` does
-    for a class: an advice's bindings are its parameters. `new` refers to
-    base-program classes only."""
-    for aspect in aspects:
-        ml.resolve_owner(aspect, class_names, aspect.methods + aspect.advice)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 
 from .aspects import AdviceDecl
+from .diagnostics import CompileError
 from .matching import MatchTable, render_residue
 
 
@@ -77,7 +78,5 @@ def emit_relationship_map(table: MatchTable, out_path: str) -> dict:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(render_relationship_map(rel))
     except OSError as e:
-        from .diagnostics import CompileError
-
         raise CompileError(f"cannot write {out_path}: {e.strerror or e}") from None
     return rel

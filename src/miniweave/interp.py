@@ -1,5 +1,10 @@
 """Deterministic concurrent interpreter with advice dispatch.
 
+`WovenUnit.build` makes a parsed program and its aspects runnable: it is
+the one place where class and aspect names are checked, then one
+`minilang.resolve_program` call resolves them all, and the shadow table,
+hide filter and match table follow.
+
 Logical threads are Python generators run by a round-robin scheduler;
 the rotation order is derived from the run seed, so a fixed (unit, entry,
 seed, step_limit) always produces a byte-identical event trace. Each
@@ -63,7 +68,7 @@ from functools import cached_property
 from . import joinpoints as jp
 from . import matching
 from . import minilang as ml
-from .aspects import AspectDecl, resolve_aspects
+from .aspects import AspectDecl
 from .diagnostics import CompileError, Loc, MiniRuntimeError
 from .joinpoints import ShadowTable
 from .matching import CflowFrame, MatchTable, advice_sequence_at, eval_residue
@@ -187,7 +192,8 @@ class WovenUnit:
     `sites` maps id(node) of each visible shadow's AST node to that shadow
     and its (before, after) advice sequences; the unit holds the nodes, so
     the ids stay valid, and the AST itself carries no weaving state.
-    `build` also checks that class and aspect names are unique across inputs.
+    `build` is the one place where class and aspect names are checked: each
+    is declared once across every input, and no aspect takes a class's name.
     """
 
     program: ml.Program
@@ -207,21 +213,16 @@ class WovenUnit:
         strip_hide: bool = False,
     ) -> "WovenUnit":
         aspects = list(aspects)
-        class_names: set[str] = set()
-        for c in program.classes:
-            if c.name in class_names:
-                raise CompileError(f"duplicate class {c.name!r}", c.loc)
-            class_names.add(c.name)
-        aspect_names: set[str] = set()
-        for a in aspects:
-            if a.name in aspect_names:
-                raise CompileError(f"duplicate aspect {a.name!r}", a.loc)
-            aspect_names.add(a.name)
-        for a in aspects:
-            if a.name in class_names:
-                raise CompileError(f"aspect {a.name!r} collides with a class name", a.loc)
-        ml.resolve_program(program)
-        resolve_aspects(aspects, set(program.by_name()))
+        is_aspect: dict[str, bool] = {}  # each name met so far: declared by an aspect?
+        for decl in (*program.classes, *aspects):
+            aspect = isinstance(decl, AspectDecl)
+            if decl.name in is_aspect:
+                if aspect and not is_aspect[decl.name]:
+                    raise CompileError(f"aspect {decl.name!r} collides with a class name", decl.loc)
+                kind = "aspect" if aspect else "class"
+                raise CompileError(f"duplicate {kind} {decl.name!r}", decl.loc)
+            is_aspect[decl.name] = aspect
+        ml.resolve_program(program, aspects)
         specs = jp.collect_hide_specs(program, aspects)
         table = jp.extract_shadows(program, aspects)
         visible = jp.apply_hide_filter(table, [] if strip_hide else specs)

@@ -287,26 +287,17 @@ def extract_shadows(program: ml.Program, aspects=()) -> ShadowTable:
 # ---------------------------------------------------------------------------
 
 
-def _owner_specs(owner, methods) -> list[HideSpec]:
-    """The hide specs of one class or aspect: its type, its fields, then
-    `methods`, in that order."""
-    name = owner.name
-    found = [hide_spec_of("type", owner.annotations, name)]
-    found += [hide_spec_of("field", f.annotations, name, f.name) for f in owner.fields]
-    found += [hide_spec_of("method", m.annotations, name, m.name) for m in methods]
-    return [spec for spec in found if spec is not None]
-
-
 def collect_hide_specs(program: ml.Program, aspects=()) -> list[HideSpec]:
     """Gather the HideSpecs of every declaration, in declaration order: per
-    class its type, fields and methods, per aspect its type, fields,
-    helpers and advice. The parsers have already placed each annotation."""
-    specs: list[HideSpec] = []
-    for cls in program.classes:
-        specs += _owner_specs(cls, cls.methods)
-    for aspect in aspects:
-        specs += _owner_specs(aspect, aspect.methods + aspect.advice)
-    return specs
+    class or aspect its type, fields and bodies (an aspect's helpers, then
+    its advice). The parsers have already placed each annotation."""
+    found = []
+    for owner in (*program.classes, *aspects):
+        name = owner.name
+        found.append(hide_spec_of("type", owner.annotations, name))
+        found += [hide_spec_of("field", f.annotations, name, f.name) for f in owner.fields]
+        found += [hide_spec_of("method", m.annotations, name, m.name) for m in owner.bodies()]
+    return [spec for spec in found if spec is not None]
 
 
 # (spec target, kind) -> the shadow kind a signature rule hides; the key is

@@ -19,7 +19,12 @@ extraction and advice dispatch never walk a body again. An
 (cond, body) arms.
 
 `MiniParser` is recursive descent over `lexer.tokenize`'s tokens; the
-aspect, COOL and audit parsers subclass it. Binary expressions are parsed
+aspect, COOL and audit parsers subclass it. One loop, `parse_members`,
+reads the members of every class and aspect: `var` is a field, `def` a
+method (an aspect's helper), each name declared once, and any other word
+goes to `parse_member`: a constructor or static block here, advice or
+`precedence` in the aspect parser. `resolve_program` resolves classes and
+aspects alike, each over its `bodies()`. Binary expressions are parsed
 by precedence climbing over `_BINARY_PREC` (`||` < `&&` < `== !=` <
 `< <= > >=` < `+ -` < `* / %`, all left-associative), so a chain of
 operators costs a loop, not a Python frame per operand, and so does an
@@ -288,6 +293,10 @@ class ClassDecl:
                 return m
         return None
 
+    def bodies(self) -> list[MethodDecl]:
+        """The methods, then the constructor and static block when present."""
+        return [*self.methods, *(m for m in (self.ctor, self.static_block) if m is not None)]
+
 
 @dataclass
 class Program:
@@ -415,14 +424,6 @@ class MiniParser:
             if ann.name not in allowed:
                 raise ParseError(f"annotation @{ann.name} is not allowed on {what}", ann.loc)
 
-    def check_fields(self, owner: str, fields: list[FieldDecl]) -> None:
-        """A class or aspect declares each field name once."""
-        seen: set[str] = set()
-        for f in fields:
-            if f.name in seen:
-                raise ParseError(f"duplicate field {owner}.{f.name!r}", f.loc)
-            seen.add(f.name)
-
     # -- declarations
 
     def parse_program(self) -> Program:
@@ -432,59 +433,59 @@ class MiniParser:
             if not self.ts.at_name("class"):
                 raise self.ts.error("expected 'class'")
             classes.append(self.parse_class(anns))
-        prog = Program(classes)
-        self.check_duplicates(prog)
-        return prog
-
-    def check_duplicates(self, prog: Program) -> None:
-        seen: dict[str, Loc] = {}
-        for c in prog.classes:
-            if c.name in seen:
-                raise ParseError(f"duplicate class {c.name!r}", c.loc)
-            seen[c.name] = c.loc
+        return Program(classes)
 
     def parse_class(self, anns: list[Annotation]) -> ClassDecl:
         loc = self.ts.loc()
         self.ts.expect(NAME, "class")
         name = self.parse_decl_name()
         self.check_annotations(anns, ("hideType",), "a class")
+        return self.parse_members(ClassDecl(name, [], [], None, None, anns, loc))
+
+    def parse_members(self, owner: ClassDecl) -> ClassDecl:
+        """Read the `{ ... }` of the class or aspect `owner` into it and
+        return it: fields and methods here, any other member by
+        `parse_member`. A field or method name is declared once."""
         self.ts.expect(PUNCT, "{")
-        fields: list[FieldDecl] = []
-        methods: list[MethodDecl] = []
-        ctor: MethodDecl | None = None
-        static_block: MethodDecl | None = None
         while not self.ts.accept(PUNCT, "}"):
-            member_anns = self.parse_annotations()
-            mloc = self.ts.loc()
+            anns = self.parse_annotations()
             if self.ts.at_name("var"):
-                fields.append(self.parse_field(member_anns))
+                owner.fields.append(self.parse_field(anns))
             elif self.ts.at_name("def"):
-                m = self.parse_method(member_anns)
-                if any(prev.name == m.name for prev in methods):
-                    raise ParseError(f"duplicate method {name}.{m.name!r}", m.loc)
-                methods.append(m)
-            elif self.ts.at_name("constructor"):
-                if member_anns:
-                    raise ParseError("annotations are not allowed on constructors", mloc)
-                if ctor is not None:
-                    raise ParseError("duplicate constructor", mloc)
-                self.ts.advance()
-                self.ts.expect(PUNCT, "(")
-                params = self.parse_params()
-                body = self.parse_block()
-                ctor = MethodDecl("constructor", params, body, [], mloc)
-            elif self.ts.at_name("static"):
-                if member_anns:
-                    raise ParseError("annotations are not allowed on static blocks", mloc)
-                if static_block is not None:
-                    raise ParseError("duplicate static block", mloc)
-                self.ts.advance()
-                body = self.parse_block()
-                static_block = MethodDecl("static", [], body, [], mloc)
+                m = self.parse_method(anns)
+                if owner.method(m.name) is not None:
+                    raise ParseError(f"duplicate method {owner.name}.{m.name!r}", m.loc)
+                owner.methods.append(m)
             else:
-                raise self.ts.error("expected a field, method, constructor, or static block")
-        self.check_fields(name, fields)
-        return ClassDecl(name, fields, methods, ctor, static_block, anns, loc)
+                self.parse_member(owner, anns)
+        first: dict[str, FieldDecl] = {}
+        for f in owner.fields:
+            if first.setdefault(f.name, f) is not f:
+                raise ParseError(f"duplicate field {owner.name}.{f.name!r}", f.loc)
+        return owner
+
+    def parse_member(self, owner: ClassDecl, anns: list[Annotation]) -> None:
+        """A class's constructor or static block; the aspect parser
+        overrides this for advice and `precedence`."""
+        loc = self.ts.loc()
+        if self.ts.at_name("constructor"):
+            if anns:
+                raise ParseError("annotations are not allowed on constructors", loc)
+            if owner.ctor is not None:
+                raise ParseError("duplicate constructor", loc)
+            self.ts.advance()
+            self.ts.expect(PUNCT, "(")
+            params = self.parse_params()
+            owner.ctor = MethodDecl("constructor", params, self.parse_block(), [], loc)
+        elif self.ts.at_name("static"):
+            if anns:
+                raise ParseError("annotations are not allowed on static blocks", loc)
+            if owner.static_block is not None:
+                raise ParseError("duplicate static block", loc)
+            self.ts.advance()
+            owner.static_block = MethodDecl("static", [], self.parse_block(), [], loc)
+        else:
+            raise self.ts.error("expected a field, method, constructor, or static block")
 
     def parse_decl_name(self) -> str:
         ts = self.ts
@@ -742,12 +743,11 @@ def scan_locals(body: list, params=(), self_cls: str | None = None):
     return names, tuple(classes)
 
 
-def resolve_owner(owner: ClassDecl, class_names: set[str], methods) -> None:
+def resolve_owner(owner: ClassDecl, class_names: set[str]) -> None:
     """Resolve every body of the class or aspect `owner`, rewriting in place.
 
-    `owner`'s field initializers see `this` and no locals; then each body in
-    `methods` (a method, constructor, static block, helper or advice; None
-    is skipped) gets its `local_names` and `local_classes` from
+    `owner`'s field initializers see `this` and no locals; then each of
+    `owner.bodies()` gets its `local_names` and `local_classes` from
     `scan_locals` and is resolved. A bare name in a body resolves to a
     parameter or local first, then to a field of `owner` (rewritten to an
     implicit `this.name` access). Anything else is a compile error, and the
@@ -761,9 +761,7 @@ def resolve_owner(owner: ClassDecl, class_names: set[str], methods) -> None:
     owner.init_shadow_nodes, _ = _resolve(roots, set(), fields, True, class_names)
     for f, init in zip(inits, roots):
         f.init = init
-    for m in methods:
-        if m is None:
-            continue
+    for m in owner.bodies():
         m.local_names, m.local_classes = scan_locals(m.body, m.params, owner.name)
         scope = {*m.params, *m.local_names}
         has_this = m is not owner.static_block
@@ -825,7 +823,9 @@ def _bind(nodes: list, bare) -> None:
             nodes[i] = FieldGet(node.loc, ThisRef(node.loc), node.name)
 
 
-def resolve_program(program: Program) -> None:
+def resolve_program(program: Program, aspects=()) -> None:
+    """Resolve every class of `program`, then each aspect of `aspects`;
+    `new` names a class of `program`."""
     names = set(program.by_name())
-    for cls in program.classes:
-        resolve_owner(cls, names, [*cls.methods, cls.ctor, cls.static_block])
+    for owner in (*program.classes, *aspects):
+        resolve_owner(owner, names)

@@ -86,9 +86,7 @@ def value_eq(a, b) -> bool:
         return a == b
     if isinstance(a, str) and isinstance(b, str):
         return a == b
-    if a is None or b is None:
-        return a is b
-    return a is b  # lists, objects, monitors: identity
+    return a is b  # null, lists, objects, monitors: identity
 
 
 def render_value(value) -> str:

@@ -73,6 +73,35 @@ def test_rows_flag_a_median_worse_than_its_bound():
     assert table[3].endswith("| YES (0.19) |")
 
 
+def test_runs_spread_wider_than_the_bound_are_unresolved():
+    metrics = [("op_ms_tail", "lower"), ("steps_per_s", "higher")]
+    bounds = {"op_ms_tail": 0.25, "steps_per_s": 0.2}
+    # parent tail IQR 50-90 ms around 60: wider than 0.25 x 60, medians equal
+    parent = [{"op_ms_tail": t, "steps_per_s": s}
+              for t, s in [(50, 100), (60, 101), (90, 99), (50, 100), (90, 100)]]
+    change = [{"op_ms_tail": t, "steps_per_s": s}
+              for t, s in [(60, 100), (59, 101), (61, 99), (60, 100), (60, 100)]]
+    tail_row, steps_row = ab_bench.summarize(parent, change, metrics, bounds)
+    assert tail_row["unresolved"] and not tail_row["over_bound"]
+    assert not steps_row["unresolved"]
+    # the change's own spread counts as well
+    tail_row, _ = ab_bench.summarize(change, parent, metrics, bounds)
+    assert tail_row["unresolved"]
+    # every change run beats every parent run: no, however wide the spread
+    faster = [{"op_ms_tail": t, "steps_per_s": 100} for t in (10, 40, 45)]
+    tail_row, _ = ab_bench.summarize(parent[:3], faster, metrics, bounds)
+    assert not tail_row["unresolved"] and not tail_row["over_bound"]
+    # a median past its bound stays YES
+    slower = [{"op_ms_tail": t + 40, "steps_per_s": 100} for t in (50, 60, 90)]
+    tail_row, _ = ab_bench.summarize(parent[:3], slower, metrics, bounds)
+    assert tail_row["over_bound"] and not tail_row["unresolved"]
+    rows = ab_bench.summarize(parent, change, metrics, bounds)
+    table = ab_bench.render(rows + [tail_row], 5).splitlines()
+    assert [line.rsplit("|", 2)[1] for line in table[2:]] == [
+        " unresolved (0.25) ", " no (0.2) ", " YES (0.25) "
+    ]
+
+
 def test_workloads_are_one_a_list_or_all():
     assert ab_bench.select_workloads("spy_deep") == ["spy_deep"]
     assert ab_bench.select_workloads("spy_deep, weave_large") == ["spy_deep", "weave_large"]

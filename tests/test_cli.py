@@ -246,7 +246,7 @@ def test_deep_recursion_is_runtime_error_exit_three(workdir, capsys):
     assert err == f"runtime error: deep.ml0:2: call depth exceeds {interp.MAX_CALL_DEPTH}\n"
 
 
-@pytest.mark.parametrize(
+_DECLARED_TWICE = pytest.mark.parametrize(
     "ext, decl, message",
     [
         ("ml0", "class Twice { }", "duplicate class 'Twice'"),
@@ -254,6 +254,9 @@ def test_deep_recursion_is_runtime_error_exit_three(workdir, capsys):
     ],
     ids=["class", "aspect"],
 )
+
+
+@_DECLARED_TWICE
 def test_name_declared_in_two_files_exit_one(workdir, capsys, ext, decl, message):
     (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
     (workdir / f"a.{ext}").write_text(decl + "\n")
@@ -262,6 +265,15 @@ def test_name_declared_in_two_files_exit_one(workdir, capsys, ext, decl, message
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"error: b.{ext}:2: {message}\n"
+
+
+@_DECLARED_TWICE
+def test_name_declared_twice_in_one_file_exit_one(workdir, capsys, ext, decl, message):
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / f"a.{ext}").write_text(decl + "\n" + decl + "\n")
+    code = main(["compile", "main.ml0", f"a.{ext}"])
+    assert capsys.readouterr() == ("", f"error: a.{ext}:2: {message}\n")
+    assert code == 1
 
 
 def test_deep_parenthesis_nesting_is_parse_error_exit_one(workdir, capsys):

@@ -12,7 +12,7 @@ from oracles import can_enter
 
 import miniweave as mw
 import miniweave.minilang as ml
-from miniweave.aspects import parse_aspect_file, resolve_aspects
+from miniweave.aspects import parse_aspect_file
 from miniweave.diagnostics import CompileError, ParseError
 from miniweave.dsal_cool import clause_line, gen_cool_aspect, parse_cool, validate_cool
 from miniweave.interp import WovenUnit, run
@@ -307,8 +307,7 @@ class TestGeneratedAspect:
             gen_cool_aspect(parse_cool(cool, "demo_stack/stack.cool")),
             "gen/stack_cool.ma0",
         )
-        ml.resolve_program(prog)
-        resolve_aspects(gen.aspects, set(prog.by_name()))
+        ml.resolve_program(prog, gen.aspects)
         table = extract_shadows(prog, gen.aspects)
         visible = apply_hide_filter(table, collect_hide_specs(prog, gen.aspects))
         assert [s for s in visible if s.loc.path == "gen/stack_cool.ma0"] == []

@@ -274,10 +274,7 @@ class TestApplyHideFilter:
         """
         prog = mw.parse_base("class A { def f() { } }", "t.ml0")
         aspects = mw.parse_aspect_file(aspect_src, "logs.ma0").aspects
-        ml.resolve_program(prog)
-        from miniweave.aspects import resolve_aspects
-
-        resolve_aspects(aspects, {"A"})
+        ml.resolve_program(prog, aspects)
         table = extract_shadows(prog, aspects)
         out = apply_hide_filter(table, collect_hide_specs(prog, aspects))
         assert ("method_call", "Logs.audit/1") not in sigs(out)
@@ -475,10 +472,7 @@ def test_hide_method_on_advice_hides_body_shadows():
     """
     prog = mw.parse_base("class X { def f() { } }", "t.ml0")
     aspects = mw.parse_aspect_file(aspect_src, "a.ma0").aspects
-    ml.resolve_program(prog)
-    from miniweave.aspects import resolve_aspects
-
-    resolve_aspects(aspects, {"X"})
+    ml.resolve_program(prog, aspects)
     table = extract_shadows(prog, aspects)
     out = apply_hide_filter(table, collect_hide_specs(prog, aspects))
     calls = [s for s in out if s.kind == ShadowKind.METHOD_CALL]

@@ -34,8 +34,8 @@ class TestParser:
         assert exc.value.loc.line == 1
 
     def test_duplicate_class(self):
-        with pytest.raises(ParseError, match="duplicate class"):
-            mw.parse_base("class A { } class A { }", "a.ml0")
+        with pytest.raises(mw.CompileError, match="duplicate class"):
+            build_unit("class A { } class A { }")
 
     def test_duplicate_method(self):
         with pytest.raises(ParseError, match="duplicate method"):
@@ -49,6 +49,37 @@ class TestParser:
     def test_unresolved_name_is_compile_error(self):
         with pytest.raises(mw.CompileError, match="unresolved name 'zap'"):
             build_unit("class A { def f() { return zap; } }")
+
+
+# (members after the opening line, faulty line, message for a class, for an
+# aspect); the member loop is shared, so each shared rule reads the same
+_MEMBER_FAULTS = {
+    "field twice": ("  var f;\n  var f;\n", 3, "duplicate field X.'f'", None),
+    "method twice": ("  def m() { }\n  def m() { }\n", 3, "duplicate method X.'m'", None),
+    "hideField on def": (
+        "  @hideField def m() { }\n", 2,
+        "annotation @hideField is not allowed on a method", None,
+    ),
+    "unknown member": (
+        "  bogus;\n", 2,
+        "expected a field, method, constructor, or static block",
+        "expected a field, helper, advice, or precedence",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_MEMBER_FAULTS))
+@pytest.mark.parametrize("keyword", ["class", "aspect"])
+def test_classes_and_aspects_follow_the_same_member_rules(keyword, fault):
+    members, line, class_msg, aspect_msg = _MEMBER_FAULTS[fault]
+    src = f"{keyword} X {{\n{members}}}\n"
+    with pytest.raises(ParseError) as exc:
+        if keyword == "class":
+            mw.parse_base(src, "x.ml0")
+        else:
+            mw.parse_aspect_file(src, "x.ma0")
+    msg = class_msg if keyword == "class" else aspect_msg or class_msg
+    assert (exc.value.msg, exc.value.loc.line) == (msg, line)
 
 
 class TestResolution:

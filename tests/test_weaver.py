@@ -22,7 +22,6 @@ from miniweave.aspects import (
     PcWithin,
     anchor,
     parse_aspect_file,
-    resolve_aspects,
 )
 from miniweave.diagnostics import CompileError, ParseError
 from miniweave.lexer import EOF
@@ -91,6 +90,20 @@ class TestParseAspect:
         )
         assert out.precedence == ["B", "A", "C"]
 
+    @pytest.mark.parametrize(
+        "src, line, message",
+        [
+            ("@hideType precedence A;", 1, "expected 'aspect' or 'precedence'"),
+            ("aspect A {\n  @hideMethod precedence B;\n}", 2,
+             "expected a field, helper, advice, or precedence"),
+        ],
+        ids=["file", "aspect"],
+    )
+    def test_annotated_precedence_is_error(self, src, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_aspect_file(src, "p.ma0")
+        assert (exc.value.msg, exc.value.loc.line) == (message, line)
+
     def test_pointcut_needs_static_anchor(self):
         with pytest.raises(CompileError, match="execution/call/get/set"):
             parse_aspect("aspect A { before(): this(X) { } }", "a.ma0")
@@ -145,10 +158,7 @@ class TestMatch:
         """
         prog = mw.parse_base("class A { def f() { } }", "t.ml0")
         aspects = mw.parse_aspect_file(aspect_src, "aud.ma0").aspects
-        ml.resolve_program(prog)
-        from miniweave.aspects import resolve_aspects
-
-        resolve_aspects(aspects, {"A"})
+        ml.resolve_program(prog, aspects)
         table = extract_shadows(prog, aspects)
         inner_call = shadow(table, ShadowKind.METHOD_CALL, "AJAuditor.helper/0")
         pc = aspects[0].advice[0].pointcut
@@ -198,10 +208,7 @@ class TestBuildMatchTable:
         aspects = mw.parse_aspect_file(
             "aspect T { before(): execution(*.*) { } }", "t.ma0"
         ).aspects
-        ml.resolve_program(prog)
-        from miniweave.aspects import resolve_aspects
-
-        resolve_aspects(aspects, {"A"})
+        ml.resolve_program(prog, aspects)
         table = extract_shadows(prog, aspects)
         mt = build_match_table(aspects, table, [])
         # brute-force oracle: every execution shadow matches, nothing else
@@ -218,10 +225,7 @@ class TestBuildMatchTable:
             """,
             "t.ma0",
         ).aspects
-        ml.resolve_program(prog)
-        from miniweave.aspects import resolve_aspects
-
-        resolve_aspects(aspects, {"A"})
+        ml.resolve_program(prog, aspects)
         table = extract_shadows(prog, aspects)
         mt = build_match_table(aspects, table, [])
         (sid,) = list(mt.entries)
@@ -233,11 +237,9 @@ class TestBuildMatchTable:
         aspects = mw.parse_aspect_file(
             "aspect T { before(): execution(*.*) { } }", "t.ma0"
         ).aspects
-        ml.resolve_program(prog)
-        from miniweave.aspects import resolve_aspects
         from miniweave.joinpoints import apply_hide_filter, collect_hide_specs
 
-        resolve_aspects(aspects, {"A"})
+        ml.resolve_program(prog, aspects)
         table = extract_shadows(prog, aspects)
         visible = apply_hide_filter(table, collect_hide_specs(prog, aspects))
         mt = build_match_table(aspects, visible, [])
@@ -334,7 +336,6 @@ def random_weave(seed: int):
     """A randprog program plus random aspects; returns (aspects, visible, precedence)."""
     rng = random.Random(seed)
     prog = mw.parse_base(random_program_source(rng), "rand.ml0")
-    ml.resolve_program(prog)
     classes = [c.name for c in prog.classes]
     methods = sorted({m.name for c in prog.classes for m in c.methods})
     fields = sorted({f.name for c in prog.classes for f in c.fields})
@@ -356,7 +357,7 @@ def random_weave(seed: int):
             parts.append(f"  {kind}(): {gen.pointcut()} {{ this.probe(null); }}\n")
         parts.append("}\n")
     aspect_file = mw.parse_aspect_file("".join(parts), "rand.ma0")
-    resolve_aspects(aspect_file.aspects, set(classes))
+    ml.resolve_program(prog, aspect_file.aspects)
     table = extract_shadows(prog, aspect_file.aspects)
     visible = apply_hide_filter(table, collect_hide_specs(prog, aspect_file.aspects))
     return aspect_file.aspects, visible, aspect_file.precedence
@@ -448,15 +449,13 @@ def test_random_weaves_cover_the_pointcut_features():
 
 class TestAdviceSequence:
     def test_single_before_advice_lists(self):
-        from miniweave.aspects import resolve_aspects
         from miniweave.matching import advice_sequence_at
 
         prog = mw.parse_base("class A { def f() { } }", "t.ml0")
         aspects = mw.parse_aspect_file(
             "aspect T { before(): execution(*.f) { } }", "t.ma0"
         ).aspects
-        ml.resolve_program(prog)
-        resolve_aspects(aspects, {"A"})
+        ml.resolve_program(prog, aspects)
         table = extract_shadows(prog, aspects)
         mt = build_match_table(aspects, table, [])
         (sid,) = list(mt.entries)
@@ -464,7 +463,6 @@ class TestAdviceSequence:
         assert len(before) == 1 and after == ()
 
     def test_after_list_is_reverse_precedence(self):
-        from miniweave.aspects import resolve_aspects
         from miniweave.matching import advice_sequence_at
 
         prog = mw.parse_base("class A { def f() { } }", "t.ml0")
@@ -475,8 +473,7 @@ class TestAdviceSequence:
             """,
             "t.ma0",
         ).aspects
-        ml.resolve_program(prog)
-        resolve_aspects(aspects, {"A"})
+        ml.resolve_program(prog, aspects)
         table = extract_shadows(prog, aspects)
         mt = build_match_table(aspects, table, [])
         (sid,) = list(mt.entries)
@@ -487,6 +484,14 @@ class TestAdviceSequence:
 def test_parse_aspect_requires_single_aspect():
     with pytest.raises(ParseError, match="exactly one aspect"):
         parse_aspect("aspect A { } aspect B { }", "two.ma0")
+
+
+def test_names_are_checked_in_declaration_order():
+    # classes, then aspects: the first name met twice is reported, so the
+    # collision on line 2 comes before the duplicate aspect on line 3
+    with pytest.raises(CompileError) as exc:
+        build_unit("class A { }", "aspect B { }\naspect A { }\naspect B { }")
+    assert (exc.value.msg, exc.value.loc.line) == ("aspect 'A' collides with a class name", 2)
 
 
 class TestUnitsShareProgram:
