@@ -206,7 +206,6 @@ class AspectDecl(ml.ClassDecl):
     it has no constructor or static block."""
 
     advice: list[AdviceDecl]
-    path: str
 
     def bodies(self) -> list[ml.MethodDecl]:
         """The helpers, then the advice."""
@@ -239,7 +238,7 @@ class AspectParser(ml.MiniParser):
                 raise self.ts.error("expected 'aspect' or 'precedence'")
             name = self.parse_decl_name()
             self.check_annotations(anns, ("hideType",), "an aspect")
-            aspect = AspectDecl(name, [], [], None, None, anns, loc, advice=[], path=self.path)
+            aspect = AspectDecl(name, [], [], None, None, anns, loc, advice=[])
             out.aspects.append(self.parse_members(aspect))
         return out
 

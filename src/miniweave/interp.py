@@ -28,10 +28,12 @@ park clears the running thread's bit (`cur_idx`, kept across inserts by
 BLOCKED threads as it is freed or taken. A monitor caches those bits until
 a spawn moves the indexes or a notify moves its `waiting` list to `blocked`.
 
-Each MiniLang frame (method, constructor, static block, advice, field
-initializer) is one `_Env` on its thread's `frames`: locals, `this` and the
-monitors it acquired. Monitors are non-reentrant and frame-scoped: whatever
-a frame still holds when it returns is released. A thread holding
+Each MiniLang frame is one `_Env` on its thread's `frames`: locals, `this`
+and the monitors it acquired. A method, constructor, static block or advice
+runs in a frame of its own. `instantiate` runs all of a class's field
+initializers for one `new` in one frame; `_main` gives each initialized
+aspect field its own frame. Monitors are non-reentrant and frame-scoped:
+whatever a frame still holds when it returns is released. A thread holding
 MAX_CALL_DEPTH frames ends the run with a runtime error. `exec_block`
 dispatches each statement in place; a `return` is its value, passed up
 through `if` and `while` to `run_decl`, which runs every method,

@@ -1,14 +1,19 @@
 """Join-point shadow model: extraction from compilation units and @hide filtering.
 
-A shadow is the static location a join point arises from. Extraction
-reads each body of the resolved base program and the aspect declarations
-from its `shadow_nodes`, the field gets, method calls, assignments and
-spawns the resolver recorded in walk order, and walks no body itself: each
+A shadow is the static location a join point arises from. Extraction is one
+loop over every class and aspect and each body that `bodies()` returns; it
+walks no body itself, but reads the resolver's `shadow_nodes`, the field
+gets, method calls, assignments and spawns of the body in walk order. Each
 field get, method call and field set is a shadow, except the field an
 assignment writes (the set is its shadow) and the call a `spawn` launches.
-Method executions and the init kinds come from the declarations; an
-aspect's helpers are its methods, and each advice body is one more body.
-The result is one table in source order. A shadow records where it arises
+A body adds one more shadow by its role: a constructor its class's
+initialization, a static block its static initialization, a method or an
+aspect's helper its execution; an advice adds none. A class also has a
+pre-initialization shadow at its first initialized field, and shadows in
+its field initializers within `<init>`; an aspect's fields have neither.
+The result is one table in source order. Every shadow arises at a token of
+its own, so sorting by location decides each sid and the order in which
+owners and bodies are read decides none. A shadow records where it arises
 (`loc`), not which input produced it: a shadow in generated code is one
 whose `loc.path` is a generated file.
 
@@ -23,15 +28,16 @@ shadows before matching; `within` suppression is positional (all shadows
 lexically inside the annotated member), the other kinds suppress by
 signature.
 
-Every (spec, kind) rule is an equality test on one key of the shadow:
-(kind, cls, member) for the signature kinds, (within_cls, within_member)
-for @hideMethod(within), and the same within key, for body kinds only, for
-@hideType(within_init, within_static_init). The filter builds one dict per
-key form and does at most three lookups per shadow. A shadow hidden by
-several rules is attributed to the first spec in declaration order and,
-within it, the first kind in the order written on the annotation: each
-dict entry keeps the smallest (spec index, kind index), and the filter
-takes the smallest of its hits.
+Every (spec, kind) rule is an equality test on one key of the shadow, and
+one index holds them all under (head, cls, member): the shadow kind heads
+(kind, cls, member) for the signature kinds, "within" heads (within_cls,
+within_member) for @hideMethod(within), and "body" heads the same within
+key, looked up for body kinds only, for @hideType(within_init,
+within_static_init). The filter does at most three lookups per shadow. A
+shadow hidden by several rules is attributed to the first spec in
+declaration order and, within it, the first kind in the order written on
+the annotation: each index entry keeps the smallest (spec index, kind
+index), and the filter takes the smallest of its hits.
 """
 
 from __future__ import annotations
@@ -56,7 +62,11 @@ class ShadowKind(enum.Enum):
         return self.value
 
 
-_BODY_KINDS = (ShadowKind.METHOD_CALL, ShadowKind.FIELD_GET, ShadowKind.FIELD_SET)
+# the body kinds, each also bound to a name: reading an enum member off its
+# class costs more than a global lookup, once per shadow
+_BODY_KINDS = _METHOD_CALL, _FIELD_GET, _FIELD_SET = (
+    ShadowKind.METHOD_CALL, ShadowKind.FIELD_GET, ShadowKind.FIELD_SET
+)
 
 # pseudo member names for initializer enclosures
 INIT_MEMBER = "<init>"
@@ -100,9 +110,8 @@ class HideSpec:
     loc: Loc
 
     def describe(self) -> str:
-        tag = {"field": "@hideField", "method": "@hideMethod", "type": "@hideType"}[self.target]
         where = self.cls if self.member is None else f"{self.cls}.{self.member}"
-        return f"{tag}({', '.join(self.kinds)}) {where}"
+        return f"@{_HIDE_ANN_FOR[self.target]}({', '.join(self.kinds)}) {where}"
 
 
 _HIDE_DEFAULTS = {
@@ -177,91 +186,33 @@ def _receiver_class(expr, self_cls: str, locals_map) -> str | None:
     return None
 
 
-class _Extractor:
-    def __init__(self):
-        self.shadows: list[Shadow] = []
-
-    def add(self, kind, loc, node, cls, member, arity, within_cls, within_member) -> None:
-        # sid 0 until `finish` numbers the shadows
-        self.shadows.append(
-            Shadow(0, kind, cls, member, arity, within_cls, within_member, loc, node)
-        )
-
-    def take_body(self, nodes, self_cls: str, within_member: str, locals_map) -> None:
-        """Add the call, get and set shadows of one body from its `nodes`,
-        the resolver's record of its gets, calls, assignments and spawns."""
-        add = self.add
-        # an assignment's target and a spawn's call are not shadows of their
-        # own; each comes right after its parent
-        skip = None
-        for node in nodes:
-            kind = type(node)
-            if kind is ml.Assign:
-                target = skip = node.target
-                if type(target) is ml.FieldGet:
-                    cls = _receiver_class(target.obj, self_cls, locals_map)
-                    add(ShadowKind.FIELD_SET, target.loc, node, cls, target.name, None,
-                        self_cls, within_member)
-            elif kind is ml.Spawn:
-                # spawn is a thread-launch primitive, not a call site: only
-                # the execution join point on the new thread exists
-                skip = node.call
-            elif node is not skip:
-                cls = _receiver_class(node.obj, self_cls, locals_map)
-                if kind is ml.FieldGet:
-                    add(ShadowKind.FIELD_GET, node.loc, node, cls, node.name, None,
-                        self_cls, within_member)
-                else:
-                    add(ShadowKind.METHOD_CALL, node.loc, node, cls, node.name, len(node.args),
-                        self_cls, within_member)
-
-    def take_method(self, m, self_cls: str, within_member: str) -> None:
-        self.take_body(m.shadow_nodes, self_cls, within_member, dict(m.local_classes))
-
-    def take_class(self, cls: ml.ClassDecl) -> None:
-        # init-kind shadows exist only where their span does: a field-initializer
-        # span, a constructor body, a static block
-        initialized = [f for f in cls.fields if f.init is not None]
-        if initialized:
-            self.add(ShadowKind.PRE_INITIALIZATION, initialized[0].loc, cls,
-                     cls.name, None, None, cls.name, PREINIT_MEMBER)
-        if cls.ctor is not None:
-            self.add(ShadowKind.INITIALIZATION, cls.ctor.loc, cls.ctor,
-                     cls.name, None, None, cls.name, INIT_MEMBER)
-        if cls.static_block is not None:
-            self.add(ShadowKind.STATIC_INITIALIZATION, cls.static_block.loc, cls.static_block,
-                     cls.name, None, None, cls.name, STATIC_MEMBER)
-        # field initializers are evaluated as part of instance initialization,
-        # so their shadows sit within <init> (same as constructor-body shadows)
-        self.take_body(cls.init_shadow_nodes, cls.name, INIT_MEMBER, {})
-        if cls.ctor is not None:
-            self.take_method(cls.ctor, cls.name, INIT_MEMBER)
-        if cls.static_block is not None:
-            self.take_method(cls.static_block, cls.name, STATIC_MEMBER)
-        self.take_methods(cls, cls.methods)
-
-    def take_aspect(self, aspect) -> None:
-        # aspect fields are initialized by the runtime outside any join point
-        # span; their initializer expressions yield no shadows
-        self.take_methods(aspect, aspect.methods)
-        for adv in aspect.advice:
-            self.take_method(adv, aspect.name, adv.name)
-
-    def take_methods(self, owner, methods) -> None:
-        """Add each method's execution shadow, then its body shadows."""
-        for m in methods:
-            self.add(ShadowKind.METHOD_EXECUTION, m.loc, m,
-                     owner.name, m.name, len(m.params), owner.name, m.name)
-            self.take_method(m, owner.name, m.name)
-
-    def finish(self) -> ShadowTable:
-        """Number the shadows in source order; the sort is stable, so shadows
-        at one location keep the order they were added in."""
-        shadows = self.shadows
-        shadows.sort(key=lambda s: (s.loc.path, s.loc.line, s.loc.col))
-        for sid, shadow in enumerate(shadows):
-            shadow.sid = sid
-        return ShadowTable(shadows)
+def _take_body(shadows: list, nodes, self_cls: str, within_member: str, locals_map) -> None:
+    """Append the call, get and set shadows of one body from its `nodes`,
+    the resolver's record of its gets, calls, assignments and spawns."""
+    append = shadows.append
+    # an assignment's target and a spawn's call are not shadows of their
+    # own; each comes right after its parent
+    skip = None
+    for node in nodes:
+        kind = type(node)
+        if kind is ml.Assign:
+            target = skip = node.target
+            if type(target) is ml.FieldGet:
+                cls = _receiver_class(target.obj, self_cls, locals_map)
+                append(Shadow(0, _FIELD_SET, cls, target.name, None,
+                              self_cls, within_member, target.loc, node))
+        elif kind is ml.Spawn:
+            # spawn is a thread-launch primitive, not a call site: only
+            # the execution join point on the new thread exists
+            skip = node.call
+        elif node is not skip:
+            cls = _receiver_class(node.obj, self_cls, locals_map)
+            if kind is ml.FieldGet:
+                append(Shadow(0, _FIELD_GET, cls, node.name, None,
+                              self_cls, within_member, node.loc, node))
+            else:
+                append(Shadow(0, _METHOD_CALL, cls, node.name, len(node.args),
+                              self_cls, within_member, node.loc, node))
 
 
 def extract_shadows(program: ml.Program, aspects=()) -> ShadowTable:
@@ -274,12 +225,36 @@ def extract_shadows(program: ml.Program, aspects=()) -> ShadowTable:
     not modified. Iteration order of the result is source order (path,
     line, col).
     """
-    ex = _Extractor()
+    K = ShadowKind
+    shadows: list[Shadow] = []
     for cls in program.classes:
-        ex.take_class(cls)
-    for aspect in aspects:
-        ex.take_aspect(aspect)
-    return ex.finish()
+        name = cls.name
+        initialized = [f for f in cls.fields if f.init is not None]
+        if initialized:
+            shadows.append(Shadow(0, K.PRE_INITIALIZATION, name, None, None,
+                                  name, PREINIT_MEMBER, initialized[0].loc, cls))
+        # field initializers run as part of instance initialization
+        _take_body(shadows, cls.init_shadow_nodes, name, INIT_MEMBER, {})
+    for owner in (*program.classes, *aspects):
+        name = owner.name
+        for m in owner.bodies():
+            within = m.name
+            if m is owner.ctor:
+                within = INIT_MEMBER
+                shadows.append(Shadow(0, K.INITIALIZATION, name, None, None,
+                                      name, within, m.loc, m))
+            elif m is owner.static_block:
+                within = STATIC_MEMBER
+                shadows.append(Shadow(0, K.STATIC_INITIALIZATION, name, None, None,
+                                      name, within, m.loc, m))
+            elif type(m) is ml.MethodDecl:  # not an advice, a subclass with no execution
+                shadows.append(Shadow(0, K.METHOD_EXECUTION, name, m.name, len(m.params),
+                                      name, within, m.loc, m))
+            _take_body(shadows, m.shadow_nodes, name, within, dict(m.local_classes))
+    shadows.sort(key=lambda s: (s.loc.path, s.loc.line, s.loc.col))
+    for sid, shadow in enumerate(shadows):
+        shadow.sid = sid
+    return ShadowTable(shadows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,48 +275,33 @@ def collect_hide_specs(program: ml.Program, aspects=()) -> list[HideSpec]:
     return [spec for spec in found if spec is not None]
 
 
-# (spec target, kind) -> the shadow kind a signature rule hides; the key is
-# (shadow kind, cls, member), with member None for the type kinds
-_SIGNATURE_RULES = {
-    ("method", "execution"): ShadowKind.METHOD_EXECUTION,
+# (spec target, kind) -> the head of the index key a rule is filed under,
+# and the member of that key when it is not the spec's own
+_RULE_KEYS = {
+    ("method", "execution"): (ShadowKind.METHOD_EXECUTION, None),
     # signature-based: only call sites whose receiver class resolved
-    ("method", "call"): ShadowKind.METHOD_CALL,
-    ("field", "get"): ShadowKind.FIELD_GET,
-    ("field", "set"): ShadowKind.FIELD_SET,
-    ("type", "pre_init"): ShadowKind.PRE_INITIALIZATION,
-    ("type", "init"): ShadowKind.INITIALIZATION,
-    ("type", "static_init"): ShadowKind.STATIC_INITIALIZATION,
-}
-
-# (spec target, kind) -> the enclosing member a type spec hides the body
-# shadows of; the key is (within_cls, within_member)
-_BODY_WITHIN_RULES = {
-    ("type", "within_init"): INIT_MEMBER,
-    ("type", "within_static_init"): STATIC_MEMBER,
+    ("method", "call"): (ShadowKind.METHOD_CALL, None),
+    ("method", "within"): ("within", None),
+    ("field", "get"): (ShadowKind.FIELD_GET, None),
+    ("field", "set"): (ShadowKind.FIELD_SET, None),
+    ("type", "pre_init"): (ShadowKind.PRE_INITIALIZATION, None),
+    ("type", "init"): (ShadowKind.INITIALIZATION, None),
+    ("type", "static_init"): (ShadowKind.STATIC_INITIALIZATION, None),
+    ("type", "within_init"): ("body", INIT_MEMBER),
+    ("type", "within_static_init"): ("body", STATIC_MEMBER),
 }
 
 
-def _hide_index(specs: list[HideSpec]):
-    """Index every (spec, kind) rule under the one key it tests for equality.
-
-    Returns three dicts: (kind, cls, member) for signature rules,
-    (within_cls, within_member) for @hideMethod(within), and the same key
-    for the type-level within rules, which hide body kinds only. Each key
-    keeps the smallest (spec index, kind index) that hides it.
-    """
-    by_signature: dict[tuple, tuple[int, int]] = {}
-    by_within: dict[tuple, tuple[int, int]] = {}
-    by_body_within: dict[tuple, tuple[int, int]] = {}
+def _hide_index(specs: list[HideSpec]) -> dict[tuple, tuple[int, int]]:
+    """Index every (spec, kind) rule under the one key it tests for equality,
+    (head, cls, member) as the module docstring sets out; each key keeps the
+    smallest (spec index, kind index) that hides it."""
+    index: dict[tuple, tuple[int, int]] = {}
     for i, spec in enumerate(specs):
         for j, kind in enumerate(spec.kinds):
-            rule = (spec.target, kind)
-            if rule in _SIGNATURE_RULES:
-                by_signature.setdefault((_SIGNATURE_RULES[rule], spec.cls, spec.member), (i, j))
-            elif rule == ("method", "within"):
-                by_within.setdefault((spec.cls, spec.member), (i, j))
-            elif rule in _BODY_WITHIN_RULES:
-                by_body_within.setdefault((spec.cls, _BODY_WITHIN_RULES[rule]), (i, j))
-    return by_signature, by_within, by_body_within
+            head, member = _RULE_KEYS[spec.target, kind]
+            index.setdefault((head, spec.cls, member or spec.member), (i, j))
+    return index
 
 
 def apply_hide_filter(table: ShadowTable, specs: list[HideSpec]) -> ShadowTable:
@@ -354,14 +314,14 @@ def apply_hide_filter(table: ShadowTable, specs: list[HideSpec]) -> ShadowTable:
     """
     if not specs:
         return ShadowTable(list(table.shadows))
-    by_signature, by_within, by_body_within = _hide_index(specs)
+    get = _hide_index(specs).get
     visible: list[Shadow] = []
     suppressed: list[tuple[Shadow, HideSpec, str]] = []
     for shadow in table.shadows:
-        within = (shadow.within_cls, shadow.within_member)
-        hits = [by_signature.get((shadow.kind, shadow.cls, shadow.member)), by_within.get(within)]
-        if shadow.kind in _BODY_KINDS:
-            hits.append(by_body_within.get(within))
+        kind, cls, member = shadow.kind, shadow.within_cls, shadow.within_member
+        hits = [get((kind, shadow.cls, shadow.member)), get(("within", cls, member))]
+        if kind in _BODY_KINDS:
+            hits.append(get(("body", cls, member)))
         hit = min((h for h in hits if h is not None), default=None)
         if hit is None:
             visible.append(shadow)

@@ -1,4 +1,5 @@
-"""Seeded random MiniLang programs with random hide annotations.
+"""Seeded random MiniLang programs, and aspects over them, with random hide
+annotations.
 
 Used by the hide-filter property tests and the semantic-preservation
 acceptance check. Programs are compile-only fixtures: bodies may recurse,
@@ -83,3 +84,54 @@ def random_coordinator_source(rng: random.Random, program_src: str) -> str | Non
     methods = [m.name for m in cls.methods]
     chosen = sorted(rng.sample(methods, rng.randint(1, len(methods))))
     return f"coordinator {cls.name} {{\n  selfex {{{', '.join(chosen)}}};\n}}\n"
+
+
+def random_aspect_source(rng: random.Random, program) -> str:
+    """One aspect over the parsed `program`, with random hide annotations
+    on the aspect, its fields, helpers and advice.
+
+    Helper and advice bodies read and write `this.aN`, call helpers and call
+    `new C().m()` for methods of `program`; some field initializers hold a
+    get and a call too. Each advice has an execution, call, get or set
+    anchor over `program`. A compile-only fixture, like the programs above.
+    """
+    targets = [(c.name, m.name) for c in program.classes for m in c.methods]
+    fields = [(c.name, f.name) for c in program.classes for f in c.fields]
+    n_fields = rng.randint(1, 3)
+    n_helpers = rng.randint(1, 3)
+    parts = [_maybe_hide(rng, "hideType", HIDE_TYPE_KINDS), "aspect Asp {\n"]
+
+    def statements() -> None:
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                a = rng.randrange(n_fields)
+                parts.append(f"    this.a{a} = this.a{rng.randrange(n_fields)};\n")
+            elif kind == 1:
+                parts.append(f"    this.h{rng.randrange(n_helpers)}();\n")
+            else:
+                cls, m = rng.choice(targets)
+                parts.append(f"    new {cls}().{m}();\n")
+
+    for fi in range(n_fields):
+        parts.append("  " + _maybe_hide(rng, "hideField", HIDE_FIELD_KINDS))
+        cls, m = rng.choice(targets)
+        init = rng.choice(
+            ["", " = 0", f" = this.a{rng.randrange(n_fields)}", f" = new {cls}().{m}()"]
+        )
+        parts.append(f"  var a{fi}{init};\n")
+    for hi in range(n_helpers):
+        parts.append("  " + _maybe_hide(rng, "hideMethod", HIDE_METHOD_KINDS))
+        parts.append(f"  def h{hi}() {{\n")
+        statements()
+        parts.append("  }\n")
+    for _ in range(rng.randint(1, 3)):
+        parts.append("  " + _maybe_hide(rng, "hideMethod", HIDE_METHOD_KINDS))
+        word = rng.choice(["execution", "call", "get", "set"] if fields else ["execution", "call"])
+        cls, member = rng.choice(fields if word in ("get", "set") else targets)
+        when = rng.choice(["before", "after"])
+        parts.append(f"  {when}(): {word}({cls}.{member}) {{\n")
+        statements()
+        parts.append("  }\n")
+    parts.append("}\n")
+    return "".join(parts)

@@ -1,7 +1,9 @@
 """Shadow extraction and @hide filtering, including the randomized properties."""
 
+import collections
 import dataclasses
 import hashlib
+import importlib.util
 import os
 import random
 import shutil
@@ -15,6 +17,7 @@ import miniweave.minilang as ml
 from miniweave.diagnostics import CompileError
 from miniweave.joinpoints import (
     INIT_MEMBER,
+    PREINIT_MEMBER,
     STATIC_MEMBER,
     ShadowKind,
     apply_hide_filter,
@@ -25,7 +28,7 @@ from miniweave.joinpoints import (
 from miniweave.minilang import Annotation
 from miniweave.diagnostics import Loc
 
-from randprog import random_program_source
+from randprog import random_aspect_source, random_program_source
 
 
 def shadows_of(src: str, path: str = "t.ml0"):
@@ -755,3 +758,101 @@ def test_resolver_records_each_bodys_shadow_nodes(seed):
                 assert names_jp == reads_jp
                 jp_bodies += reads_jp
         assert jp_bodies == 1
+
+
+# -- a random aspect over a random program: the oracles above, and where an
+#    aspect's shadows arise
+
+def _random_case_with_aspect(seed: int):
+    rng = random.Random(seed)
+    prog = mw.parse_base(random_program_source(rng), "rand.ml0")
+    aspects = mw.parse_aspect_file(random_aspect_source(rng, prog), "rand.ma0").aspects
+    ml.resolve_program(prog, aspects)
+    return prog, aspects, extract_shadows(prog, aspects), collect_hide_specs(prog, aspects)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_filter_with_an_aspect_matches_bruteforce_oracle(seed):
+    _, _, table, specs = _random_case_with_aspect(seed)
+    out = apply_hide_filter(table, specs)
+    expected_hidden = oracle_hidden_sids(table, specs)
+    assert {s.sid for s in out} == {s.sid for s in table} - expected_hidden
+    assert {s.sid for s, _, _ in out.suppressed} == expected_hidden
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_filter_attribution_with_an_aspect_matches_bruteforce_first_hit(seed):
+    _, _, table, specs = _random_case_with_aspect(seed)
+    out = apply_hide_filter(table, specs)
+    for shadow, spec, kind in out.suppressed:
+        first = oracle_first_hit(shadow, specs)
+        assert first is not None
+        assert first[0] is spec and first[1] == kind
+
+
+def test_an_aspect_has_helper_executions_and_no_init_shadows():
+    # over the seeds, the hide filter also meets each place an aspect's
+    # shadows come from: a helper body, an advice body, an aspect field
+    init_kinds = {
+        ShadowKind.PRE_INITIALIZATION, ShadowKind.INITIALIZATION, ShadowKind.STATIC_INITIALIZATION
+    }
+    init_members = {INIT_MEMBER, PREINIT_MEMBER, STATIC_MEMBER}
+    hidden = collections.Counter()
+    for seed in range(100):
+        _, (aspect,), table, specs = _random_case_with_aspect(seed)
+        mine = [s for s in table if s.loc.path == "rand.ma0"]
+        assert [s for s in mine if s.kind in init_kinds] == []
+        initializers = {id(node) for node in aspect.init_shadow_nodes}
+        assert [s for s in mine if id(s.node) in initializers] == []
+        assert [s for s in mine if s.within_member in init_members] == []
+        # one execution per helper, none per advice
+        executions = [s.member for s in mine if s.kind is ShadowKind.METHOD_EXECUTION]
+        assert sorted(executions) == sorted(m.name for m in aspect.methods)
+        for shadow, _, _ in apply_hide_filter(table, specs).suppressed:
+            if shadow.within_cls == "Asp":
+                hidden["advice" if shadow.within_member.startswith("advice#") else "helper"] += 1
+            if shadow.cls == "Asp" and shadow.kind in (ShadowKind.FIELD_GET, ShadowKind.FIELD_SET):
+                hidden["field"] += 1
+    assert set(hidden) == {"advice", "helper", "field"}
+
+
+# -- every shadow arises at a token of its own, so the order in which
+#    extraction reads classes, aspects and bodies decides no sid
+
+def _assert_reading_order_is_free(program, aspects, table) -> None:
+    locs = [(s.loc.path, s.loc.line, s.loc.col) for s in table]
+    assert len(set(locs)) == len(locs)
+    backwards = extract_shadows(ml.Program(program.classes[::-1]), list(aspects)[::-1])
+
+    def rows(t):
+        return [
+            (s.sid, s.kind, s.cls, s.member, s.arity, s.within_cls, s.within_member, s.loc)
+            for s in t
+        ]
+
+    assert rows(backwards) == rows(table)
+
+
+def test_reading_order_is_free_on_the_golden_corpus(tmp_path, monkeypatch):
+    # both demos, and every perfbench workload at seeds 0-2
+    from conftest import ROOT
+
+    spec = importlib.util.spec_from_file_location(
+        "golden_runs", os.path.join(ROOT, "scripts", "golden_runs.py")
+    )
+    golden_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_runs)
+    monkeypatch.chdir(tmp_path)
+    units = {id(unit): (name, unit) for name, unit, _, _ in golden_runs.corpus()}
+    names = {name.split()[0] for name, _ in units.values()}
+    assert {"demo", "demo_stack", "weave_large", "jobs_audit", "stack_cool", "spy_deep"} <= names
+    for _, unit in units.values():
+        _assert_reading_order_is_free(unit.program, unit.aspects, unit.all_shadows)
+
+
+def test_reading_order_is_free_on_random_programs_with_an_aspect():
+    for seed in range(60):
+        prog, aspects, table, _ = _random_case_with_aspect(seed)
+        _assert_reading_order_is_free(prog, aspects, table)
