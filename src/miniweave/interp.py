@@ -38,21 +38,25 @@ MAX_CALL_DEPTH frames ends the run with a runtime error. `exec_block`
 dispatches each statement in place; a `return` is its value, passed up
 through `if` and `while` to `run_decl`, which runs every method,
 constructor and static block. Frames leave only by returning: a runtime
-error ends the run, and nothing reads a thread's frames, cflow stack or
+error ends the run, and nothing reads a thread's frames, cflow state or
 monitors after that, so nothing unwinds them. `eval_expr` walks a binary
 chain's left spine down to its leftmost operand, then applies the
 operators on the way back up, so a left-deep chain costs no Python frames.
 
-Each join-point site looks its AST node up in the unit's `sites` and, for
-a visible shadow, brackets its own work with `_jp_enter` (scheduling
-point, `jp` event, cflow push, before-advice in precedence order) and
-`_jp_exit` (after-advice in reverse precedence order, cflow pop). Hidden
-shadows have no site: no events, no cflow state. An advice is a method
-whose parameters are its bindings (`thisObject`, `targetObject`, `args`,
-`jp`): `run_advice` binds them in the new frame as `run_decl` binds a
-method's arguments, with the aspect's singleton as `this`. `jp` is a
-record only when the advice body names it (`names_jp`, recorded by the
-resolver), else null.
+Each join-point site looks its AST node up in the unit's `sites`. For a
+visible shadow it takes a scheduling point, then `_jp_enter` (the `jp`
+event; the counts and residue frames of the cflow scopes the shadow
+enters, in the thread's `matching.CflowState`), then `_advise` over its
+before-advice in precedence order; after its own work, `_advise` over its
+after-advice in reverse precedence order, then `_jp_exit`, which leaves
+those scopes. So a join point is in its own control flow for both kinds of
+advice. `_jp_enter` and `_jp_exit` are plain calls, so a shadow with no
+advice costs no generator. Hidden shadows have no site: no events, no
+cflow scope. An advice is a method whose parameters are its bindings
+(`thisObject`, `targetObject`, `args`, `jp`): `run_advice` binds them in
+the new frame as `run_decl` binds a method's arguments, with the aspect's
+singleton as `this`. `jp` is a record only when the advice body names it
+(`names_jp`, recorded by the resolver), else null.
 
 Events are kept as plain (step, thread, kind, text) tuples; the text of
 `jp` and advice events is built once per run and shadow. `ExecutionResult`
@@ -73,7 +77,7 @@ from . import minilang as ml
 from .aspects import AspectDecl
 from .diagnostics import CompileError, Loc, MiniRuntimeError
 from .joinpoints import ShadowTable
-from .matching import CflowFrame, MatchTable, advice_sequence_at, eval_residue
+from .matching import CflowFrame, CflowState, MatchTable, advice_sequence_at, eval_residue
 from .values import (
     JpInfo,
     MObject,
@@ -107,6 +111,12 @@ FINISHED = "finished"
 
 # exec_block's value when its statements run to the end, not into a `return`
 _NO_RETURN = object()
+
+# the (enters, pending) of a site that enters no cflow scope
+_NO_SCOPES = ((), ())
+
+# the cflow state of every thread of a unit whose residues name no scope
+_NO_CFLOW = CflowState({}, 0)
 
 
 def _render_event(step: int, thread: int, kind: str, text: str) -> str:
@@ -191,9 +201,15 @@ class ExecutionResult:
 class WovenUnit:
     """Everything run() needs: the program, aspects, and the match relation.
 
-    `sites` maps id(node) of each visible shadow's AST node to that shadow
-    and its (before, after) advice sequences; the unit holds the nodes, so
-    the ids stay valid, and the AST itself carries no weaving state.
+    `sites` maps id(node) of each visible shadow's AST node to its site,
+    the tuple (shadow, (before, after), (enters, pending)): its before- and
+    after-advice in run order, the numbers of the cflow scopes it enters
+    statically, and a (number, residue) for each scope it enters by a
+    residue. `scopes` holds each cflow scope of the match table by number,
+    and `scope_numbers` maps id() of each `PcCflow` node a residue can
+    reach to its number (`matching.number_scopes`). The unit holds the
+    nodes, so the ids stay valid, and the AST itself carries no weaving
+    state: one parsed AST may be woven twice.
     `build` is the one place where class and aspect names are checked: each
     is declared once across every input, and no aspect takes a class's name.
     """
@@ -205,6 +221,8 @@ class WovenUnit:
     visible: ShadowTable
     match_table: MatchTable
     sites: dict[int, tuple]
+    scopes: tuple
+    scope_numbers: dict[int, int]
 
     @classmethod
     def build(
@@ -229,10 +247,13 @@ class WovenUnit:
         table = jp.extract_shadows(program, aspects)
         visible = jp.apply_hide_filter(table, [] if strip_hide else specs)
         mt = matching.build_match_table(aspects, visible, list(precedence))
+        scopes, numbers = matching.number_scopes(mt)
+        entered = matching.scope_membership(scopes, visible) if scopes else {}
         sites = {
-            id(shadow.node): (shadow, *advice_sequence_at(shadow.sid, mt)) for shadow in visible
+            id(s.node): (s, advice_sequence_at(s.sid, mt), entered.get(s.sid, _NO_SCOPES))
+            for s in visible
         }
-        return cls(program, aspects, list(precedence), table, visible, mt, sites)
+        return cls(program, aspects, list(precedence), table, visible, mt, sites, scopes, numbers)
 
 
 def _frame_locals(decl, bound=()) -> dict:
@@ -273,13 +294,13 @@ class _Env:
 
 
 class _Thread:
-    def __init__(self, tid: int, gen):
+    def __init__(self, tid: int, gen, cflow: CflowState | None = None):
         self.tid = tid
         self.gen = gen
         self.status = RUNNABLE
         self.monitor: Monitor | None = None  # blocked/waiting target
         self.frames: list[_Env] = []
-        self.cflow: list[CflowFrame] = []
+        self.cflow = cflow
 
 
 def detect_deadlock(threads: list[_Thread], step: int) -> DeadlockReport | None:
@@ -329,7 +350,10 @@ class Interp:
 
     def add_thread(self, gen) -> int:
         tid = len(self.threads)
-        t = _Thread(tid, gen)
+        scopes = self.unit.scopes
+        # with no scope, no thread's state ever changes: one serves them all
+        cflow = CflowState(self.unit.scope_numbers, len(scopes)) if scopes else _NO_CFLOW
+        t = _Thread(tid, gen, cflow)
         self.threads.append(t)
         idx = 0
         if self.rotation:
@@ -501,27 +525,45 @@ class Interp:
 
     # -- join point dispatch
 
-    def _jp_enter(self, site, this_obj, target_obj, args):
-        shadow, before, _ = site
-        if self._switch():  # every woven join point is a scheduling point
-            yield None
+    def _jp_enter(self, site, this_obj, target_obj, args) -> tuple:
+        """A visible join point begins, after its scheduling point: its `jp`
+        event, then the cflow scopes it enters. Returns its (before, after)
+        advice."""
+        shadow, advice, (enters, pending) = site
         text = self.texts.get(id(shadow))
         if text is None:
             text = self.texts[id(shadow)] = shadow.describe()
         self.emit("jp", text)
-        cflow = self.current.cflow
-        cflow.append(CflowFrame(shadow, this_obj, target_obj, tuple(args)))
-        for entry in before:
-            if eval_residue(entry.residue, this_obj, target_obj, args, cflow):
-                yield from self.run_advice(entry.advice, shadow, this_obj, target_obj, args)
+        if enters:
+            counts = self.current.cflow.counts
+            for n in enters:
+                counts[n] += 1
+        if pending:
+            frames = self.current.cflow.pending
+            frame = CflowFrame(shadow, this_obj, target_obj, tuple(args))
+            for n, residue in pending:
+                frames[n].append((frame, residue))
+        return advice
 
-    def _jp_exit(self, site, this_obj, target_obj, args):
-        shadow, _, after = site
+    def _jp_exit(self, site) -> None:
+        """A visible join point ends, after its after-advice: it leaves the
+        cflow scopes it entered."""
+        enters, pending = site[2]
+        if enters:
+            counts = self.current.cflow.counts
+            for n in enters:
+                counts[n] -= 1
+        if pending:
+            frames = self.current.cflow.pending
+            for n, _ in pending:
+                frames[n].pop()
+
+    def _advise(self, entries, site, this_obj, target_obj, args):
+        """Run each advice of `entries` whose residue holds, in order."""
         cflow = self.current.cflow
-        for entry in after:
+        for entry in entries:
             if eval_residue(entry.residue, this_obj, target_obj, args, cflow):
-                yield from self.run_advice(entry.advice, shadow, this_obj, target_obj, args)
-        cflow.pop()
+                yield from self.run_advice(entry.advice, site[0], this_obj, target_obj, args)
 
     def run_advice(self, advice, shadow, this_obj, target_obj, args):
         inst = self.aspect_instances[advice.aspect_name]
@@ -567,14 +609,20 @@ class Interp:
         self.next_obj += 1
         site = self.unit.sites.get(id(cls))
         if site is not None:
-            yield from self._jp_enter(site, obj, obj, args)
+            if self._switch():  # every woven join point is a scheduling point
+                yield None
+            before, after = self._jp_enter(site, obj, obj, args)
+            if before:
+                yield from self._advise(before, site, obj, obj, args)
         env = self._push_frame(loc, {}, obj)
         for f in cls.fields:
             if f.init is not None:
                 obj.fields[f.name] = yield from self.eval_expr(f.init, env)
         self._pop_frame(env)
         if site is not None:
-            yield from self._jp_exit(site, obj, obj, args)
+            if after:
+                yield from self._advise(after, site, obj, obj, args)
+            self._jp_exit(site)
         if cls.ctor is not None:
             yield from self.run_decl(obj, cls.ctor, args, loc)
         return obj
@@ -585,12 +633,18 @@ class Interp:
         `return`, or null when the body runs to the end."""
         site = self.unit.sites.get(id(decl))
         if site is not None:
-            yield from self._jp_enter(site, this, this, args)
+            if self._switch():
+                yield None
+            before, after = self._jp_enter(site, this, this, args)
+            if before:
+                yield from self._advise(before, site, this, this, args)
         env = self._push_frame(loc, _frame_locals(decl, zip(decl.params, args)), this)
         result = yield from self.exec_block(decl.body, env)
         self._pop_frame(env)
         if site is not None:
-            yield from self._jp_exit(site, this, this, args)
+            if after:
+                yield from self._advise(after, site, this, this, args)
+            self._jp_exit(site)
         return None if result is _NO_RETURN else result
 
     # -- statements
@@ -618,10 +672,16 @@ class Interp:
                     value = yield from self.eval_expr(stmt.value, env)
                     site = self.unit.sites.get(id(stmt))
                     if site is not None:
-                        yield from self._jp_enter(site, env.this, obj, (value,))
+                        if self._switch():
+                            yield None
+                        before, after = self._jp_enter(site, env.this, obj, (value,))
+                        if before:
+                            yield from self._advise(before, site, env.this, obj, (value,))
                     self.field_write(obj, target.name, value, target.loc)
                     if site is not None:
-                        yield from self._jp_exit(site, env.this, obj, (value,))
+                        if after:
+                            yield from self._advise(after, site, env.this, obj, (value,))
+                        self._jp_exit(site)
             elif kind is ml.VarDecl:
                 init = stmt.init
                 value = None if init is None else (yield from self.eval_expr(init, env))
@@ -694,10 +754,16 @@ class Interp:
             obj = yield from self.eval_expr(expr.obj, env)
             site = self.unit.sites.get(id(expr))
             if site is not None:
-                yield from self._jp_enter(site, env.this, obj, ())
+                if self._switch():
+                    yield None
+                before, after = self._jp_enter(site, env.this, obj, ())
+                if before:
+                    yield from self._advise(before, site, env.this, obj, ())
             result = self.field_read(obj, expr.name, expr.loc)
             if site is not None:
-                yield from self._jp_exit(site, env.this, obj, ())
+                if after:
+                    yield from self._advise(after, site, env.this, obj, ())
+                self._jp_exit(site)
             return result
         if kind is ml.MethodCall:
             recv = yield from self.eval_expr(expr.obj, env)
@@ -706,11 +772,17 @@ class Interp:
                 args.append((yield from self.eval_expr(a, env)))
             site = self.unit.sites.get(id(expr))
             if site is not None:
-                yield from self._jp_enter(site, env.this, recv, args)
+                if self._switch():
+                    yield None
+                before, after = self._jp_enter(site, env.this, recv, args)
+                if before:
+                    yield from self._advise(before, site, env.this, recv, args)
             decl = _method_of(recv, expr.name, args, expr.loc)
             result = yield from self.run_decl(recv, decl, args, expr.loc)
             if site is not None:
-                yield from self._jp_exit(site, env.this, recv, args)
+                if after:
+                    yield from self._advise(after, site, env.this, recv, args)
+                self._jp_exit(site)
             return result
         if kind is ml.BuiltinCall:
             return (yield from self.eval_builtin(expr, env))

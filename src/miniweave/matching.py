@@ -20,6 +20,16 @@ reaches the table only through the aspect parser, so there is no fallback
 for an unanchored disjunct. The advice is sorted into precedence order once
 per build, by `advice_sort_key` over the `precedence_ranks` map, and the
 index keeps that order.
+
+Cflow is decided by counters, not by walking frames. At weave time
+`number_scopes` numbers the distinct `cflow(P)` scopes that the table's
+residues can reach, nested ones included, and `scope_membership` records
+for each visible shadow the scopes it enters: statically where
+`match(P, shadow)` is TRUE, else with the residue that match leaves. At run
+time each thread keeps a `CflowState`: per scope, a count of the entered
+join points that enter it statically, and a (frame, residue) for each that
+enters it by a residue. `cflow_active` holds when the count is positive,
+else when one of those residues holds on its own frame's bindings.
 """
 
 from __future__ import annotations
@@ -237,9 +247,123 @@ def advice_sequence_at(sid: int, table: MatchTable):
     """Runtime dispatch order at a shadow: before-advice in precedence order,
     after-advice in reverse precedence order (highest precedence last)."""
     entries = table.at(sid)
+    if not entries:
+        return (), ()
     before = tuple(e for e in entries if e.advice.kind == "before")
     after = tuple(reversed([e for e in entries if e.advice.kind == "after"]))
     return before, after
+
+
+# ---------------------------------------------------------------------------
+# Cflow scopes (weave time)
+# ---------------------------------------------------------------------------
+
+
+def number_scopes(table: MatchTable) -> tuple[tuple[PcCflow, ...], dict[int, int]]:
+    """The distinct cflow scopes of the table's residues, scopes nested in
+    a scope's pointcut included, numbered in order of first occurrence (by
+    shadow, then precedence, then depth first), and a map from id() of
+    every `PcCflow` node that a residue can reach to its scope's number.
+
+    Scopes are told apart by their text, which parses back to the same
+    pointcut, so two advice that name one scope share its number.
+    """
+    scopes: list[PcCflow] = []
+    by_text: dict[str, int] = {}
+    numbers: dict[int, int] = {}
+    for entries in table.entries.values():
+        for entry in entries:
+            _number_scopes_in(entry.residue, scopes, by_text, numbers)
+    return tuple(scopes), numbers
+
+
+def _number_scopes_in(pc, scopes: list, by_text: dict[str, int], numbers: dict[int, int]) -> None:
+    cls = type(pc)
+    if cls is PcCflow:
+        if id(pc) in numbers:
+            return
+        text = str(pc)
+        if text not in by_text:
+            by_text[text] = len(scopes)
+            scopes.append(pc)
+        numbers[id(pc)] = by_text[text]
+        _number_scopes_in(pc.inner, scopes, by_text, numbers)
+    elif cls is PcNot:
+        _number_scopes_in(pc.inner, scopes, by_text, numbers)
+    elif cls is PcAnd or cls is PcOr:
+        for part in pc.parts:
+            _number_scopes_in(part, scopes, by_text, numbers)
+
+
+def scope_membership(scopes: tuple[PcCflow, ...], visible: ShadowTable) -> dict[int, tuple]:
+    """sid -> (numbers of the scopes the shadow enters statically,
+    (number, residue) of each scope it enters by a residue), for each
+    visible shadow that enters a scope.
+
+    A shadow is matched only against its candidate scopes, as advice is
+    against its fast-match candidates. Each disjunct of a scope is filed by
+    its anchor (`aspects.anchor`) when that names a member: under the
+    member for a "*" class, else under (class, member). Otherwise it is
+    filed under a `within` type it needs, else under every shadow. A
+    shadow's candidates are a bitmask over scope numbers: those filed under
+    its member, its (class, member), its `within_cls` or every shadow; a
+    shadow whose class is unknown gets every anchor that names its member,
+    as its match may pass by a `target` residue. `match` then checks the
+    kind. The keys are strings and pairs of strings, the masks are ints,
+    and the entered tuples are shared, so a shadow costs a few lookups.
+    """
+    by_member: dict = {}  # member or (class, member) -> mask
+    any_class: dict[str, int] = {}  # member -> mask of every anchor that names it
+    by_within: dict[str, int] = {}
+    everywhere = 0
+    for n, scope in enumerate(scopes):
+        bit = 1 << n
+        inner = scope.inner
+        for disjunct in inner.parts if type(inner) is PcOr else (inner,):
+            atom = anchor(disjunct)
+            if atom is not None and atom.member != "*":
+                key = atom.member if atom.cls == "*" else (atom.cls, atom.member)
+                by_member[key] = by_member.get(key, 0) | bit
+                any_class[atom.member] = any_class.get(atom.member, 0) | bit
+                continue
+            parts = disjunct.parts if type(disjunct) is PcAnd else (disjunct,)
+            within = next((p.type_name for p in parts if type(p) is PcWithin), None)
+            if within is not None:
+                by_within[within] = by_within.get(within, 0) | bit
+            else:
+                everywhere |= bit
+    entered: dict[int, tuple] = {}
+    static_only: dict[int, tuple] = {}  # mask of scopes entered statically -> its entry
+    for shadow in visible:
+        member = shadow.member
+        if shadow.cls is None:
+            mask = any_class.get(member, 0)
+        else:
+            mask = by_member.get(member, 0) | by_member.get((shadow.cls, member), 0)
+        mask |= by_within.get(shadow.within_cls, 0) | everywhere
+        static, dynamic = 0, ()
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            n = bit.bit_length() - 1
+            residue = match(scopes[n].inner, shadow)
+            if residue is TRUE:
+                static |= bit
+            elif residue is not None:
+                dynamic += ((n, residue),)
+        if dynamic:
+            entered[shadow.sid] = (_bits(static), dynamic)
+        elif static:
+            entry = static_only.get(static)
+            if entry is None:
+                entry = static_only[static] = (_bits(static), ())
+            entered[shadow.sid] = entry
+    return entered
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, ascending."""
+    return tuple(n for n in range(mask.bit_length()) if mask >> n & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +372,8 @@ def advice_sequence_at(sid: int, table: MatchTable):
 
 
 class CflowFrame:
-    """One entered join point on a thread's stack, with its bindings."""
+    """An entered join point's bindings, kept for a scope that it entered
+    by a residue."""
 
     __slots__ = ("shadow", "this_obj", "target_obj", "args")
 
@@ -259,18 +384,35 @@ class CflowFrame:
         self.args = args
 
 
-def cflow_active(frames, scope_pc) -> bool:
-    """True iff some entered frame on this thread matches the scope pointcut."""
-    for frame in frames:
-        residue = match(scope_pc, frame.shadow)
-        if residue is None:
-            continue
-        if eval_residue(residue, frame.this_obj, frame.target_obj, frame.args, frames):
+class CflowState:
+    """One thread's cflow scopes. Per scope number: `counts`, how many
+    entered join points enter it statically, and `pending`, a (frame,
+    residue) for each one that enters it by a residue, innermost last.
+    `numbers` is the unit's map from id() of a `PcCflow` node to its
+    scope's number (`number_scopes`)."""
+
+    __slots__ = ("numbers", "counts", "pending")
+
+    def __init__(self, numbers: dict[int, int], n_scopes: int):
+        self.numbers = numbers
+        self.counts = [0] * n_scopes
+        self.pending: list[list[tuple[CflowFrame, object]]] = [[] for _ in range(n_scopes)]
+
+
+def cflow_active(state: CflowState, scope: PcCflow) -> bool:
+    """True iff some entered join point on this thread matches the scope:
+    one that enters it statically, or one whose residue holds on its own
+    bindings."""
+    n = state.numbers[id(scope)]
+    if state.counts[n]:
+        return True
+    for frame, residue in state.pending[n]:
+        if eval_residue(residue, frame.this_obj, frame.target_obj, frame.args, state):
             return True
     return False
 
 
-def eval_residue(residue, this_obj, target_obj, args, frames) -> bool:
+def eval_residue(residue, this_obj, target_obj, args, state: CflowState) -> bool:
     if residue is TRUE:
         return True
     cls = type(residue)
@@ -284,11 +426,11 @@ def eval_residue(residue, this_obj, target_obj, args, frames) -> bool:
             return True
         return value_eq(args[residue.position], residue.value)
     if cls is PcCflow:
-        return cflow_active(frames, residue.inner)
+        return cflow_active(state, residue)
     if cls is PcNot:
-        return not eval_residue(residue.inner, this_obj, target_obj, args, frames)
+        return not eval_residue(residue.inner, this_obj, target_obj, args, state)
     if cls is PcAnd:
-        return all(eval_residue(p, this_obj, target_obj, args, frames) for p in residue.parts)
+        return all(eval_residue(p, this_obj, target_obj, args, state) for p in residue.parts)
     if cls is PcOr:
-        return any(eval_residue(p, this_obj, target_obj, args, frames) for p in residue.parts)
+        return any(eval_residue(p, this_obj, target_obj, args, state) for p in residue.parts)
     raise TypeError(f"not a residue node: {residue!r}")

@@ -11,6 +11,8 @@ test can check the woven or compiled result against it:
   that do not depend on shadow ids;
 - `edges`/`thread_ids`: the waits-for graph of a deadlock report;
 - `eligible`/`ScanInterp`: the scheduler as a scan of every thread's state;
+- `walk_eval_residue`/`WalkInterp`: cflow as a walk over every entered
+  join point on the thread's stack;
 - `parse_aspect`: a source that holds exactly one aspect.
 """
 
@@ -19,12 +21,33 @@ from __future__ import annotations
 import operator
 
 import miniweave.minilang as ml
-from miniweave.aspects import AdviceDecl, AspectDecl, parse_aspect_file
+from miniweave.aspects import (
+    AdviceDecl,
+    AspectDecl,
+    PcAnd,
+    PcArgs,
+    PcBinding,
+    PcCflow,
+    PcNot,
+    PcOr,
+    parse_aspect_file,
+)
 from miniweave.diagnostics import CompileError, Loc, ParseError
 from miniweave.dsal_cool import CoordinatorDecl
 from miniweave.interp import BLOCKED, RUNNABLE, DeadlockReport, Interp
 from miniweave.joinpoints import Shadow
-from miniweave.matching import MatchTable, advice_sort_key, precedence_ranks, render_residue
+from miniweave.matching import (
+    TRUE,
+    CflowFrame,
+    MatchTable,
+    advice_sort_key,
+    cflow_active,
+    eval_residue,
+    match,
+    precedence_ranks,
+    render_residue,
+)
+from miniweave.values import class_name_of, value_eq
 
 # ---------------------------------------------------------------------------
 # COOL entry guard
@@ -191,6 +214,87 @@ class ScanInterp(Interp):
                 self.rot_pos = (idx + 1) % n
                 return idx
         return None
+
+
+# ---------------------------------------------------------------------------
+# Cflow by frame walk
+# ---------------------------------------------------------------------------
+
+
+def walk_eval_residue(residue, this_obj, target_obj, args, frames, state) -> bool:
+    """`matching.eval_residue` with `cflow(P)` decided by walking `frames`,
+    every join point entered on the thread, outermost first: it holds when
+    `match(P, frame.shadow)` leaves a residue that holds on that frame's
+    bindings. At each cflow test it asserts that the counters of `state`
+    give the same answer."""
+    if residue is TRUE:
+        return True
+    cls = type(residue)
+    if cls is PcBinding:
+        obj = this_obj if residue.binding == "this" else target_obj
+        return class_name_of(obj) == residue.type_name
+    if cls is PcArgs:
+        if residue.position >= len(args):
+            return False
+        return residue.is_wildcard or value_eq(args[residue.position], residue.value)
+    if cls is PcCflow:
+        walked = False
+        for frame in frames:
+            found = match(residue.inner, frame.shadow)
+            if found is not None and walk_eval_residue(
+                found, frame.this_obj, frame.target_obj, frame.args, frames, state
+            ):
+                walked = True
+                break
+        counted = cflow_active(state, residue)
+        assert counted == walked, f"{residue}: counters say {counted}, the frame walk {walked}"
+        return walked
+    if cls is PcNot:
+        return not walk_eval_residue(residue.inner, this_obj, target_obj, args, frames, state)
+    parts = [walk_eval_residue(p, this_obj, target_obj, args, frames, state) for p in residue.parts]
+    if cls is PcAnd:
+        return all(parts)
+    if cls is PcOr:
+        return any(parts)
+    raise TypeError(f"not a residue node: {residue!r}")
+
+
+class WalkInterp(Interp):
+    """The interpreter with a full cflow stack beside its scope counters:
+    each visible join point pushes a `CflowFrame` on its thread's `walks`
+    stack when it is entered and pops it when it is left. Each residue test
+    is made both ways, by `eval_residue` over the counters and by
+    `walk_eval_residue` over the stack, which also checks every cflow test
+    on its way; the two must agree. `cflow_tests` counts those tests and
+    `cflow_held` the ones that held."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.walks: dict[int, list[CflowFrame]] = {}
+        self.cflow_tests = 0
+        self.cflow_held = 0
+
+    def _jp_enter(self, site, this_obj, target_obj, args):
+        frame = CflowFrame(site[0], this_obj, target_obj, tuple(args))
+        self.walks.setdefault(self.current.tid, []).append(frame)
+        return super()._jp_enter(site, this_obj, target_obj, args)
+
+    def _jp_exit(self, site) -> None:
+        super()._jp_exit(site)
+        assert self.walks[self.current.tid].pop().shadow is site[0]
+
+    def _advise(self, entries, site, this_obj, target_obj, args):
+        state = self.current.cflow
+        frames = self.walks[self.current.tid]
+        for entry in entries:
+            residue = entry.residue
+            walked = walk_eval_residue(residue, this_obj, target_obj, args, frames, state)
+            assert eval_residue(residue, this_obj, target_obj, args, state) == walked, residue
+            if "cflow" in render_residue(residue):
+                self.cflow_tests += 1
+                self.cflow_held += walked
+            if walked:
+                yield from self.run_advice(entry.advice, site[0], this_obj, target_obj, args)
 
 
 # ---------------------------------------------------------------------------

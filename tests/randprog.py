@@ -1,9 +1,10 @@
 """Seeded random MiniLang programs, and aspects over them, with random hide
 annotations.
 
-Used by the hide-filter property tests and the semantic-preservation
-acceptance check. Programs are compile-only fixtures: bodies may recurse,
-they are never interpreted.
+Used by the hide-filter property tests, the semantic-preservation
+acceptance check and the cflow differential test. Bodies may recurse
+without end, so a run of a program (given an entry by `main_source`) may
+end at the call-depth bound or the step limit.
 """
 
 from __future__ import annotations
@@ -86,14 +87,51 @@ def random_coordinator_source(rng: random.Random, program_src: str) -> str | Non
     return f"coordinator {cls.name} {{\n  selfex {{{', '.join(chosen)}}};\n}}\n"
 
 
-def random_aspect_source(rng: random.Random, program) -> str:
+def main_source(program) -> str:
+    """A `Main` class whose `main` calls every method of the parsed
+    `program` once, on a new object of its class."""
+    calls = "".join(f"    new {c.name}().{m.name}();\n" for c in program.classes for m in c.methods)
+    return f"class Main {{\n  def main() {{\n{calls}  }}\n}}\n"
+
+
+def _random_residue(rng: random.Random, classes: list[str], targets) -> str:
+    """A `this(C)`, `args(i, v)`, `cflow(S)` or `!cflow(S)` conjunct. A scope
+    S is a `within`, a `!within`, a `within` or a call, or a call or
+    execution with a `this`/`args` residue or a nested `cflow(within(..))`."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return f"this({rng.choice(classes)})"
+    if kind == 1:
+        return f"args({rng.randrange(2)}, {rng.choice(['*', '0', '1', str(rng.randint(2, 9))])})"
+    form = rng.randrange(5)
+    if form == 0:
+        scope = f"within({rng.choice(classes)})"
+    elif form == 1:
+        scope = f"!within({rng.choice(classes)})"
+    elif form == 2:
+        cls, m = rng.choice(targets)
+        scope = f"within({rng.choice(classes)}) || call({cls}.{m})"
+    else:
+        cls, m = rng.choice(targets)
+        more = (
+            f"this({rng.choice(classes)})",
+            f"args(0, {rng.choice(['*', str(rng.randint(0, 9))])})",
+            f"cflow(within({rng.choice(classes)}))",
+        )[rng.randrange(3)]
+        scope = f"{rng.choice(['call', 'execution'])}({cls}.{m}) && {more}"
+    return f"{'!' if kind == 3 else ''}cflow({scope})"
+
+
+def random_aspect_source(rng: random.Random, program, residues: bool = False) -> str:
     """One aspect over the parsed `program`, with random hide annotations
     on the aspect, its fields, helpers and advice.
 
     Helper and advice bodies read and write `this.aN`, call helpers and call
     `new C().m()` for methods of `program`; some field initializers hold a
     get and a call too. Each advice has an execution, call, get or set
-    anchor over `program`. A compile-only fixture, like the programs above.
+    anchor over `program`. With `residues`, most advice also get one
+    `_random_residue` conjunct over the program's classes and `Asp`;
+    without, the rng draws are those of an aspect with no residues.
     """
     targets = [(c.name, m.name) for c in program.classes for m in c.methods]
     fields = [(c.name, f.name) for c in program.classes for f in c.fields]
@@ -130,7 +168,11 @@ def random_aspect_source(rng: random.Random, program) -> str:
         word = rng.choice(["execution", "call", "get", "set"] if fields else ["execution", "call"])
         cls, member = rng.choice(fields if word in ("get", "set") else targets)
         when = rng.choice(["before", "after"])
-        parts.append(f"  {when}(): {word}({cls}.{member}) {{\n")
+        pc = f"{word}({cls}.{member})"
+        if residues and rng.random() < 0.8:
+            classes = [c.name for c in program.classes] + ["Asp"]
+            pc += " && " + _random_residue(rng, classes, targets)
+        parts.append(f"  {when}(): {pc} {{\n")
         statements()
         parts.append("  }\n")
     parts.append("}\n")
