@@ -540,7 +540,7 @@ class Interp:
                 counts[n] += 1
         if pending:
             frames = self.current.cflow.pending
-            frame = CflowFrame(shadow, this_obj, target_obj, tuple(args))
+            frame = CflowFrame(this_obj, target_obj, tuple(args))
             for n, residue in pending:
                 frames[n].append((frame, residue))
         return advice

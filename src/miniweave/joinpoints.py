@@ -58,6 +58,11 @@ class ShadowKind(enum.Enum):
     INITIALIZATION = "initialization"
     STATIC_INITIALIZATION = "static_initialization"
 
+    # the members are singletons that compare by identity: hashing them by
+    # identity keeps a dict lookup keyed by a kind in C, where Enum's
+    # __hash__ is a Python call
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

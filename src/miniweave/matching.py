@@ -7,19 +7,19 @@ When a call/get/set shadow's receiver class could not be resolved
 statically, a concrete class segment in the pattern also becomes a residue
 (a runtime `target` test).
 
-The match table is built with kinded fast-match: `aspects.check_matchable`
-guarantees every top-level disjunct an `aspects.anchor`, a positive
-`PcKind`, and a shadow can only match that disjunct if its kind and member
-agree with the anchor, and, when the shadow's class is known statically,
-its class too. Each advice is indexed under the anchor's (kind, member,
-class) per disjunct, with "*" for a wildcard member or class, so a shadow
-runs the full `match` only on the advice filed under its kind, its member
-or "*", and its class or "*". A shadow of unknown class gets every class's
-advice, since `match` turns the class into a `target` residue. Advice
-reaches the table only through the aspect parser, so there is no fallback
-for an unanchored disjunct. The advice is sorted into precedence order once
-per build, by `advice_sort_key` over the `precedence_ranks` map, and the
-index keeps that order.
+One index, built by `_candidates`, decides which pointcuts a shadow may
+match, for advice in `build_match_table` and for cflow scopes in
+`scope_membership`. A disjunct can only match a shadow whose kind and
+member agree with its anchor (`aspects.anchor`, a positive `PcKind`) and,
+when the shadow's class is known statically, whose class does too; so each
+disjunct is filed under its anchor's kind, member and class, with "*"
+folded in, and a shadow runs the full `match` only on the pointcuts filed
+under it. A shadow of unknown class gets every class's, since `match` turns
+the class into a `target` residue. `aspects.check_matchable` gives every
+advice disjunct an anchor; a scope's may have none, and is then filed
+under a `within` type it needs, else under every shadow. The advice is
+sorted into precedence order once per build, by `advice_sort_key` over the
+`precedence_ranks` map, and the index keeps that order.
 
 Cflow is decided by counters, not by walking frames. At weave time
 `number_scopes` numbers the distinct `cflow(P)` scopes that the table's
@@ -34,8 +34,11 @@ else when one of those residues holds on its own frame's bindings.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
 from math import inf
+from operator import or_
 
 from .aspects import (
     AdviceDecl,
@@ -178,62 +181,86 @@ class MatchTable:
                 yield self.shadows[sid], entry
 
 
-def _index_advice(ordered: list[AdviceDecl]) -> dict[ShadowKind, dict[str, dict]]:
-    """ShadowKind -> member or "*" -> class, "*" or None -> positions in
-    `ordered`, ascending.
+def _candidates(pointcuts: list) -> Callable[[Shadow], tuple[int, ...]]:
+    """A function from a shadow to the ascending positions in `pointcuts`
+    of those the shadow may match: a superset of those `match` passes.
 
-    Each disjunct's anchor files its advice under the anchor's member and
-    class. A member's entry also holds the kind's "*" member, and a class's
-    list the "*" class, so two lookups give a shadow its candidates: under
-    its member, else "*", then under its class, else "*". A shadow whose
-    class is unknown looks up None, which holds every class: its match may
-    still pass by a `target` residue. Every disjunct has an anchor:
-    `check_matchable` rejects advice with one that has none.
+    Each top-level disjunct is filed under its anchor (`aspects.anchor`) by
+    kind, member and class, as a bitmask over positions. A member's entry
+    also holds the kind's "*" member, and a class's the "*" class, so two
+    lookups give a shadow its anchored candidates: under its member, else
+    "*", then under its class, else "*". A shadow whose class is unknown
+    looks up None, which holds every class: its match may still pass by a
+    `target` residue. A disjunct with no anchor (only a cflow scope's can
+    lack one) is filed under a `within` type it needs, else under every
+    shadow. Shadows with one mask share one positions tuple.
     """
-    anchors: dict[ShadowKind, dict[str, dict[str, set[int]]]] = {}
-    for pos, adv in enumerate(ordered):
-        pc = adv.pointcut
+    anchored: dict[ShadowKind, dict[str, dict[str | None, int]]] = {}
+    by_within: dict[str, int] = {}
+    everywhere = 0
+    for pos, pc in enumerate(pointcuts):
+        bit = 1 << pos
         for disjunct in pc.parts if type(pc) is PcOr else (pc,):
             atom = anchor(disjunct)
-            by_member = anchors.setdefault(atom.kind, {})
-            by_class = by_member.setdefault(atom.member, {})
-            by_class.setdefault(atom.cls, set()).add(pos)
-    index: dict[ShadowKind, dict[str, dict]] = {}
-    for kind, by_member in anchors.items():
+            if atom is not None:
+                by_class = anchored.setdefault(atom.kind, {}).setdefault(atom.member, {})
+                by_class[atom.cls] = by_class.get(atom.cls, 0) | bit
+                continue
+            parts = disjunct.parts if type(disjunct) is PcAnd else (disjunct,)
+            within = next((p.type_name for p in parts if type(p) is PcWithin), None)
+            if within is None:
+                everywhere |= bit
+            else:
+                by_within[within] = by_within.get(within, 0) | bit
+    for by_member in anchored.values():
         wild = by_member.get("*", {})
-        index[kind] = {}
         for member, by_class in by_member.items():
-            merged = {c: by_class.get(c, set()) | wild.get(c, set()) for c in {*by_class, *wild}}
-            any_class = merged.get("*", set())
-            lists = {c: sorted(found | any_class) for c, found in merged.items()}
-            lists[None] = sorted(set().union(*merged.values()))
-            index[kind][member] = lists
-    return index
+            merged = {c: by_class.get(c, 0) | wild.get(c, 0) for c in {*by_class, *wild}}
+            any_class = merged.get("*", 0)
+            folded = {c: found | any_class for c, found in merged.items()}
+            folded[None] = reduce(or_, merged.values())
+            by_member[member] = folded
+    positions: dict[int, tuple[int, ...]] = {}
+
+    def candidates(shadow: Shadow) -> tuple[int, ...]:
+        mask = everywhere
+        if by_within:
+            mask |= by_within.get(shadow.within_cls, 0)
+        by_member = anchored.get(shadow.kind)
+        if by_member is not None:
+            by_class = by_member.get(shadow.member) or by_member.get("*")
+            if by_class is not None:
+                mask |= by_class.get(shadow.cls) or by_class.get("*", 0)
+        found = positions.get(mask)
+        if found is None:
+            found = positions[mask] = _bits(mask)
+        return found
+
+    return candidates
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, ascending."""
+    return tuple(n for n in range(mask.bit_length()) if mask >> n & 1)
 
 
 def build_match_table(
     aspects: list[AspectDecl], visible: ShadowTable, precedence: list[str]
 ) -> MatchTable:
-    """Match each visible shadow against its fast-match candidates, in
+    """Match each visible shadow against its candidate advice, in
     precedence order."""
     ranks = precedence_ranks(precedence)
     ordered = sorted(
         (adv for aspect in aspects for adv in aspect.advice),
         key=lambda adv: advice_sort_key(adv, ranks),
     )
-    index = _index_advice(ordered)
+    candidates = _candidates([adv.pointcut for adv in ordered])
     entries: dict[int, tuple[MatchEntry, ...]] = {}
     shadows: dict[int, Shadow] = {}
     for shadow in visible:
         shadows[shadow.sid] = shadow
-        by_member = index.get(shadow.kind)
-        if by_member is None:
-            continue
-        by_class = by_member.get(shadow.member) or by_member.get("*")
-        if by_class is None:
-            continue
         hits = []
-        for pos in by_class.get(shadow.cls) or by_class.get("*", ()):
+        for pos in candidates(shadow):
             adv = ordered[pos]
             residue = match(adv.pointcut, shadow)
             if residue is not None:
@@ -300,70 +327,28 @@ def scope_membership(scopes: tuple[PcCflow, ...], visible: ShadowTable) -> dict[
     (number, residue) of each scope it enters by a residue), for each
     visible shadow that enters a scope.
 
-    A shadow is matched only against its candidate scopes, as advice is
-    against its fast-match candidates. Each disjunct of a scope is filed by
-    its anchor (`aspects.anchor`) when that names a member: under the
-    member for a "*" class, else under (class, member). Otherwise it is
-    filed under a `within` type it needs, else under every shadow. A
-    shadow's candidates are a bitmask over scope numbers: those filed under
-    its member, its (class, member), its `within_cls` or every shadow; a
-    shadow whose class is unknown gets every anchor that names its member,
-    as its match may pass by a `target` residue. `match` then checks the
-    kind. The keys are strings and pairs of strings, the masks are ints,
-    and the entered tuples are shared, so a shadow costs a few lookups.
+    A shadow is matched only against its candidate scopes (`_candidates`),
+    and shadows that enter the same scopes statically share one entry.
     """
-    by_member: dict = {}  # member or (class, member) -> mask
-    any_class: dict[str, int] = {}  # member -> mask of every anchor that names it
-    by_within: dict[str, int] = {}
-    everywhere = 0
-    for n, scope in enumerate(scopes):
-        bit = 1 << n
-        inner = scope.inner
-        for disjunct in inner.parts if type(inner) is PcOr else (inner,):
-            atom = anchor(disjunct)
-            if atom is not None and atom.member != "*":
-                key = atom.member if atom.cls == "*" else (atom.cls, atom.member)
-                by_member[key] = by_member.get(key, 0) | bit
-                any_class[atom.member] = any_class.get(atom.member, 0) | bit
-                continue
-            parts = disjunct.parts if type(disjunct) is PcAnd else (disjunct,)
-            within = next((p.type_name for p in parts if type(p) is PcWithin), None)
-            if within is not None:
-                by_within[within] = by_within.get(within, 0) | bit
-            else:
-                everywhere |= bit
+    candidates = _candidates([scope.inner for scope in scopes])
     entered: dict[int, tuple] = {}
-    static_only: dict[int, tuple] = {}  # mask of scopes entered statically -> its entry
+    static_only: dict[tuple, tuple] = {}  # scopes entered statically -> their entry
     for shadow in visible:
-        member = shadow.member
-        if shadow.cls is None:
-            mask = any_class.get(member, 0)
-        else:
-            mask = by_member.get(member, 0) | by_member.get((shadow.cls, member), 0)
-        mask |= by_within.get(shadow.within_cls, 0) | everywhere
-        static, dynamic = 0, ()
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            n = bit.bit_length() - 1
+        static, dynamic = (), ()
+        for n in candidates(shadow):
             residue = match(scopes[n].inner, shadow)
             if residue is TRUE:
-                static |= bit
+                static += (n,)
             elif residue is not None:
                 dynamic += ((n, residue),)
         if dynamic:
-            entered[shadow.sid] = (_bits(static), dynamic)
+            entered[shadow.sid] = (static, dynamic)
         elif static:
             entry = static_only.get(static)
             if entry is None:
-                entry = static_only[static] = (_bits(static), ())
+                entry = static_only[static] = (static, ())
             entered[shadow.sid] = entry
     return entered
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of `mask`, ascending."""
-    return tuple(n for n in range(mask.bit_length()) if mask >> n & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +360,9 @@ class CflowFrame:
     """An entered join point's bindings, kept for a scope that it entered
     by a residue."""
 
-    __slots__ = ("shadow", "this_obj", "target_obj", "args")
+    __slots__ = ("this_obj", "target_obj", "args")
 
-    def __init__(self, shadow: Shadow, this_obj, target_obj, args: tuple):
-        self.shadow = shadow
+    def __init__(self, this_obj, target_obj, args: tuple):
         self.this_obj = this_obj
         self.target_obj = target_obj
         self.args = args

@@ -223,10 +223,10 @@ class ScanInterp(Interp):
 
 def walk_eval_residue(residue, this_obj, target_obj, args, frames, state) -> bool:
     """`matching.eval_residue` with `cflow(P)` decided by walking `frames`,
-    every join point entered on the thread, outermost first: it holds when
-    `match(P, frame.shadow)` leaves a residue that holds on that frame's
-    bindings. At each cflow test it asserts that the counters of `state`
-    give the same answer."""
+    a (shadow, frame) for every join point entered on the thread, outermost
+    first: it holds when `match(P, shadow)` leaves a residue that holds on
+    that frame's bindings. At each cflow test it asserts that the counters
+    of `state` give the same answer."""
     if residue is TRUE:
         return True
     cls = type(residue)
@@ -239,8 +239,8 @@ def walk_eval_residue(residue, this_obj, target_obj, args, frames, state) -> boo
         return residue.is_wildcard or value_eq(args[residue.position], residue.value)
     if cls is PcCflow:
         walked = False
-        for frame in frames:
-            found = match(residue.inner, frame.shadow)
+        for shadow, frame in frames:
+            found = match(residue.inner, shadow)
             if found is not None and walk_eval_residue(
                 found, frame.this_obj, frame.target_obj, frame.args, frames, state
             ):
@@ -261,27 +261,27 @@ def walk_eval_residue(residue, this_obj, target_obj, args, frames, state) -> boo
 
 class WalkInterp(Interp):
     """The interpreter with a full cflow stack beside its scope counters:
-    each visible join point pushes a `CflowFrame` on its thread's `walks`
-    stack when it is entered and pops it when it is left. Each residue test
-    is made both ways, by `eval_residue` over the counters and by
-    `walk_eval_residue` over the stack, which also checks every cflow test
-    on its way; the two must agree. `cflow_tests` counts those tests and
-    `cflow_held` the ones that held."""
+    each visible join point pushes its shadow and a `CflowFrame` on its
+    thread's `walks` stack when it is entered and pops them when it is
+    left. Each residue test is made both ways, by `eval_residue` over the
+    counters and by `walk_eval_residue` over the stack, which also checks
+    every cflow test on its way; the two must agree. `cflow_tests` counts
+    those tests and `cflow_held` the ones that held."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
-        self.walks: dict[int, list[CflowFrame]] = {}
+        self.walks: dict[int, list[tuple[Shadow, CflowFrame]]] = {}
         self.cflow_tests = 0
         self.cflow_held = 0
 
     def _jp_enter(self, site, this_obj, target_obj, args):
-        frame = CflowFrame(site[0], this_obj, target_obj, tuple(args))
-        self.walks.setdefault(self.current.tid, []).append(frame)
+        frame = CflowFrame(this_obj, target_obj, tuple(args))
+        self.walks.setdefault(self.current.tid, []).append((site[0], frame))
         return super()._jp_enter(site, this_obj, target_obj, args)
 
     def _jp_exit(self, site) -> None:
         super()._jp_exit(site)
-        assert self.walks[self.current.tid].pop().shadow is site[0]
+        assert self.walks[self.current.tid].pop()[0] is site[0]
 
     def _advise(self, entries, site, this_obj, target_obj, args):
         state = self.current.cflow

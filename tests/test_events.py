@@ -17,11 +17,10 @@ from conftest import DEMO_AUDIT, DEMO_STACK
 from test_golden_runs import golden_runs
 
 import miniweave.minilang as ml
-from miniweave import interp, matching, pipeline, values
+from miniweave import interp, pipeline, values
 from miniweave.aspects import PcWithin, parse_aspect_file
 from miniweave.cli import main
 from miniweave.interp import WovenUnit, run
-from miniweave.joinpoints import ShadowKind
 
 
 def _count_inits(monkeypatch, cls) -> list:
@@ -149,20 +148,12 @@ field_get | Box.v | box.ml0:5 | Box | v | 0 | Box.v
 def test_jp_fields_at_every_shadow_kind(monkeypatch):
     # no pointcut primitive selects the initialization kinds, so both advice
     # are re-pointed at `within(Box)`: every shadow inside Box, seven kinds.
-    # The parser rejects a pointcut with no kind anchor, and the match table
-    # indexes advice by its anchor, so every advice is filed under every kind
+    # The parser rejects a pointcut with no kind anchor, but the match table
+    # files an anchorless pointcut under a `within` type it needs
     program = ml.parse_base(_BOX, "box.ml0")
     part = parse_aspect_file(_PROBE, "probe.ma0")
     for adv in part.aspects[0].advice:
         adv.pointcut = PcWithin("Box")
-    monkeypatch.setattr(
-        matching,
-        "_index_advice",
-        lambda ordered: {
-            kind: {"*": dict.fromkeys(("*", None), list(range(len(ordered))))}
-            for kind in ShadowKind
-        },
-    )
     built = _count_inits(monkeypatch, values.JpInfo)
     res = run(WovenUnit.build(program, part.aspects))
     assert res.status == "completed"

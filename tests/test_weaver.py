@@ -26,11 +26,18 @@ from miniweave.aspects import (
 from miniweave.diagnostics import CompileError, ParseError
 from miniweave.lexer import EOF
 from miniweave.joinpoints import ShadowKind, apply_hide_filter, collect_hide_specs, extract_shadows
-from miniweave.matching import TRUE, build_match_table, match, render_residue
+from miniweave.matching import (
+    TRUE,
+    build_match_table,
+    match,
+    number_scopes,
+    render_residue,
+    scope_membership,
+)
 
 from conftest import build_unit
 from oracles import parse_aspect
-from randprog import random_program_source
+from randprog import main_source, random_aspect_source, random_program_source
 
 
 class TestParseAspect:
@@ -445,6 +452,76 @@ def test_random_weaves_cover_the_pointcut_features():
     assert {ShadowKind.METHOD_EXECUTION, ShadowKind.METHOD_CALL, ShadowKind.FIELD_GET,
             ShadowKind.FIELD_SET} <= kinds
     assert tied and unresolved and two_classes and skipped
+
+
+# ---------------------------------------------------------------------------
+# Property: indexed scope membership equals the all-pairs definition
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_scope_membership(scopes, visible):
+    """Every scope against every visible shadow: a TRUE match enters the
+    scope statically, any other residue enters it by that residue."""
+    entered = {}
+    for s in visible:
+        static, pending = [], []
+        for n, scope in enumerate(scopes):
+            residue = match(scope.inner, s)
+            if residue is TRUE:
+                static.append(n)
+            elif residue is not None:
+                pending.append((n, residue))
+        if static or pending:
+            entered[s.sid] = (tuple(static), tuple(pending))
+    return entered
+
+
+def random_scoped_weaves(seed: int):
+    """Two (scopes, visible) weaves: a randprog program with a
+    `random_aspect_source(..., residues=True)` aspect, whose scopes include
+    `within`, `!within` and `within || call`, and `random_weave`, whose
+    scopes hold "*" members and classes and unresolved receivers."""
+    rng = random.Random(seed)
+    src = random_program_source(rng)
+    program = mw.parse_base(src, "rand.ml0")
+    unit = build_unit(src + main_source(program), random_aspect_source(rng, program, True))
+    aspects, visible, precedence = random_weave(seed)
+    scopes, _ = number_scopes(build_match_table(aspects, visible, precedence))
+    return (unit.scopes, unit.visible), (scopes, visible)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_scope_membership_equals_all_pairs_reference(seed):
+    for scopes, visible in random_scoped_weaves(seed):
+        assert scope_membership(scopes, visible) == all_pairs_scope_membership(scopes, visible)
+
+
+def scope_filing(disjunct) -> str:
+    """Where the candidate index files a scope's disjunct."""
+    if anchor(disjunct) is not None:
+        return "anchor"
+    parts = disjunct.parts if type(disjunct) is PcAnd else (disjunct,)
+    return "within" if any(type(p) is PcWithin for p in parts) else "every shadow"
+
+
+def test_random_scopes_cover_the_candidate_index():
+    # the property above is only as strong as its inputs: across a few
+    # seeds, scopes must be filed by anchor, by `within` and under every
+    # shadow, and shadows must enter scopes both statically and by a residue
+    filed, entered = set(), set()
+    for seed in range(20):
+        for scopes, visible in random_scoped_weaves(seed):
+            for scope in scopes:
+                inner = scope.inner
+                filed.update(map(scope_filing, inner.parts if type(inner) is PcOr else (inner,)))
+            for static, pending in scope_membership(scopes, visible).values():
+                if static:
+                    entered.add("static")
+                if pending:
+                    entered.add("pending")
+    assert filed == {"anchor", "within", "every shadow"}
+    assert entered == {"static", "pending"}
 
 
 class TestAdviceSequence:
