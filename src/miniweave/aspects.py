@@ -244,9 +244,7 @@ class AspectParser(ml.MiniParser):
 
     def parse_precedence(self) -> list[str]:
         self.ts.expect(NAME, "precedence")
-        names = [self.ts.expect(NAME)]
-        while self.ts.accept(PUNCT, ","):
-            names.append(self.ts.expect(NAME))
+        names = self.parse_items(lambda: self.ts.expect(NAME), ",")
         self.ts.expect(PUNCT, ";")
         return names
 
@@ -303,12 +301,11 @@ class AspectParser(ml.MiniParser):
         return value
 
     def read_bridge(self, ann) -> SourceBridge:
-        kv = {}
-        for arg in ann.args or []:
-            if not (isinstance(arg, tuple) and len(arg) == 2):
-                raise ParseError("@loc expects file=, line=, module=", ann.loc)
-            kv[arg[0]] = arg[1]
-        if set(kv) != {"file", "line", "module"}:
+        args = ann.args or []
+        if not all(isinstance(arg, tuple) for arg in args):
+            raise ParseError("@loc expects file=, line=, module=", ann.loc)
+        kv = dict(args)
+        if len(kv) != len(args) or set(kv) != {"file", "line", "module"}:
             raise ParseError("@loc requires exactly file=, line=, module=", ann.loc)
         if not isinstance(kv["file"], str) or not isinstance(kv["module"], str):
             raise ParseError("@loc file= and module= must be strings", ann.loc)
@@ -319,18 +316,11 @@ class AspectParser(ml.MiniParser):
     # -- pointcuts
 
     def parse_pointcut(self):
-        return self.parse_pc_or()
-
-    def parse_pc_or(self):
-        parts = [self.parse_pc_and()]
-        while self.ts.accept(PUNCT, "||"):
-            parts.append(self.parse_pc_and())
+        parts = self.parse_items(self.parse_pc_and, "||")
         return parts[0] if len(parts) == 1 else PcOr(tuple(parts))
 
     def parse_pc_and(self):
-        parts = [self.parse_pc_unary()]
-        while self.ts.accept(PUNCT, "&&"):
-            parts.append(self.parse_pc_unary())
+        parts = self.parse_items(self.parse_pc_unary, "&&")
         return parts[0] if len(parts) == 1 else PcAnd(tuple(parts))
 
     def parse_pc_unary(self):

@@ -3,35 +3,22 @@ front-end and the runtime."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
+
+@dataclass(slots=True, unsafe_hash=True)
 class Loc:
     """A source position. `col` is 1-based; 0 means column unknown.
 
-    Built for every token and AST node, so it is a slotted record with a
-    plain `__init__` (a frozen dataclass pays one `object.__setattr__` per
-    field). It behaves as the frozen dataclass would: equal only to another
-    `Loc` with the same fields, hashed as the tuple of its fields, and
-    repr'd as `Loc(path=..., line=..., col=...)`. Nothing assigns to a
-    `Loc` once built.
+    Built for every token and AST node, so it is slotted and not frozen (a
+    frozen dataclass pays one `object.__setattr__` per field). It is equal
+    only to another `Loc` with the same fields, hashed as the tuple of its
+    fields, and printed as `path:line`. Nothing assigns to a `Loc` once built.
     """
 
-    __slots__ = ("path", "line", "col")
-
-    def __init__(self, path: str, line: int, col: int = 0):
-        self.path = path
-        self.line = line
-        self.col = col
-
-    def __eq__(self, other):
-        if other.__class__ is not Loc:
-            return NotImplemented
-        return (self.path, self.line, self.col) == (other.path, other.line, other.col)
-
-    def __hash__(self) -> int:
-        return hash((self.path, self.line, self.col))
-
-    def __repr__(self) -> str:
-        return f"Loc(path={self.path!r}, line={self.line!r}, col={self.col!r})"
+    path: str
+    line: int
+    col: int = 0
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}"

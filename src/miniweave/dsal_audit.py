@@ -69,7 +69,7 @@ class AuditModel:
 
 class AuditParser(ml.MiniParser):
     def parse_model(self) -> AuditModel:
-        model = AuditModel(path=self.path)
+        model = AuditModel(path=self.ts.path)
         while not self.ts.at(EOF):
             model.commands.append(self.parse_command())
         return model

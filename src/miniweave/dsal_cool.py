@@ -56,7 +56,6 @@ class CoordinatorDecl:
     fields: list[tuple[str, object, Loc]]
     additions: dict[str, MethodAddition]
     loc: Loc
-    path: str
 
     def coordinated_methods(self) -> list[str]:
         """Union of selfex/mutex/addition methods in first-appearance order."""
@@ -88,30 +87,16 @@ class CoolParser(ml.MiniParser):
         additions: dict[str, MethodAddition] = {}
         while not self.ts.accept(PUNCT, "}"):
             item_loc = self.ts.loc()
-            if self.ts.at_name("selfex"):
-                self.ts.advance()
-                selfex.append((self.parse_name_set(), item_loc))
+            if self.ts.at_name("selfex") or self.ts.at_name("mutex"):
+                sets = selfex if self.ts.advance() == "selfex" else mutex
+                self.ts.expect(PUNCT, "{")
+                sets.append((self.parse_list(lambda: self.ts.expect(NAME), "}"), item_loc))
                 self.ts.expect(PUNCT, ";")
-            elif self.ts.at_name("mutex"):
-                self.ts.advance()
-                mutex.append((self.parse_name_set(), item_loc))
+            elif self.ts.accept(NAME, "condition"):
+                conditions.extend(self.parse_items(self.parse_state_decl, ","))
                 self.ts.expect(PUNCT, ";")
-            elif self.ts.at_name("condition"):
-                self.ts.advance()
-                while True:
-                    cloc = self.ts.loc()
-                    name = self.parse_decl_name()
-                    self.ts.expect(PUNCT, "=")
-                    conditions.append((name, self.parse_expr(), cloc))
-                    if not self.ts.accept(PUNCT, ","):
-                        break
-                self.ts.expect(PUNCT, ";")
-            elif self.ts.at_name("var"):
-                self.ts.advance()
-                floc = self.ts.loc()
-                name = self.parse_decl_name()
-                self.ts.expect(PUNCT, "=")
-                fields.append((name, self.parse_expr(), floc))
+            elif self.ts.accept(NAME, "var"):
+                fields.append(self.parse_state_decl())
                 self.ts.expect(PUNCT, ";")
             elif self.ts.at_name("requires"):
                 raise ParseError("requires is only allowed inside a method addition", item_loc)
@@ -131,20 +116,14 @@ class CoolParser(ml.MiniParser):
             if name in _RESERVED_COOL:
                 raise ParseError(f"{name!r} is reserved in coordinator code", nloc)
             seen.add(name)
-        return CoordinatorDecl(
-            target, selfex, mutex, conditions, fields, additions, loc, self.path
-        )
+        return CoordinatorDecl(target, selfex, mutex, conditions, fields, additions, loc)
 
-    def parse_name_set(self) -> list[str]:
-        self.ts.expect(PUNCT, "{")
-        names: list[str] = []
-        if not self.ts.at_punct("}"):
-            while True:
-                names.append(self.ts.expect(NAME))
-                if not self.ts.accept(PUNCT, ","):
-                    break
-        self.ts.expect(PUNCT, "}")
-        return names
+    def parse_state_decl(self) -> tuple[str, object, Loc]:
+        """`name = expr` of a condition or coordinator field, with its loc."""
+        loc = self.ts.loc()
+        name = self.parse_decl_name()
+        self.ts.expect(PUNCT, "=")
+        return name, self.parse_expr(), loc
 
     def parse_addition(self, loc: Loc) -> MethodAddition:
         name = self.ts.expect(NAME)
@@ -303,8 +282,8 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
     on_state = _renaming(index, ())
     aspect_name = f"Coord_{coord.target}"
     # escaped: both go into string literals, and the path into a one-line comment
-    path = escape_string(coord.path)
-    module = escape_string(os.path.basename(coord.path))
+    path = escape_string(coord.loc.path)
+    module = escape_string(os.path.basename(coord.loc.path))
 
     init_exprs = ["0"] * len(methods)
     for _, init, _ in coord.conditions + coord.fields:

@@ -13,11 +13,11 @@ Lexical rules, common to every front-end:
   start a token is an error at its `file:line`.
 
 `tokenize` runs one compiled pattern over the whole text; a newline is one
-more alternative of it, which counts the line. The result, `Tokens`, holds
+more alternative of it, which counts the line. It returns a `TokenStream`:
 the tokens as four parallel lists (kind, text, line, column) rather than an
-object per token; `len` counts them, EOF included. `TokenStream` is the
-parsers' cursor over them: it keeps the current token's kind and text, and
-builds a `Loc` only when a node or an error asks for one.
+object per token, and the parsers' cursor over them, on the first token;
+`len` counts the tokens, EOF included. The cursor keeps the current token's
+kind and text, and builds a `Loc` only when a node or an error asks for one.
 """
 
 from __future__ import annotations
@@ -67,21 +67,6 @@ _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
 
-class Tokens:
-    """The tokens of one source as parallel lists, ending with EOF."""
-
-    __slots__ = ("kinds", "texts", "lines", "cols")
-
-    def __init__(self):
-        self.kinds: list[str] = []
-        self.texts: list[str] = []
-        self.lines: list[int] = []
-        self.cols: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-
 def _unescape(m: re.Match) -> str:
     return _ESCAPES[m.group(1)]
 
@@ -98,11 +83,14 @@ def _bad_char(src: str, start: int, loc: Loc) -> ParseError:
     return ParseError(msg, loc)
 
 
-def tokenize(src: str, path: str) -> Tokens:
-    """The tokens of `src`, ending with EOF; a ParseError at the first bad one."""
-    tokens = Tokens()
-    add_kind, add_text = tokens.kinds.append, tokens.texts.append
-    add_line, add_col = tokens.lines.append, tokens.cols.append
+def tokenize(src: str, path: str) -> TokenStream:
+    """The tokens of `src`, ending with EOF, with the cursor on the first; a
+    ParseError at the first bad one."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    add_kind, add_text, add_line, add_col = kinds.append, texts.append, lines.append, cols.append
     line = 1
     base = -1  # the offset just before the current line, so col = offset - base
     for m in _TOKEN_RE.finditer(src):
@@ -131,25 +119,30 @@ def tokenize(src: str, path: str) -> Tokens:
     add_text("")
     add_line(line)
     add_col(len(src) - base)
-    return tokens
+    return TokenStream(kinds, texts, lines, cols, path)
 
 
 class TokenStream:
-    """Cursor over `Tokens` with the usual expect/accept helpers.
+    """The tokens of one source as parallel lists ending with EOF, and a
+    cursor over them with the usual expect/accept helpers.
 
     `kind` and `text` are those of the token at `pos`; only `advance` moves
     it, and never past EOF. The helpers that pass a token return its text.
     """
 
-    def __init__(self, tokens: Tokens, path: str):
-        self.kinds = tokens.kinds
-        self.texts = tokens.texts
-        self.lines = tokens.lines
-        self.cols = tokens.cols
+    def __init__(self, kinds: list[str], texts: list[str], lines: list[int], cols: list[int],
+                 path: str):
+        self.kinds = kinds
+        self.texts = texts
+        self.lines = lines
+        self.cols = cols
         self.path = path
         self.pos = 0
-        self.kind = self.kinds[0]
-        self.text = self.texts[0]
+        self.kind = kinds[0]
+        self.text = texts[0]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
     def loc(self) -> Loc:
         pos = self.pos

@@ -23,13 +23,17 @@ aspect, COOL and audit parsers subclass it. One loop, `parse_members`,
 reads the members of every class and aspect: `var` is a field, `def` a
 method (an aspect's helper), each name declared once, and any other word
 goes to `parse_member`: a constructor or static block here, advice or
-`precedence` in the aspect parser. `resolve_program` resolves classes and
-aspects alike, each over its `bodies()`. Binary expressions are parsed
-by precedence climbing over `_BINARY_PREC` (`||` < `&&` < `== !=` <
-`< <= > >=` < `+ -` < `* / %`, all left-associative), so a chain of
-operators costs a loop, not a Python frame per operand, and so does an
-`else if` chain. Nesting of parentheses, prefix operators, brackets,
-argument lists and blocks is bounded by `MAX_NESTING`.
+`precedence` in the aspect parser. One list rule serves every front-end:
+`parse_list` reads zero or more comma-separated items and the closing
+punctuation (arguments, parameters, list literals, annotation arguments,
+COOL method sets), and `parse_items` one or more items with any separator
+(`precedence` names, COOL conditions, the pointcut `||` and `&&` chains).
+`resolve_program` resolves classes and aspects alike, each over its
+`bodies()`. Binary expressions are parsed by precedence climbing over
+`_BINARY_PREC` (`||` < `&&` < `== !=` < `< <= > >=` < `+ -` < `* / %`, all
+left-associative), so a chain of operators costs a loop, not a Python frame
+per operand, and so does an `else if` chain. Nesting of parentheses, prefix
+operators, brackets, argument lists and blocks is bounded by `MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 
 from . import lexer
 from .diagnostics import CompileError, Loc, ParseError
-from .lexer import EOF, FLOAT, INT, NAME, PUNCT, STRING, TokenStream
+from .lexer import EOF, FLOAT, INT, NAME, PUNCT, STRING
 
 # the builtins by name, each with its argument count; `format` takes a
 # template and any number of values
@@ -354,8 +358,7 @@ class MiniParser:
     """Recursive-descent parser for MiniLang; subclassed by the aspect parser."""
 
     def __init__(self, text: str, path: str):
-        self.ts = TokenStream(lexer.tokenize(text, path), path)
-        self.path = path
+        self.ts = lexer.tokenize(text, path)
         self.depth = 0
 
     def nested(self, parse):
@@ -368,6 +371,19 @@ class MiniParser:
         finally:
             self.depth -= 1
 
+    def parse_list(self, item, close: str) -> list:
+        """Zero or more of `item` separated by commas, then the `close` punctuation."""
+        items = [] if self.ts.at_punct(close) else self.parse_items(item, ",")
+        self.ts.expect(PUNCT, close)
+        return items
+
+    def parse_items(self, item, sep: str) -> list:
+        """One or more of `item` separated by the `sep` punctuation."""
+        items = [item()]
+        while self.ts.accept(PUNCT, sep):
+            items.append(item())
+        return items
+
     # -- annotations
 
     def parse_annotations(self) -> list[Annotation]:
@@ -376,23 +392,11 @@ class MiniParser:
             loc = self.ts.loc()
             self.ts.advance()
             name = self.ts.expect(NAME)
-            args: list = []
+            args = None  # bare annotation: defaults apply
             if self.ts.accept(PUNCT, "("):
-                args = self.parse_annotation_args(name)
-                self.ts.expect(PUNCT, ")")
-            else:
-                args = None  # bare annotation: defaults apply
+                args = self.parse_list(self.parse_annotation_arg, ")")
             anns.append(Annotation(name, args, loc))
         return anns
-
-    def parse_annotation_args(self, name: str) -> list:
-        args: list = []
-        if self.ts.at_punct(")"):
-            return args
-        while True:
-            args.append(self.parse_annotation_arg())
-            if not self.ts.accept(PUNCT, ","):
-                return args
 
     def parse_annotation_arg(self):
         loc = self.ts.loc()
@@ -474,7 +478,6 @@ class MiniParser:
             if owner.ctor is not None:
                 raise ParseError("duplicate constructor", loc)
             self.ts.advance()
-            self.ts.expect(PUNCT, "(")
             params = self.parse_params()
             owner.ctor = MethodDecl("constructor", params, self.parse_block(), [], loc)
         elif self.ts.at_name("static"):
@@ -509,19 +512,13 @@ class MiniParser:
         loc = self.ts.loc()
         self.ts.expect(NAME, "def")
         name = self.parse_decl_name()
-        self.ts.expect(PUNCT, "(")
         params = self.parse_params()
         body = self.parse_block()
         return MethodDecl(name, params, body, anns, loc)
 
     def parse_params(self) -> list[str]:
-        params: list[str] = []
-        if not self.ts.at_punct(")"):
-            while True:
-                params.append(self.parse_decl_name())
-                if not self.ts.accept(PUNCT, ","):
-                    break
-        self.ts.expect(PUNCT, ")")
+        self.ts.expect(PUNCT, "(")
+        params = self.parse_list(self.parse_decl_name, ")")
         if len(set(params)) != len(params):
             raise self.ts.error("duplicate parameter name")
         return params
@@ -619,8 +616,7 @@ class MiniParser:
                 loc = self.ts.loc()
                 name = self.ts.expect(NAME)
                 if self.ts.accept(PUNCT, "("):
-                    args = self.parse_args()
-                    expr = MethodCall(loc, expr, name, args)
+                    expr = MethodCall(loc, expr, name, self.parse_list(self.parse_arg, ")"))
                 else:
                     expr = FieldGet(loc, expr, name)
             elif self.ts.at_punct("["):
@@ -632,15 +628,9 @@ class MiniParser:
             else:
                 return expr
 
-    def parse_args(self) -> list:
-        args = []
-        if not self.ts.at_punct(")"):
-            while True:
-                args.append(self.nested(self.parse_expr))
-                if not self.ts.accept(PUNCT, ","):
-                    break
-        self.ts.expect(PUNCT, ")")
-        return args
+    def parse_arg(self) -> Node:
+        """An argument or list item: an expression one nesting level deeper."""
+        return self.nested(self.parse_expr)
 
     def parse_primary(self) -> Node:
         ts = self.ts
@@ -657,16 +647,6 @@ class MiniParser:
             raise ts.error("float literals are not part of the language")
         if kind == STRING:
             return StrLit(loc, ts.advance())
-        if ts.at_punct("["):
-            ts.advance()
-            items = []
-            if not ts.at_punct("]"):
-                while True:
-                    items.append(self.nested(self.parse_expr))
-                    if not ts.accept(PUNCT, ","):
-                        break
-            ts.expect(PUNCT, "]")
-            return ListLit(loc, items)
         if kind == NAME:
             word = ts.advance()
             if word == "true":
@@ -680,17 +660,17 @@ class MiniParser:
             if word == "new":
                 cls = ts.expect(NAME)
                 ts.expect(PUNCT, "(")
-                args = self.parse_args()
-                return New(loc, cls, args)
+                return New(loc, cls, self.parse_list(self.parse_arg, ")"))
             if word == "spawn":
                 call = self.nested(self.parse_postfix)
                 if not isinstance(call, MethodCall):
                     raise ParseError("spawn expects a method call", loc)
                 return Spawn(loc, call)
             if ts.accept(PUNCT, "("):
-                args = self.parse_args()
-                return BuiltinCall(loc, word, args)
+                return BuiltinCall(loc, word, self.parse_list(self.parse_arg, ")"))
             return LocalRef(loc, word)
+        if ts.accept(PUNCT, "["):
+            return ListLit(loc, self.parse_list(self.parse_arg, "]"))
         raise self.ts.error("expected an expression")
 
 

@@ -657,6 +657,103 @@ def test_boolean_annotation_value_exit_one(workdir, capsys):
     assert not (workdir / "r.json").exists()
 
 
+def test_repeated_loc_key_exit_one(workdir, capsys):
+    # a key given twice is an error, not overwritten by its last value
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / "b.ma0").write_text(
+        'aspect B {\n  @loc(file="a", file="b", line=1, module="m")\n'
+        "  before(): execution(Main.main) { }\n}\n"
+    )
+    code = main(["compile", "main.ml0", "b.ma0", "--relationships", "r.json"])
+    assert capsys.readouterr() == (
+        "",
+        "error: b.ma0:2: @loc requires exactly file=, line=, module=\n",
+    )
+    assert code == 1
+    assert not (workdir / "r.json").exists()
+
+
+# Where each list form is tried: the file it goes in, the base program it
+# is compiled with, and the text around its line, which is always line 2.
+_LIST_FILES = {
+    "ml0": ("a.ml0", "main.ml0", "class A {{\n{}\n  def g() {{ }}\n}}\n"),
+    "ma0": ("a.ma0", "main.ml0", "aspect P {{\n{}\n}}\n"),
+    "cool": ("demo_stack/a.cool", "demo_stack/stack.ml0", "coordinator BoundedStack {{\n{}\n}}\n"),
+}
+_EXPR = "expected an expression"
+
+# Each list form with a trailing separator, a doubled separator, a missing
+# separator and a missing close, and the empty forms; None marks a line
+# that compiles.
+_LIST_CASES = [
+    ("ml0", "  @hideMethod(call,) def f() { }", "bad annotation argument"),
+    ("ml0", "  @hideMethod(call,,) def f() { }", "bad annotation argument"),
+    ("ml0", "  @hideMethod(call get) def f() { }", "expected ')', found 'get'"),
+    ("ml0", "  @hideMethod(call, get def f() { }", "expected ')', found 'def'"),
+    ("ml0", "  @hideMethod() def f() { }", None),
+    ("ml0", "  def f(a,) { }", "expected 'name', found ')'"),
+    ("ml0", "  def f(a,,b) { }", "expected 'name', found ','"),
+    ("ml0", "  def f(a b) { }", "expected ')', found 'b'"),
+    ("ml0", "  def f(a, b { }", "expected ')', found '{'"),
+    ("ml0", "  def f() { print(1,); }", _EXPR),
+    ("ml0", "  def f() { print(1,,2); }", _EXPR),
+    ("ml0", "  def f() { print(1 2); }", "expected ')', found '2'"),
+    ("ml0", "  def f() { print(1, 2; }", "expected ')', found ';'"),
+    ("ml0", "  def f() { this.g(1,); }", _EXPR),
+    ("ml0", "  def f() { this.g(1,,2); }", _EXPR),
+    ("ml0", "  def f() { this.g(1 2); }", "expected ')', found '2'"),
+    ("ml0", "  def f() { this.g(1, 2; }", "expected ')', found ';'"),
+    ("ml0", "  def f() { this.f(); }", None),
+    ("ml0", "  def f() { new A(1,); }", _EXPR),
+    ("ml0", "  def f() { new A(1,,2); }", _EXPR),
+    ("ml0", "  def f() { new A(1 2); }", "expected ')', found '2'"),
+    ("ml0", "  def f() { new A(1, 2; }", "expected ')', found ';'"),
+    ("ml0", "  def f() { var l = [1,]; }", _EXPR),
+    ("ml0", "  def f() { var l = [1,,2]; }", _EXPR),
+    ("ml0", "  def f() { var l = [1 2]; }", "expected ']', found '2'"),
+    ("ml0", "  def f() { var l = [1, 2; }", "expected ']', found ';'"),
+    ("ml0", "  def f() { var l = []; }", None),
+    ("cool", "  selfex {push,};", "expected 'name', found '}'"),
+    ("cool", "  selfex {push,,pop};", "expected 'name', found ','"),
+    ("cool", "  selfex {push pop};", "expected '}', found 'pop'"),
+    ("cool", "  selfex {push, pop;", "expected '}', found ';'"),
+    ("cool", "  selfex {};", None),
+    ("cool", "  condition a = 1,;", "expected 'name', found ';'"),
+    ("cool", "  condition a = 1,, b = 2;", "expected 'name', found ','"),
+    ("cool", "  condition a = 1 b = 2;", "expected ';', found 'b'"),
+    ("cool", "  condition a = 1, b = 2 var c = 0;", "expected ';', found 'var'"),
+    ("cool", "  condition ;", "expected 'name', found ';'"),
+    ("ma0", "  precedence P,;", "expected 'name', found ';'"),
+    ("ma0", "  precedence P,,Q;", "expected 'name', found ','"),
+    ("ma0", "  precedence P Q;", "expected ';', found 'Q'"),
+    ("ma0", "  precedence P, Q before(): call(A.f) { }", "expected ';', found 'before'"),
+    ("ma0", "  precedence ;", "expected 'name', found ';'"),
+    ("ma0", "  before(): call(A.f) || { }", "expected 'name', found '{'"),
+    ("ma0", "  before(): call(A.f) || || call(B.g) { }", "expected 'name', found '||'"),
+    ("ma0", "  before(): call(A.f) call(B.g) { }", "expected '{', found 'call'"),
+    ("ma0", "  before(): call(A.f) || call(B.g) }", "expected '{', found '}'"),
+    ("ma0", "  before(): call(A.f) && { }", "expected 'name', found '{'"),
+    ("ma0", "  before(): call(A.f) && && call(B.g) { }", "expected 'name', found '&&'"),
+    ("ma0", "  before(): call(A.f) && !within(B) call(B.g) { }", "expected '{', found 'call'"),
+    ("ma0", "  before(): call(A.f) && call(B.g) }", "expected '{', found '}'"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, line, message", _LIST_CASES, ids=[line.strip() for _, line, _ in _LIST_CASES]
+)
+def test_list_forms(workdir, capsys, kind, line, message):
+    path, base, text = _LIST_FILES[kind]
+    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    (workdir / path).write_text(text.format(line))
+    code = main(["compile", base, path])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (1, f"error: {path}:2: {message}\n")
+
+
 def test_misplaced_annotation_reported_before_later_file(workdir, capsys):
     # placement is checked while the file is parsed, so a later file's
     # syntax error is not reached
