@@ -43,6 +43,18 @@ monitors after that, so nothing unwinds them. `eval_expr` walks a binary
 chain's left spine down to its leftmost operand, then applies the
 operators on the way back up, so a left-deep chain costs no Python frames.
 
+The interpreter's cost is Python calls, so each step makes as few as it
+can. Every operand site (binary operands, receivers, arguments, list items
+and indexes, `=` and `var` values, conditions, `return`) reads a local,
+`this`, a literal or null in place, by the node's exact type; only other
+nodes create an `eval_expr` generator. An
+operator on two exact ints, a condition that is exactly a bool and a field
+an object has take the direct path; bools, strings, `/`, `%`, join-point
+records and every error go through `apply_operator`, `as_bool`,
+`field_read` and `field_write`. When the running thread is the only one
+that can run, `_switch` makes `pick_next`'s pick itself, with no call,
+unless a subclass overrides `pick_next`.
+
 Each join-point site looks its AST node up in the unit's `sites`. For a
 visible shadow it takes a scheduling point, then `_jp_enter` (the `jp`
 event; the counts and residue frames of the cflow scopes the shadow
@@ -78,6 +90,7 @@ from .aspects import AspectDecl
 from .diagnostics import CompileError, Loc, MiniRuntimeError
 from .joinpoints import ShadowTable
 from .matching import CflowFrame, CflowState, MatchTable, advice_sequence_at, eval_residue
+from .minilang import LocalRef, ThisRef
 from .values import (
     JpInfo,
     MObject,
@@ -95,13 +108,21 @@ DEFAULT_STEP_LIMIT = 1_000_000
 # thread; keeps deep recursion inside Python's own recursion limit
 MAX_CALL_DEPTH = 100
 
-_LITERALS = (ml.IntLit, ml.BoolLit, ml.StrLit)  # evaluate to their `value`
+# the nodes that evaluate to their `value`: the literals and null
+_CONSTS = frozenset((ml.IntLit, ml.StrLit, ml.BoolLit, ml.NullLit))
 
-# binary operators on two ints; `/` and `%` also check for a zero divisor
-_INT_OPS = {
-    "-": operator.sub, "*": operator.mul, "/": operator.floordiv, "%": operator.mod,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+# the nodes whose receiver `eval_expr` evaluates first, and those with
+# arguments or items
+_RECEIVERS = frozenset((ml.FieldGet, ml.MethodCall, ml.Index, ml.Spawn))
+_WITH_ARGS = frozenset((ml.MethodCall, ml.BuiltinCall, ml.New, ml.ListLit, ml.Spawn))
+
+# the binary operators `eval_expr` applies in place to two operands of type
+# exactly int; `/` and `%` also check for a zero divisor, in `apply_operator`
+_INT_FAST = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "==": operator.eq,
+    "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
+_INT_OPS = {**_INT_FAST, "/": operator.floordiv, "%": operator.mod}
 
 RUNNABLE = "runnable"
 BLOCKED = "blocked"
@@ -328,6 +349,9 @@ class Interp:
         self.current: _Thread | None = None
         self.cur_idx = -1  # the rotation index of `current`
         self.picked: int | None = None  # the pick a scheduling point yielded on
+        # `_switch` may pick the one runnable thread itself, with no
+        # `pick_next` call, only while no subclass chooses otherwise
+        self.own_pick = type(self).pick_next is Interp.pick_next
         self.steps = 0
         self.records: list[tuple[int, int, str, str]] = []
         self.next_obj = 0
@@ -432,7 +456,13 @@ class Interp:
         """A scheduling point of the running thread: take the step in place
         when the scheduler picks that thread again within the step limit,
         else keep the pick for `run` and return True (the caller yields)."""
-        idx = self.pick_next()
+        idx = self.cur_idx
+        # the running thread alone can run: pick_next would pick it again,
+        # and rot_pos already lies just past it (the last pick chose it, and
+        # only a spawn moves the rotation, and that makes a second thread
+        # runnable), so the call is skipped
+        if self.ready != 1 << idx or not self.own_pick:
+            idx = self.pick_next()
         if idx == self.cur_idx and self.steps < self.step_limit:
             self.steps += 1
             return False
@@ -657,43 +687,18 @@ class Interp:
             kind = type(stmt)
             if kind is ml.ExprStmt:
                 yield from self.eval_expr(stmt.expr, env)
-            elif kind is ml.Assign:
-                target = stmt.target
-                if type(target) is ml.LocalRef:
-                    env.locals[target.name] = yield from self.eval_expr(stmt.value, env)
-                elif type(target) is ml.Index:
-                    seq = yield from self.eval_expr(target.obj, env)
-                    idx = yield from self.eval_expr(target.index, env)
-                    value = yield from self.eval_expr(stmt.value, env)
-                    self.index_check(seq, idx, target.loc)
-                    seq[idx] = value
-                else:  # field set join point
-                    obj = yield from self.eval_expr(target.obj, env)
-                    value = yield from self.eval_expr(stmt.value, env)
-                    site = self.unit.sites.get(id(stmt))
-                    if site is not None:
-                        if self._switch():
-                            yield None
-                        before, after = self._jp_enter(site, env.this, obj, (value,))
-                        if before:
-                            yield from self._advise(before, site, env.this, obj, (value,))
-                    self.field_write(obj, target.name, value, target.loc)
-                    if site is not None:
-                        if after:
-                            yield from self._advise(after, site, env.this, obj, (value,))
-                        self._jp_exit(site)
-            elif kind is ml.VarDecl:
-                init = stmt.init
-                value = None if init is None else (yield from self.eval_expr(init, env))
-                env.locals[stmt.name] = value
             elif kind is ml.If:
                 later = False
-                for test, body in stmt.arms:
+                for x, body in stmt.arms:
                     # the step of the nested `if` an `else if` abbreviates
                     if later and self._switch():
                         yield None
-                    cond = yield from self.eval_expr(test, env)
-                    if self.as_bool(cond, test.loc if later else stmt.loc):
+                    k = type(x)
+                    cond = env.locals[x.name] if k is LocalRef else env.this if k is ThisRef else (
+                        x.value if k in _CONSTS else (yield from self.eval_expr(x, env)))
+                    if cond is not True and cond is not False:
+                        self.as_bool(cond, x.loc if later else stmt.loc)  # raises
+                    if cond:
                         result = yield from self.exec_block(body, env)
                         break
                     later = True
@@ -705,53 +710,115 @@ class Interp:
                 while True:
                     if self._switch():
                         yield None
-                    cond = yield from self.eval_expr(stmt.cond, env)
-                    if not self.as_bool(cond, stmt.loc):
+                    k = type(x := stmt.cond)
+                    cond = env.locals[x.name] if k is LocalRef else env.this if k is ThisRef else (
+                        x.value if k in _CONSTS else (yield from self.eval_expr(x, env)))
+                    if cond is not True and cond is not False:
+                        self.as_bool(cond, stmt.loc)  # raises
+                    if not cond:
                         break
                     result = yield from self.exec_block(stmt.body, env)
                     if result is not _NO_RETURN:
                         return result
-            elif kind is ml.Return:
-                value = stmt.value
-                return None if value is None else (yield from self.eval_expr(value, env))
-            else:
-                raise MiniRuntimeError(f"cannot execute {kind.__name__}", stmt.loc)
+            else:  # `=`, `var` or `return`: the operands in order, then the value
+                if kind is ml.VarDecl:
+                    x = stmt.init
+                elif kind is ml.Assign or kind is ml.Return:
+                    x = stmt.value
+                else:
+                    raise MiniRuntimeError(f"cannot execute {kind.__name__}", stmt.loc)
+                target = stmt.target if kind is ml.Assign else None
+                tk = type(target)
+                if tk is ml.FieldGet or tk is ml.Index:  # a field's object or an index's list
+                    k = type(y := target.obj)
+                    obj = env.locals[y.name] if k is LocalRef else env.this if k is ThisRef else (
+                        y.value if k in _CONSTS else (yield from self.eval_expr(y, env)))
+                if tk is ml.Index:
+                    k = type(y := target.index)
+                    idx = env.locals[y.name] if k is LocalRef else env.this if k is ThisRef else (
+                        y.value if k in _CONSTS else (yield from self.eval_expr(y, env)))
+                k = type(x)
+                value = None if x is None else env.locals[x.name] if k is LocalRef else (
+                    env.this if k is ThisRef else x.value if k in _CONSTS
+                    else (yield from self.eval_expr(x, env)))
+                if kind is ml.Return:
+                    return value
+                if kind is ml.VarDecl:
+                    env.locals[stmt.name] = value
+                elif tk is LocalRef:
+                    env.locals[target.name] = value
+                elif tk is ml.Index:
+                    self.index_check(obj, idx, target.loc)
+                    obj[idx] = value
+                else:  # field set join point
+                    site = self.unit.sites.get(id(stmt))
+                    if site is not None:
+                        if self._switch():
+                            yield None
+                        before, after = self._jp_enter(site, env.this, obj, (value,))
+                        if before:
+                            yield from self._advise(before, site, env.this, obj, (value,))
+                    name = target.name
+                    if type(obj) is MObject and name in obj.fields:
+                        obj.fields[name] = value
+                    else:
+                        self.field_write(obj, name, value, target.loc)
+                    if site is not None:
+                        if after:
+                            yield from self._advise(after, site, env.this, obj, (value,))
+                        self._jp_exit(site)
         return _NO_RETURN
 
     # -- expressions
 
     def eval_expr(self, expr, env: _Env):
         kind = type(expr)
-        if kind in _LITERALS:
-            return expr.value
-        if kind is ml.LocalRef:
+        if kind is LocalRef:
             return env.locals[expr.name]
-        if kind is ml.ThisRef:
+        if kind is ThisRef:
             return env.this
-        if kind is ml.NullLit:
-            return None
+        if kind in _CONSTS:
+            return expr.value
         if kind is ml.Binary:
             # down the left spine to the leftmost operand, then each operator
             # on the way back up; `&&` and `||` short-circuit per node
             spine = []
-            while kind is ml.Binary:
-                spine.append(expr)
-                expr = expr.left
-                kind = type(expr)
-            value = yield from self.eval_expr(expr, env)
+            x, k = expr, kind
+            while k is ml.Binary:
+                spine.append(x)
+                x = x.left
+                k = type(x)
+            value = env.locals[x.name] if k is LocalRef else env.this if k is ThisRef else (
+                x.value if k in _CONSTS else (yield from self.eval_expr(x, env)))
             for node in reversed(spine):
                 op = node.op
-                if op == "&&" or op == "||":
-                    # `&&` goes on past true, `||` past false; otherwise the value stands
-                    if self.as_bool(value, node.loc) is (op == "&&"):
-                        right = yield from self.eval_expr(node.right, env)
-                        value = self.as_bool(right, node.loc)
+                logic = op == "&&" or op == "||"
+                # `&&` goes on past true, `||` past false; otherwise the value stands
+                if logic and self.as_bool(value, node.loc) is not (op == "&&"):
+                    continue
+                k = type(x := node.right)
+                right = env.locals[x.name] if k is LocalRef else env.this if k is ThisRef else (
+                    x.value if k in _CONSTS else (yield from self.eval_expr(x, env)))
+                if logic:
+                    value = self.as_bool(right, node.loc)
+                elif type(value) is int and type(right) is int and op in _INT_FAST:
+                    value = _INT_FAST[op](value, right)
                 else:
-                    right = yield from self.eval_expr(node.right, env)
                     value = self.apply_operator(op, value, right, node.loc)
             return value
+        if kind is ml.Unary:
+            value = yield from self.eval_expr(expr.operand, env)
+            if expr.op == "!":
+                return not self.as_bool(value, expr.loc)
+            return -self.as_int(value, expr.loc)
+        # the other nodes: first the receiver of a field get, index, call or
+        # spawn, then an index, or the arguments or items
+        call = expr.call if kind is ml.Spawn else expr
+        if kind in _RECEIVERS:
+            k = type(x := call.obj)
+            obj = env.locals[x.name] if k is LocalRef else env.this if k is ThisRef else (
+                x.value if k in _CONSTS else (yield from self.eval_expr(x, env)))
         if kind is ml.FieldGet:
-            obj = yield from self.eval_expr(expr.obj, env)
             site = self.unit.sites.get(id(expr))
             if site is not None:
                 if self._switch():
@@ -759,66 +826,55 @@ class Interp:
                 before, after = self._jp_enter(site, env.this, obj, ())
                 if before:
                     yield from self._advise(before, site, env.this, obj, ())
-            result = self.field_read(obj, expr.name, expr.loc)
+            name = expr.name
+            if type(obj) is MObject and name in obj.fields:
+                result = obj.fields[name]
+            else:
+                result = self.field_read(obj, name, expr.loc)
             if site is not None:
                 if after:
                     yield from self._advise(after, site, env.this, obj, ())
                 self._jp_exit(site)
             return result
+        if kind is ml.Index:
+            k = type(x := expr.index)
+            idx = env.locals[x.name] if k is LocalRef else env.this if k is ThisRef else (
+                x.value if k in _CONSTS else (yield from self.eval_expr(x, env)))
+            self.index_check(obj, idx, expr.loc)
+            return obj[idx]
+        if kind not in _WITH_ARGS:
+            raise MiniRuntimeError(f"cannot evaluate {kind.__name__}", expr.loc)
+        args = []
+        for x in expr.items if kind is ml.ListLit else call.args:
+            k = type(x)
+            args.append(env.locals[x.name] if k is LocalRef else env.this if k is ThisRef else (
+                x.value if k in _CONSTS else (yield from self.eval_expr(x, env))))
         if kind is ml.MethodCall:
-            recv = yield from self.eval_expr(expr.obj, env)
-            args = []
-            for a in expr.args:
-                args.append((yield from self.eval_expr(a, env)))
             site = self.unit.sites.get(id(expr))
             if site is not None:
                 if self._switch():
                     yield None
-                before, after = self._jp_enter(site, env.this, recv, args)
+                before, after = self._jp_enter(site, env.this, obj, args)
                 if before:
-                    yield from self._advise(before, site, env.this, recv, args)
-            decl = _method_of(recv, expr.name, args, expr.loc)
-            result = yield from self.run_decl(recv, decl, args, expr.loc)
+                    yield from self._advise(before, site, env.this, obj, args)
+            decl = _method_of(obj, expr.name, args, expr.loc)
+            result = yield from self.run_decl(obj, decl, args, expr.loc)
             if site is not None:
                 if after:
-                    yield from self._advise(after, site, env.this, recv, args)
+                    yield from self._advise(after, site, env.this, obj, args)
                 self._jp_exit(site)
             return result
         if kind is ml.BuiltinCall:
-            return (yield from self.eval_builtin(expr, env))
-        if kind is ml.Index:
-            seq = yield from self.eval_expr(expr.obj, env)
-            idx = yield from self.eval_expr(expr.index, env)
-            self.index_check(seq, idx, expr.loc)
-            return seq[idx]
-        if kind is ml.ListLit:
-            items = []
-            for item in expr.items:
-                items.append((yield from self.eval_expr(item, env)))
-            return items
+            return (yield from self.eval_builtin(expr, args, env))
         if kind is ml.New:
-            cls = self.classes[expr.class_name]
-            args = []
-            for a in expr.args:
-                args.append((yield from self.eval_expr(a, env)))
-            return (yield from self.instantiate(cls, args, expr.loc))
-        if kind is ml.Spawn:
-            call = expr.call
-            recv = yield from self.eval_expr(call.obj, env)
-            args = []
-            for a in call.args:
-                args.append((yield from self.eval_expr(a, env)))
-            if not isinstance(recv, MObject):
-                raise MiniRuntimeError("spawn needs an object receiver", expr.loc)
-            tid = self.add_thread(self._spawned(recv, call.name, args, call.loc))
-            self.emit("spawn", f"t{tid}")
-            return tid
-        if kind is ml.Unary:
-            value = yield from self.eval_expr(expr.operand, env)
-            if expr.op == "!":
-                return not self.as_bool(value, expr.loc)
-            return -self.as_int(value, expr.loc)
-        raise MiniRuntimeError(f"cannot evaluate {kind.__name__}", expr.loc)
+            return (yield from self.instantiate(self.classes[expr.class_name], args, expr.loc))
+        if kind is ml.ListLit:
+            return args
+        if not isinstance(obj, MObject):  # a spawn
+            raise MiniRuntimeError("spawn needs an object receiver", expr.loc)
+        tid = self.add_thread(self._spawned(obj, call.name, args, call.loc))
+        self.emit("spawn", f"t{tid}")
+        return tid
 
     def apply_operator(self, op: str, left, right, loc: Loc):
         """A binary operator other than `&&`/`||` on evaluated operands."""
@@ -826,10 +882,8 @@ class Interp:
             return value_eq(left, right)
         if op == "!=":
             return not value_eq(left, right)
-        if op == "+":
-            if isinstance(left, str) and isinstance(right, str):
-                return left + right
-            return self.as_int(left, loc) + self.as_int(right, loc)
+        if op == "+" and isinstance(left, str) and isinstance(right, str):
+            return left + right
         a = self.as_int(left, loc)
         b = self.as_int(right, loc)
         fn = _INT_OPS.get(op)
@@ -839,11 +893,9 @@ class Interp:
             raise MiniRuntimeError("division by zero", loc)
         return fn(a, b)
 
-    def eval_builtin(self, expr: ml.BuiltinCall, env: _Env):
+    def eval_builtin(self, expr: ml.BuiltinCall, args: list, env: _Env):
+        """Apply the builtin `expr` calls to its evaluated `args`."""
         name = expr.name
-        args = []
-        for a in expr.args:
-            args.append((yield from self.eval_expr(a, env)))
         loc = expr.loc
         arity = ml.BUILTINS.get(name)
         if arity is not None and len(args) != arity:

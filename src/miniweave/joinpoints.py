@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 from . import minilang as ml
 from .diagnostics import CompileError, Loc
+from .render import escape_string
 
 
 class ShadowKind(enum.Enum):
@@ -128,6 +129,17 @@ _HIDE_DEFAULTS = {
 _HIDE_ANN_FOR = {"field": "hideField", "method": "hideMethod", "type": "hideType"}
 
 
+def _shown_hide_arg(arg) -> str:
+    """A positional argument by its repr; a keyword argument, a (name,
+    value) pair, as the source spells it: `call=1`, `call="x"`."""
+    if not isinstance(arg, tuple):
+        return repr(arg)
+    name, value = arg
+    if isinstance(value, str):
+        return f'{name}="{escape_string(value)}"'
+    return f"{name}={value}"
+
+
 def hide_spec_of(target: str, annotations, cls: str, member: str | None = None) -> HideSpec | None:
     """Build the HideSpec for one declaration, or None when no @hide is present.
 
@@ -147,9 +159,8 @@ def hide_spec_of(target: str, annotations, cls: str, member: str | None = None) 
         else:
             for k in ann.args:
                 if not isinstance(k, str) or k not in _HIDE_DEFAULTS[target]:
-                    raise CompileError(
-                        f"unknown join point kind {k!r} for @{wanted}", ann.loc
-                    )
+                    shown = _shown_hide_arg(k)
+                    raise CompileError(f"unknown join point kind {shown} for @{wanted}", ann.loc)
             kinds = tuple(dict.fromkeys(ann.args))
         spec = HideSpec(target, cls, member, kinds, ann.loc)
     return spec

@@ -75,14 +75,14 @@ RESERVED = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Annotation:
     name: str
     args: list
     loc: Loc
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     loc: Loc
 
@@ -95,44 +95,44 @@ class Node:
 # -- expressions
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Node):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Node):
     value: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class StrLit(Node):
     value: str
 
 
-@dataclass
+@dataclass(slots=True)
 class NullLit(Node):
-    pass
+    value = None  # so null reads as the literals do
 
 
-@dataclass
+@dataclass(slots=True)
 class ListLit(Node):
     items: list
 
     child_fields = ("items",)
 
 
-@dataclass
+@dataclass(slots=True)
 class ThisRef(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalRef(Node):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldGet(Node):
     obj: Node
     name: str
@@ -140,7 +140,7 @@ class FieldGet(Node):
     child_fields = ("obj",)
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Node):
     obj: Node
     index: Node
@@ -148,7 +148,7 @@ class Index(Node):
     child_fields = ("obj", "index")
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodCall(Node):
     obj: Node
     name: str
@@ -157,7 +157,7 @@ class MethodCall(Node):
     child_fields = ("obj", "args")
 
 
-@dataclass
+@dataclass(slots=True)
 class BuiltinCall(Node):
     name: str
     args: list
@@ -165,7 +165,7 @@ class BuiltinCall(Node):
     child_fields = ("args",)
 
 
-@dataclass
+@dataclass(slots=True)
 class New(Node):
     class_name: str
     args: list
@@ -173,14 +173,14 @@ class New(Node):
     child_fields = ("args",)
 
 
-@dataclass
+@dataclass(slots=True)
 class Spawn(Node):
     call: MethodCall
 
     child_fields = ("call",)
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Node):
     op: str
     operand: Node
@@ -188,7 +188,7 @@ class Unary(Node):
     child_fields = ("operand",)
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Node):
     op: str
     left: Node
@@ -200,7 +200,7 @@ class Binary(Node):
 # -- statements
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl(Node):
     name: str
     init: Node | None
@@ -208,7 +208,7 @@ class VarDecl(Node):
     child_fields = ("init",)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Node):
     target: Node  # LocalRef | FieldGet | Index
     value: Node
@@ -216,7 +216,7 @@ class Assign(Node):
     child_fields = ("target", "value")
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Node):
     arms: list  # [(cond, body)]: `if` and each `else if`, tried in order
     orelse: list
@@ -224,7 +224,7 @@ class If(Node):
     child_fields = ("arms", "orelse")
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Node):
     cond: Node
     body: list
@@ -232,14 +232,14 @@ class While(Node):
     child_fields = ("cond", "body")
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Node):
     value: Node | None
 
     child_fields = ("value",)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Node):
     expr: Node
 
@@ -249,7 +249,7 @@ class ExprStmt(Node):
 # -- declarations
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldDecl:
     name: str
     init: Node | None
@@ -287,15 +287,14 @@ class ClassDecl:
     loc: Loc
     # the field initializers' join-point nodes, filled in by resolution
     init_shadow_nodes: list | tuple = ()
+    # each of `methods` by name, filled in by `MiniParser.parse_members`
+    method_index: dict[str, MethodDecl] = field(default_factory=dict, repr=False, compare=False)
 
     def field_names(self) -> set[str]:
         return {f.name for f in self.fields}
 
     def method(self, name: str) -> MethodDecl | None:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        return None
+        return self.method_index.get(name)
 
     def bodies(self) -> list[MethodDecl]:
         """The methods, then the constructor and static block when present."""
@@ -457,7 +456,7 @@ class MiniParser:
                 owner.fields.append(self.parse_field(anns))
             elif self.ts.at_name("def"):
                 m = self.parse_method(anns)
-                if owner.method(m.name) is not None:
+                if owner.method_index.setdefault(m.name, m) is not m:
                     raise ParseError(f"duplicate method {owner.name}.{m.name!r}", m.loc)
                 owner.methods.append(m)
             else:

@@ -13,6 +13,9 @@ test can check the woven or compiled result against it:
 - `eligible`/`ScanInterp`: the scheduler as a scan of every thread's state;
 - `walk_eval_residue`/`WalkInterp`: cflow as a walk over every entered
   join point on the thread's stack;
+- `TreeInterp`: the interpreter with no fast path, each operand by its own
+  generator and each operator, condition, field and pick by its checked
+  helper;
 - `parse_aspect`: a source that holds exactly one aspect.
 """
 
@@ -32,9 +35,9 @@ from miniweave.aspects import (
     PcOr,
     parse_aspect_file,
 )
-from miniweave.diagnostics import CompileError, Loc, ParseError
+from miniweave.diagnostics import CompileError, Loc, MiniRuntimeError, ParseError
 from miniweave.dsal_cool import CoordinatorDecl
-from miniweave.interp import BLOCKED, RUNNABLE, DeadlockReport, Interp
+from miniweave.interp import _NO_RETURN, BLOCKED, RUNNABLE, WAITING, DeadlockReport, Interp, _Env
 from miniweave.joinpoints import Shadow
 from miniweave.matching import (
     TRUE,
@@ -47,7 +50,15 @@ from miniweave.matching import (
     precedence_ranks,
     render_residue,
 )
-from miniweave.values import class_name_of, value_eq
+from miniweave.values import (
+    MObject,
+    Monitor,
+    class_name_of,
+    format_message,
+    render_value,
+    shown_value,
+    value_eq,
+)
 
 # ---------------------------------------------------------------------------
 # COOL entry guard
@@ -295,6 +306,251 @@ class WalkInterp(Interp):
                 self.cflow_held += walked
             if walked:
                 yield from self.run_advice(entry.advice, site[0], this_obj, target_obj, args)
+
+
+# ---------------------------------------------------------------------------
+# Checked-path interpretation
+# ---------------------------------------------------------------------------
+
+_TREE_LITERALS = (ml.IntLit, ml.BoolLit, ml.StrLit)
+
+# binary operators on two ints; `/` and `%` also check for a zero divisor
+_TREE_INT_OPS = {
+    "-": operator.sub, "*": operator.mul, "/": operator.floordiv, "%": operator.mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _tree_method_of(recv, name: str, args, loc: Loc) -> ml.MethodDecl:
+    """The method or aspect helper a call of `name` on `recv` with `args`
+    runs, found by a scan of its class's methods."""
+    if recv is None:
+        raise MiniRuntimeError(f"null dereference calling {name!r}", loc)
+    decl = None
+    if isinstance(recv, MObject):
+        decl = next((m for m in recv.cls.methods if m.name == name), None)
+    if decl is None:
+        raise MiniRuntimeError(
+            f"unknown method {name!r} on {class_name_of(recv) or shown_value(recv)}", loc
+        )
+    if len(decl.params) != len(args):
+        raise MiniRuntimeError(
+            f"{class_name_of(recv)}.{name} expects {len(decl.params)} argument(s), "
+            f"got {len(args)}",
+            loc,
+        )
+    return decl
+
+
+class TreeInterp(Interp):
+    """The interpreter with every operand evaluated by its own `eval_expr`
+    generator, every operator, condition and field access through the
+    checked helpers (`apply_operator`, `as_bool`, `field_read`,
+    `field_write`), every scheduling point through `pick_next`, and a
+    method found by a scan of its class's methods. A run must match
+    `Interp`'s in status, steps, trace and error text."""
+
+    def _switch(self) -> bool:
+        idx = self.pick_next()
+        if idx == self.cur_idx and self.steps < self.step_limit:
+            self.steps += 1
+            return False
+        self.picked = idx
+        return True
+
+    def _spawned(self, recv, name: str, args, loc: Loc):
+        yield from self.run_decl(recv, _tree_method_of(recv, name, args, loc), args, loc)
+
+    def exec_block(self, stmts, env: _Env):
+        """Run `stmts`: the value of the `return` that ended them, else _NO_RETURN."""
+        for stmt in stmts:
+            if self._switch():
+                yield None
+            kind = type(stmt)
+            if kind is ml.ExprStmt:
+                yield from self.eval_expr(stmt.expr, env)
+            elif kind is ml.Assign:
+                target = stmt.target
+                if type(target) is ml.LocalRef:
+                    env.locals[target.name] = yield from self.eval_expr(stmt.value, env)
+                elif type(target) is ml.Index:
+                    seq = yield from self.eval_expr(target.obj, env)
+                    idx = yield from self.eval_expr(target.index, env)
+                    value = yield from self.eval_expr(stmt.value, env)
+                    self.index_check(seq, idx, target.loc)
+                    seq[idx] = value
+                else:  # field set join point
+                    obj = yield from self.eval_expr(target.obj, env)
+                    value = yield from self.eval_expr(stmt.value, env)
+                    site = self.unit.sites.get(id(stmt))
+                    if site is not None:
+                        if self._switch():
+                            yield None
+                        before, after = self._jp_enter(site, env.this, obj, (value,))
+                        if before:
+                            yield from self._advise(before, site, env.this, obj, (value,))
+                    self.field_write(obj, target.name, value, target.loc)
+                    if site is not None:
+                        if after:
+                            yield from self._advise(after, site, env.this, obj, (value,))
+                        self._jp_exit(site)
+            elif kind is ml.VarDecl:
+                init = stmt.init
+                value = None if init is None else (yield from self.eval_expr(init, env))
+                env.locals[stmt.name] = value
+            elif kind is ml.If:
+                later = False
+                for test, body in stmt.arms:
+                    # the step of the nested `if` an `else if` abbreviates
+                    if later and self._switch():
+                        yield None
+                    cond = yield from self.eval_expr(test, env)
+                    if self.as_bool(cond, test.loc if later else stmt.loc):
+                        result = yield from self.exec_block(body, env)
+                        break
+                    later = True
+                else:
+                    result = yield from self.exec_block(stmt.orelse, env)
+                if result is not _NO_RETURN:
+                    return result
+            elif kind is ml.While:
+                while True:
+                    if self._switch():
+                        yield None
+                    cond = yield from self.eval_expr(stmt.cond, env)
+                    if not self.as_bool(cond, stmt.loc):
+                        break
+                    result = yield from self.exec_block(stmt.body, env)
+                    if result is not _NO_RETURN:
+                        return result
+            elif kind is ml.Return:
+                value = stmt.value
+                return None if value is None else (yield from self.eval_expr(value, env))
+            else:
+                raise MiniRuntimeError(f"cannot execute {kind.__name__}", stmt.loc)
+        return _NO_RETURN
+
+    def eval_expr(self, expr, env: _Env):
+        kind = type(expr)
+        if kind in _TREE_LITERALS:
+            return expr.value
+        if kind is ml.LocalRef:
+            return env.locals[expr.name]
+        if kind is ml.ThisRef:
+            return env.this
+        if kind is ml.NullLit:
+            return None
+        if kind is ml.Binary:
+            # down the left spine to the leftmost operand, then each operator
+            # on the way back up; `&&` and `||` short-circuit per node
+            spine = []
+            while kind is ml.Binary:
+                spine.append(expr)
+                expr = expr.left
+                kind = type(expr)
+            value = yield from self.eval_expr(expr, env)
+            for node in reversed(spine):
+                op = node.op
+                if op == "&&" or op == "||":
+                    # `&&` goes on past true, `||` past false; otherwise the value stands
+                    if self.as_bool(value, node.loc) is (op == "&&"):
+                        right = yield from self.eval_expr(node.right, env)
+                        value = self.as_bool(right, node.loc)
+                else:
+                    right = yield from self.eval_expr(node.right, env)
+                    value = self.apply_operator(op, value, right, node.loc)
+            return value
+        if kind is ml.FieldGet:
+            obj = yield from self.eval_expr(expr.obj, env)
+            site = self.unit.sites.get(id(expr))
+            if site is not None:
+                if self._switch():
+                    yield None
+                before, after = self._jp_enter(site, env.this, obj, ())
+                if before:
+                    yield from self._advise(before, site, env.this, obj, ())
+            result = self.field_read(obj, expr.name, expr.loc)
+            if site is not None:
+                if after:
+                    yield from self._advise(after, site, env.this, obj, ())
+                self._jp_exit(site)
+            return result
+        if kind is ml.MethodCall:
+            recv = yield from self.eval_expr(expr.obj, env)
+            args = []
+            for a in expr.args:
+                args.append((yield from self.eval_expr(a, env)))
+            site = self.unit.sites.get(id(expr))
+            if site is not None:
+                if self._switch():
+                    yield None
+                before, after = self._jp_enter(site, env.this, recv, args)
+                if before:
+                    yield from self._advise(before, site, env.this, recv, args)
+            decl = _tree_method_of(recv, expr.name, args, expr.loc)
+            result = yield from self.run_decl(recv, decl, args, expr.loc)
+            if site is not None:
+                if after:
+                    yield from self._advise(after, site, env.this, recv, args)
+                self._jp_exit(site)
+            return result
+        if kind is ml.BuiltinCall:
+            args = []
+            for a in expr.args:
+                args.append((yield from self.eval_expr(a, env)))
+            return (yield from self.eval_builtin(expr, args, env))
+        if kind is ml.Index:
+            seq = yield from self.eval_expr(expr.obj, env)
+            idx = yield from self.eval_expr(expr.index, env)
+            self.index_check(seq, idx, expr.loc)
+            return seq[idx]
+        if kind is ml.ListLit:
+            items = []
+            for item in expr.items:
+                items.append((yield from self.eval_expr(item, env)))
+            return items
+        if kind is ml.New:
+            cls = self.classes[expr.class_name]
+            args = []
+            for a in expr.args:
+                args.append((yield from self.eval_expr(a, env)))
+            return (yield from self.instantiate(cls, args, expr.loc))
+        if kind is ml.Spawn:
+            call = expr.call
+            recv = yield from self.eval_expr(call.obj, env)
+            args = []
+            for a in call.args:
+                args.append((yield from self.eval_expr(a, env)))
+            if not isinstance(recv, MObject):
+                raise MiniRuntimeError("spawn needs an object receiver", expr.loc)
+            tid = self.add_thread(self._spawned(recv, call.name, args, call.loc))
+            self.emit("spawn", f"t{tid}")
+            return tid
+        if kind is ml.Unary:
+            value = yield from self.eval_expr(expr.operand, env)
+            if expr.op == "!":
+                return not self.as_bool(value, expr.loc)
+            return -self.as_int(value, expr.loc)
+        raise MiniRuntimeError(f"cannot evaluate {kind.__name__}", expr.loc)
+
+    def apply_operator(self, op: str, left, right, loc: Loc):
+        """A binary operator other than `&&`/`||` on evaluated operands."""
+        if op == "==":
+            return value_eq(left, right)
+        if op == "!=":
+            return not value_eq(left, right)
+        if op == "+":
+            if isinstance(left, str) and isinstance(right, str):
+                return left + right
+            return self.as_int(left, loc) + self.as_int(right, loc)
+        a = self.as_int(left, loc)
+        b = self.as_int(right, loc)
+        fn = _TREE_INT_OPS.get(op)
+        if fn is None:
+            raise MiniRuntimeError(f"unknown operator {op!r}", loc)
+        if b == 0 and (op == "/" or op == "%"):
+            raise MiniRuntimeError("division by zero", loc)
+        return fn(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -657,6 +657,29 @@ def test_boolean_annotation_value_exit_one(workdir, capsys):
     assert not (workdir / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "arg, shown",
+    [
+        ("call=1", "call=1"),
+        ("call=-2", "call=-2"),
+        ('call="x"', 'call="x"'),
+        (r'call="a\"b"', r'call="a\"b"'),
+        ("call, 2", "2"),
+        ("sneak", "'sneak'"),
+    ],
+)
+def test_unknown_hide_kind_is_shown_as_written(workdir, capsys, arg, shown):
+    (workdir / "main.ml0").write_text(
+        f"class Main {{\n  @hideMethod({arg})\n  def main() {{ }}\n}}\n"
+    )
+    code = main(["compile", "main.ml0"])
+    assert capsys.readouterr() == (
+        "",
+        f"error: main.ml0:2: unknown join point kind {shown} for @hideMethod\n",
+    )
+    assert code == 1
+
+
 def test_repeated_loc_key_exit_one(workdir, capsys):
     # a key given twice is an error, not overwritten by its last value
     (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
