@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 
 from .aspects import AdviceDecl
 from .diagnostics import CompileError
-from .matching import MatchTable, render_residue
+from .matching import MatchTable
 
 
 def advice_handle(advice: AdviceDecl) -> str:
@@ -37,7 +37,7 @@ def build_relationship_map(table: MatchTable) -> dict:
                 "module": advice_module(entry.advice),
                 "shadow": f"{shadow.kind} {shadow.signature}",
                 "at": str(shadow.loc),
-                "residue": render_residue(entry.residue),
+                "residue": str(entry.residue),
             }
         )
     advises = sorted(records, key=lambda r: (r["advice"], r["at"], r["shadow"], r["residue"]))

@@ -30,11 +30,13 @@ a spawn moves the indexes or a notify moves its `waiting` list to `blocked`.
 
 Each MiniLang frame is one `_Env` on its thread's `frames`: locals, `this`
 and the monitors it acquired. A method, constructor, static block or advice
-runs in a frame of its own. `instantiate` runs all of a class's field
-initializers for one `new` in one frame; `_main` gives each initialized
-aspect field its own frame. Monitors are non-reentrant and frame-scoped:
-whatever a frame still holds when it returns is released. A thread holding
-MAX_CALL_DEPTH frames ends the run with a runtime error. `exec_block`
+runs in a frame of its own. `_push_frame` builds every frame: its `this`,
+each local the body declares null, then the bound parameters. `instantiate`
+runs all of a class's field initializers for one `new` in one frame;
+`_main` gives each initialized aspect field its own frame. Monitors are
+non-reentrant and frame-scoped: whatever a frame still holds when it
+returns is released. A thread holding MAX_CALL_DEPTH frames ends the run
+with a runtime error. `exec_block`
 dispatches each statement in place; a `return` is its value, passed up
 through `if` and `while` to `run_decl`, which runs every method,
 constructor and static block. Frames leave only by returning: a runtime
@@ -42,6 +44,9 @@ error ends the run, and nothing reads a thread's frames, cflow state or
 monitors after that, so nothing unwinds them. `eval_expr` walks a binary
 chain's left spine down to its leftmost operand, then applies the
 operators on the way back up, so a left-deep chain costs no Python frames.
+A statement, expression, operator or builtin that the parser and resolver
+cannot produce has no check here: it ends in a Python error, which the CLI
+reports as an internal error.
 
 The interpreter's cost is Python calls, so each step makes as few as it
 can. Every operand site (binary operands, receivers, arguments, list items
@@ -65,8 +70,8 @@ those scopes. So a join point is in its own control flow for both kinds of
 advice. `_jp_enter` and `_jp_exit` are plain calls, so a shadow with no
 advice costs no generator. Hidden shadows have no site: no events, no
 cflow scope. An advice is a method whose parameters are its bindings
-(`thisObject`, `targetObject`, `args`, `jp`): `run_advice` binds them in
-the new frame as `run_decl` binds a method's arguments, with the aspect's
+(`thisObject`, `targetObject`, `args`, `jp`): `_advise` binds them in the
+advice's frame as `run_decl` binds a method's arguments, with the aspect's
 singleton as `this`. `jp` is a record only when the advice body names it
 (`names_jp`, recorded by the resolver), else null.
 
@@ -89,7 +94,7 @@ from . import minilang as ml
 from .aspects import AspectDecl
 from .diagnostics import CompileError, Loc, MiniRuntimeError
 from .joinpoints import ShadowTable
-from .matching import CflowFrame, CflowState, MatchTable, advice_sequence_at, eval_residue
+from .matching import CflowState, MatchTable, advice_sequence_at, eval_residue
 from .minilang import LocalRef, ThisRef
 from .values import (
     JpInfo,
@@ -111,10 +116,8 @@ MAX_CALL_DEPTH = 100
 # the nodes that evaluate to their `value`: the literals and null
 _CONSTS = frozenset((ml.IntLit, ml.StrLit, ml.BoolLit, ml.NullLit))
 
-# the nodes whose receiver `eval_expr` evaluates first, and those with
-# arguments or items
+# the nodes whose receiver `eval_expr` evaluates first
 _RECEIVERS = frozenset((ml.FieldGet, ml.MethodCall, ml.Index, ml.Spawn))
-_WITH_ARGS = frozenset((ml.MethodCall, ml.BuiltinCall, ml.New, ml.ListLit, ml.Spawn))
 
 # the binary operators `eval_expr` applies in place to two operands of type
 # exactly int; `/` and `%` also check for a zero divisor, in `apply_operator`
@@ -135,9 +138,6 @@ _NO_RETURN = object()
 
 # the (enters, pending) of a site that enters no cflow scope
 _NO_SCOPES = ((), ())
-
-# the cflow state of every thread of a unit whose residues name no scope
-_NO_CFLOW = CflowState({}, 0)
 
 
 def _render_event(step: int, thread: int, kind: str, text: str) -> str:
@@ -277,14 +277,6 @@ class WovenUnit:
         return cls(program, aspects, list(precedence), table, visible, mt, sites, scopes, numbers)
 
 
-def _frame_locals(decl, bound=()) -> dict:
-    """The locals of a new frame: each declared local None, then `bound`
-    (a mapping or (name, value) pairs)."""
-    locals_ = dict.fromkeys(decl.local_names)
-    locals_.update(bound)
-    return locals_
-
-
 def _method_of(recv, name: str, args, loc: Loc) -> ml.MethodDecl:
     """The method or aspect helper a call of `name` on `recv` with `args` runs."""
     if recv is None:
@@ -374,10 +366,7 @@ class Interp:
 
     def add_thread(self, gen) -> int:
         tid = len(self.threads)
-        scopes = self.unit.scopes
-        # with no scope, no thread's state ever changes: one serves them all
-        cflow = CflowState(self.unit.scope_numbers, len(scopes)) if scopes else _NO_CFLOW
-        t = _Thread(tid, gen, cflow)
+        t = _Thread(tid, gen, CflowState(self.unit.scope_numbers, len(self.unit.scopes)))
         self.threads.append(t)
         idx = 0
         if self.rotation:
@@ -522,7 +511,7 @@ class Interp:
             inst = self.aspect_instances[aspect.name]
             for f in aspect.fields:
                 if f.init is not None:
-                    env = self._push_frame(f.loc, {}, inst)
+                    env = self._push_frame(f.loc, (), (), inst)
                     inst.fields[f.name] = yield from self.eval_expr(f.init, env)
                     self._pop_frame(env)
         for cls in self.unit.program.classes:
@@ -538,10 +527,14 @@ class Interp:
 
     # -- frames
 
-    def _push_frame(self, loc: Loc, locals_: dict, this) -> _Env:
+    def _push_frame(self, loc: Loc, names, bound, this) -> _Env:
+        """A new frame on the running thread, with `this` and as locals each
+        of `names` null, then the (name, value) pairs of `bound`."""
         frames = self.current.frames
         if len(frames) >= MAX_CALL_DEPTH:
             raise MiniRuntimeError(f"call depth exceeds {MAX_CALL_DEPTH}", loc)
+        locals_ = dict.fromkeys(names)
+        locals_.update(bound)
         env = _Env(locals_, this)
         frames.append(env)
         return env
@@ -570,7 +563,7 @@ class Interp:
                 counts[n] += 1
         if pending:
             frames = self.current.cflow.pending
-            frame = CflowFrame(this_obj, target_obj, tuple(args))
+            frame = (this_obj, target_obj, tuple(args))
             for n, residue in pending:
                 frames[n].append((frame, residue))
         return advice
@@ -589,42 +582,44 @@ class Interp:
                 frames[n].pop()
 
     def _advise(self, entries, site, this_obj, target_obj, args):
-        """Run each advice of `entries` whose residue holds, in order."""
+        """Run each advice of `entries` whose residue holds, in order, each
+        in a frame of its own with its aspect's singleton as `this`."""
         cflow = self.current.cflow
+        shadow = site[0]
         for entry in entries:
-            if eval_residue(entry.residue, this_obj, target_obj, args, cflow):
-                yield from self.run_advice(entry.advice, site[0], this_obj, target_obj, args)
-
-    def run_advice(self, advice, shadow, this_obj, target_obj, args):
-        inst = self.aspect_instances[advice.aspect_name]
-        key = (id(advice), id(shadow))
-        texts = self.texts.get(key)
-        if texts is None:
-            texts = self.texts[key] = (
-                f"{advice.describe()} at {shadow.kind} {shadow.signature}",
-                (str(shadow.kind), shadow.signature, str(shadow.loc))
-                if advice.names_jp
-                else None,
+            if not eval_residue(entry.residue, this_obj, target_obj, args, cflow):
+                continue
+            advice = entry.advice
+            key = (id(advice), id(shadow))
+            texts = self.texts.get(key)
+            if texts is None:
+                texts = self.texts[key] = (
+                    f"{advice.describe()} at {shadow.kind} {shadow.signature}",
+                    (str(shadow.kind), shadow.signature, str(shadow.loc))
+                    if advice.names_jp
+                    else None,
+                )
+            tag, jp_texts = texts
+            self.emit("advice_enter", tag)
+            info = None
+            if jp_texts is not None:
+                info = JpInfo(
+                    *jp_texts,
+                    class_name_of(target_obj) or class_name_of(this_obj) or (shadow.cls or ""),
+                    shadow.member or "",
+                    shadow.arity if shadow.arity is not None else len(args),
+                )
+            # the bindings' zip is a temporary: held in a local, it would live
+            # as long as the body runs
+            env = self._push_frame(
+                shadow.loc,
+                advice.local_names,
+                zip(advice.params, (this_obj, target_obj, list(args), info)),
+                self.aspect_instances[advice.aspect_name],
             )
-        tag, jp_texts = texts
-        self.emit("advice_enter", tag)
-        info = None
-        if jp_texts is not None:
-            info = JpInfo(
-                *jp_texts,
-                class_name_of(target_obj) or class_name_of(this_obj) or (shadow.cls or ""),
-                shadow.member or "",
-                shadow.arity if shadow.arity is not None else len(args),
-            )
-        # the bindings' zip is a temporary: held in a local, it would live
-        # as long as the body runs
-        locals_ = _frame_locals(
-            advice, zip(advice.params, (this_obj, target_obj, list(args), info))
-        )
-        env = self._push_frame(shadow.loc, locals_, inst)
-        yield from self.exec_block(advice.body, env)
-        self._pop_frame(env)
-        self.emit("advice_exit", tag)
+            yield from self.exec_block(advice.body, env)
+            self._pop_frame(env)
+            self.emit("advice_exit", tag)
 
     # -- object lifecycle and method bodies
 
@@ -644,7 +639,7 @@ class Interp:
             before, after = self._jp_enter(site, obj, obj, args)
             if before:
                 yield from self._advise(before, site, obj, obj, args)
-        env = self._push_frame(loc, {}, obj)
+        env = self._push_frame(loc, (), (), obj)
         for f in cls.fields:
             if f.init is not None:
                 obj.fields[f.name] = yield from self.eval_expr(f.init, env)
@@ -668,7 +663,7 @@ class Interp:
             before, after = self._jp_enter(site, this, this, args)
             if before:
                 yield from self._advise(before, site, this, this, args)
-        env = self._push_frame(loc, _frame_locals(decl, zip(decl.params, args)), this)
+        env = self._push_frame(loc, decl.local_names, zip(decl.params, args), this)
         result = yield from self.exec_block(decl.body, env)
         self._pop_frame(env)
         if site is not None:
@@ -721,12 +716,7 @@ class Interp:
                     if result is not _NO_RETURN:
                         return result
             else:  # `=`, `var` or `return`: the operands in order, then the value
-                if kind is ml.VarDecl:
-                    x = stmt.init
-                elif kind is ml.Assign or kind is ml.Return:
-                    x = stmt.value
-                else:
-                    raise MiniRuntimeError(f"cannot execute {kind.__name__}", stmt.loc)
+                x = stmt.init if kind is ml.VarDecl else stmt.value
                 target = stmt.target if kind is ml.Assign else None
                 tk = type(target)
                 if tk is ml.FieldGet or tk is ml.Index:  # a field's object or an index's list
@@ -842,8 +832,6 @@ class Interp:
                 x.value if k in _CONSTS else (yield from self.eval_expr(x, env)))
             self.index_check(obj, idx, expr.loc)
             return obj[idx]
-        if kind not in _WITH_ARGS:
-            raise MiniRuntimeError(f"cannot evaluate {kind.__name__}", expr.loc)
         args = []
         for x in expr.items if kind is ml.ListLit else call.args:
             k = type(x)
@@ -886,18 +874,15 @@ class Interp:
             return left + right
         a = self.as_int(left, loc)
         b = self.as_int(right, loc)
-        fn = _INT_OPS.get(op)
-        if fn is None:
-            raise MiniRuntimeError(f"unknown operator {op!r}", loc)
         if b == 0 and (op == "/" or op == "%"):
             raise MiniRuntimeError("division by zero", loc)
-        return fn(a, b)
+        return _INT_OPS[op](a, b)
 
     def eval_builtin(self, expr: ml.BuiltinCall, args: list, env: _Env):
         """Apply the builtin `expr` calls to its evaluated `args`."""
         name = expr.name
         loc = expr.loc
-        arity = ml.BUILTINS.get(name)
+        arity = ml.BUILTINS[name]
         if arity is not None and len(args) != arity:
             raise MiniRuntimeError(f"{name} expects {arity} argument(s)", loc)
         if name == "print":
@@ -958,8 +943,6 @@ class Interp:
             self._set_holder(mon, None)
             self._park(WAITING, mon)
             yield None
-        elif name != "monitor_acquire":
-            raise MiniRuntimeError(f"unknown builtin {name!r}", loc)
         while mon.holder is not None:  # parked until pick_next finds it free
             self._park(BLOCKED, mon)
             yield None

@@ -3,6 +3,8 @@
 Static matching decides each `PcKind` (execution/call/get/set) and within
 against the shadow; `PcBinding` (this/target), args and cflow tests are
 collected into a residue that the interpreter evaluates at dispatch time.
+The empty residue, a static match with nothing left to test, is `TRUE`, the
+empty conjunction `PcAnd(())`: it holds, and its text is "".
 When a call/get/set shadow's receiver class could not be resolved
 statically, a concrete class segment in the pattern also becomes a residue
 (a runtime `target` test).
@@ -28,7 +30,8 @@ for each visible shadow the scopes it enters: statically where
 `match(P, shadow)` is TRUE, else with the residue that match leaves. At run
 time each thread keeps a `CflowState`: per scope, a count of the entered
 join points that enter it statically, and a (frame, residue) for each that
-enters it by a residue. `cflow_active` holds when the count is positive,
+enters it by a residue, the frame being the join point's (this_obj,
+target_obj, args) tuple. `cflow_active` holds when the count is positive,
 else when one of those residues holds on its own frame's bindings.
 """
 
@@ -57,14 +60,9 @@ from .joinpoints import Shadow, ShadowKind, ShadowTable
 from .values import class_name_of, value_eq
 
 
-class _True:
-    """The empty residue: statically matched, nothing left to test."""
-
-    def __repr__(self) -> str:
-        return "TRUE"
-
-
-TRUE = _True()
+# the empty residue, statically matched with nothing left to test: an empty
+# conjunction holds, and its text is ""
+TRUE = PcAnd(())
 
 
 def match(pc, shadow: Shadow):
@@ -119,10 +117,6 @@ def match(pc, shadow: Shadow):
             return None
         return residues[0] if len(residues) == 1 else PcOr(tuple(residues))
     raise TypeError(f"not a pointcut node: {pc!r}")
-
-
-def render_residue(residue) -> str:
-    return "" if residue is TRUE else str(residue)
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +350,11 @@ def scope_membership(scopes: tuple[PcCflow, ...], visible: ShadowTable) -> dict[
 # ---------------------------------------------------------------------------
 
 
-class CflowFrame:
-    """An entered join point's bindings, kept for a scope that it entered
-    by a residue."""
-
-    __slots__ = ("this_obj", "target_obj", "args")
-
-    def __init__(self, this_obj, target_obj, args: tuple):
-        self.this_obj = this_obj
-        self.target_obj = target_obj
-        self.args = args
-
-
 class CflowState:
     """One thread's cflow scopes. Per scope number: `counts`, how many
     entered join points enter it statically, and `pending`, a (frame,
-    residue) for each one that enters it by a residue, innermost last.
+    residue) for each one that enters it by a residue, innermost last,
+    where the frame is the join point's (this_obj, target_obj, args).
     `numbers` is the unit's map from id() of a `PcCflow` node to its
     scope's number (`number_scopes`)."""
 
@@ -380,7 +363,7 @@ class CflowState:
     def __init__(self, numbers: dict[int, int], n_scopes: int):
         self.numbers = numbers
         self.counts = [0] * n_scopes
-        self.pending: list[list[tuple[CflowFrame, object]]] = [[] for _ in range(n_scopes)]
+        self.pending: list[list[tuple[tuple, object]]] = [[] for _ in range(n_scopes)]
 
 
 def cflow_active(state: CflowState, scope: PcCflow) -> bool:
@@ -390,8 +373,8 @@ def cflow_active(state: CflowState, scope: PcCflow) -> bool:
     n = state.numbers[id(scope)]
     if state.counts[n]:
         return True
-    for frame, residue in state.pending[n]:
-        if eval_residue(residue, frame.this_obj, frame.target_obj, frame.args, state):
+    for (this_obj, target_obj, args), residue in state.pending[n]:
+        if eval_residue(residue, this_obj, target_obj, args, state):
             return True
     return False
 

@@ -23,11 +23,14 @@ aspect, COOL and audit parsers subclass it. One loop, `parse_members`,
 reads the members of every class and aspect: `var` is a field, `def` a
 method (an aspect's helper), each name declared once, and any other word
 goes to `parse_member`: a constructor or static block here, advice or
-`precedence` in the aspect parser. One list rule serves every front-end:
-`parse_list` reads zero or more comma-separated items and the closing
-punctuation (arguments, parameters, list literals, annotation arguments,
-COOL method sets), and `parse_items` one or more items with any separator
-(`precedence` names, COOL conditions, the pointcut `||` and `&&` chains).
+`precedence` in the aspect parser. A field is a `VarDecl`, read by
+`parse_var` as a `var` statement is, with its annotations: a field is a
+`var` of its class, as an aspect is a class and an advice a method. One
+list rule serves every front-end: `parse_list` reads zero or more
+comma-separated items and the closing punctuation (arguments, parameters,
+list literals, annotation arguments, COOL method sets), and `parse_items`
+one or more items with any separator (`precedence` names, COOL conditions,
+the pointcut `||` and `&&` chains).
 `resolve_program` resolves classes and aspects alike, each over its
 `bodies()`. Binary expressions are parsed by precedence climbing over
 `_BINARY_PREC` (`||` < `&&` < `== !=` < `< <= > >=` < `+ -` < `* / %`, all
@@ -202,8 +205,11 @@ class Binary(Node):
 
 @dataclass(slots=True)
 class VarDecl(Node):
+    """A `var` statement, or a field: the `var` of a class or aspect."""
+
     name: str
     init: Node | None
+    annotations: list[Annotation] | tuple = ()  # a field's `@hideField`s
 
     child_fields = ("init",)
 
@@ -250,14 +256,6 @@ class ExprStmt(Node):
 
 
 @dataclass(slots=True)
-class FieldDecl:
-    name: str
-    init: Node | None
-    annotations: list[Annotation]
-    loc: Loc
-
-
-@dataclass(slots=True)
 class MethodDecl:
     name: str
     params: list[str]
@@ -279,7 +277,7 @@ class MethodDecl:
 @dataclass
 class ClassDecl:
     name: str
-    fields: list[FieldDecl]
+    fields: list[VarDecl]
     methods: list[MethodDecl]
     ctor: MethodDecl | None
     static_block: MethodDecl | None
@@ -453,7 +451,8 @@ class MiniParser:
         while not self.ts.accept(PUNCT, "}"):
             anns = self.parse_annotations()
             if self.ts.at_name("var"):
-                owner.fields.append(self.parse_field(anns))
+                self.check_annotations(anns, ("hideField",), "a field")
+                owner.fields.append(self.parse_var(anns))
             elif self.ts.at_name("def"):
                 m = self.parse_method(anns)
                 if owner.method_index.setdefault(m.name, m) is not m:
@@ -461,7 +460,7 @@ class MiniParser:
                 owner.methods.append(m)
             else:
                 self.parse_member(owner, anns)
-        first: dict[str, FieldDecl] = {}
+        first: dict[str, VarDecl] = {}
         for f in owner.fields:
             if first.setdefault(f.name, f) is not f:
                 raise ParseError(f"duplicate field {owner.name}.{f.name!r}", f.loc)
@@ -495,16 +494,14 @@ class MiniParser:
             raise ts.error(f"{ts.text!r} is a reserved word")
         return ts.expect(NAME)
 
-    def parse_field(self, anns: list[Annotation]) -> FieldDecl:
-        self.check_annotations(anns, ("hideField",), "a field")
+    def parse_var(self, anns=()) -> VarDecl:
+        """A `var` statement; a field is one with its annotations `anns`."""
         loc = self.ts.loc()
         self.ts.expect(NAME, "var")
         name = self.parse_decl_name()
-        init = None
-        if self.ts.accept(PUNCT, "="):
-            init = self.parse_expr()
+        init = self.parse_expr() if self.ts.accept(PUNCT, "=") else None
         self.ts.expect(PUNCT, ";")
-        return FieldDecl(name, init, anns, loc)
+        return VarDecl(loc, name, init, anns)
 
     def parse_method(self, anns: list[Annotation]) -> MethodDecl:
         self.check_annotations(anns, ("hideMethod",), "a method")
@@ -532,15 +529,9 @@ class MiniParser:
         return stmts
 
     def parse_stmt(self) -> Node:
-        loc = self.ts.loc()
         if self.ts.at_name("var"):
-            self.ts.advance()
-            name = self.parse_decl_name()
-            init = None
-            if self.ts.accept(PUNCT, "="):
-                init = self.parse_expr()
-            self.ts.expect(PUNCT, ";")
-            return VarDecl(loc, name, init)
+            return self.parse_var()
+        loc = self.ts.loc()
         if self.ts.at_name("if"):
             return self.parse_if()
         if self.ts.at_name("while"):

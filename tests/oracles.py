@@ -41,14 +41,12 @@ from miniweave.interp import _NO_RETURN, BLOCKED, RUNNABLE, WAITING, DeadlockRep
 from miniweave.joinpoints import Shadow
 from miniweave.matching import (
     TRUE,
-    CflowFrame,
     MatchTable,
     advice_sort_key,
     cflow_active,
     eval_residue,
     match,
     precedence_ranks,
-    render_residue,
 )
 from miniweave.values import (
     MObject,
@@ -177,7 +175,7 @@ def restricted_keys(table: MatchTable, aspect_names: set[str]) -> set:
             entry.advice.aspect_name,
             entry.advice.index,
             shadow_key(shadow),
-            render_residue(entry.residue),
+            str(entry.residue),
         )
         for shadow, entry in table.pairs()
         if entry.advice.aspect_name in aspect_names
@@ -234,10 +232,10 @@ class ScanInterp(Interp):
 
 def walk_eval_residue(residue, this_obj, target_obj, args, frames, state) -> bool:
     """`matching.eval_residue` with `cflow(P)` decided by walking `frames`,
-    a (shadow, frame) for every join point entered on the thread, outermost
-    first: it holds when `match(P, shadow)` leaves a residue that holds on
-    that frame's bindings. At each cflow test it asserts that the counters
-    of `state` give the same answer."""
+    a (shadow, (this_obj, target_obj, args)) for every join point entered on
+    the thread, outermost first: it holds when `match(P, shadow)` leaves a
+    residue that holds on that frame's bindings. At each cflow test it
+    asserts that the counters of `state` give the same answer."""
     if residue is TRUE:
         return True
     cls = type(residue)
@@ -250,10 +248,10 @@ def walk_eval_residue(residue, this_obj, target_obj, args, frames, state) -> boo
         return residue.is_wildcard or value_eq(args[residue.position], residue.value)
     if cls is PcCflow:
         walked = False
-        for shadow, frame in frames:
+        for shadow, (this, target, jp_args) in frames:
             found = match(residue.inner, shadow)
             if found is not None and walk_eval_residue(
-                found, frame.this_obj, frame.target_obj, frame.args, frames, state
+                found, this, target, jp_args, frames, state
             ):
                 walked = True
                 break
@@ -272,21 +270,22 @@ def walk_eval_residue(residue, this_obj, target_obj, args, frames, state) -> boo
 
 class WalkInterp(Interp):
     """The interpreter with a full cflow stack beside its scope counters:
-    each visible join point pushes its shadow and a `CflowFrame` on its
-    thread's `walks` stack when it is entered and pops them when it is
-    left. Each residue test is made both ways, by `eval_residue` over the
-    counters and by `walk_eval_residue` over the stack, which also checks
+    each visible join point pushes its shadow and its (this_obj, target_obj,
+    args) on its thread's `walks` stack when it is entered and pops them when
+    it is left. Each residue test is made both ways, by `eval_residue` over
+    the counters and by `walk_eval_residue` over the stack, which also checks
     every cflow test on its way; the two must agree. `cflow_tests` counts
-    those tests and `cflow_held` the ones that held."""
+    those tests and `cflow_held` the ones that held. An advice whose residue
+    holds runs through `Interp._advise`."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
-        self.walks: dict[int, list[tuple[Shadow, CflowFrame]]] = {}
+        self.walks: dict[int, list[tuple[Shadow, tuple]]] = {}
         self.cflow_tests = 0
         self.cflow_held = 0
 
     def _jp_enter(self, site, this_obj, target_obj, args):
-        frame = CflowFrame(this_obj, target_obj, tuple(args))
+        frame = (this_obj, target_obj, tuple(args))
         self.walks.setdefault(self.current.tid, []).append((site[0], frame))
         return super()._jp_enter(site, this_obj, target_obj, args)
 
@@ -301,11 +300,11 @@ class WalkInterp(Interp):
             residue = entry.residue
             walked = walk_eval_residue(residue, this_obj, target_obj, args, frames, state)
             assert eval_residue(residue, this_obj, target_obj, args, state) == walked, residue
-            if "cflow" in render_residue(residue):
+            if "cflow" in str(residue):
                 self.cflow_tests += 1
                 self.cflow_held += walked
             if walked:
-                yield from self.run_advice(entry.advice, site[0], this_obj, target_obj, args)
+                yield from super()._advise((entry,), site, this_obj, target_obj, args)
 
 
 # ---------------------------------------------------------------------------

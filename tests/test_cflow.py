@@ -245,6 +245,41 @@ def test_scope_with_a_this_residue():
     assert res.output == ["from C"]
 
 
+def test_a_disjunctive_residue():
+    # each receiver is a `new C()` local, so the residue is the `||` alone
+    unit, res = _walked(
+        """
+        class C { def m(x) { } }
+        class A { def go() { var c = new C(); c.m(0); } }
+        class B { def go() { var c = new C(); c.m(0); c.m(1); } }
+        class Main { def main() { new A().go(); new B().go(); } }
+        """,
+        """
+        aspect W {
+          before(): call(C.m) && (this(A) || args(0, 1)) { print(args[0]); }
+        }
+        """,
+    )
+    assert {str(e.residue) for _, e in unit.match_table.pairs()} == {"this(A) || args(0, 1)"}
+    assert res.output == ["0", "1"]
+
+
+def test_a_wildcard_args_residue():
+    # `args(0, *)` holds at a join point with a first argument, only there
+    _, res = _walked(
+        """
+        class C { def m(x) { } def n() { } }
+        class Main { def main() { var c = new C(); c.m(5); c.n(); c.m(null); } }
+        """,
+        """
+        aspect W {
+          before(): call(C.*) && args(0, *) { print(args[0]); }
+        }
+        """,
+    )
+    assert res.output == ["5", "null"]
+
+
 def test_cflow_nested_in_a_scope():
     unit, res = _walked(
         """

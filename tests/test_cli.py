@@ -373,6 +373,25 @@ def test_unwritable_report_path_is_cli_error(workdir, capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (
+            ["compile", "--gen-dir", "taken"],
+            f"cannot write {os.path.join('taken', 'stack_cool.ma0')}: File exists",
+        ),
+        (["run", "--trace", "taken/t.txt"], "cannot write output file: Not a directory"),
+    ],
+    ids=["generated-file", "trace"],
+)
+def test_unwritable_output_exit_one(workdir, capsys, args, err):
+    # `taken` is a file, so nothing can be written under it
+    (workdir / "taken").write_text("")
+    code = main([*args, "demo_stack/stack.ml0", "demo_stack/stack.cool"])
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert code == 1
+
+
 # Long chains are ordinary code, not nesting: neither the passes after
 # parsing nor the code a DSAL generates from them may turn a chain into
 # Python recursion or into nesting past the parser's limit.
@@ -696,13 +715,26 @@ def test_repeated_loc_key_exit_one(workdir, capsys):
     assert not (workdir / "r.json").exists()
 
 
-# Where each list form is tried: the file it goes in, the base program it
-# is compiled with, and the text around its line, which is always line 2.
+# Where each list form is tried: the file it goes in, the arguments of the
+# `compile` that reads it, and the text around its line, which is always
+# line 2. Every case also has `main.ml0`, which declares `Main` with one
+# field and no `state`.
 _LIST_FILES = {
-    "ml0": ("a.ml0", "main.ml0", "class A {{\n{}\n  def g() {{ }}\n}}\n"),
-    "ma0": ("a.ma0", "main.ml0", "aspect P {{\n{}\n}}\n"),
-    "cool": ("demo_stack/a.cool", "demo_stack/stack.ml0", "coordinator BoundedStack {{\n{}\n}}\n"),
+    "ml0": ("a.ml0", ["main.ml0", "a.ml0"], "class A {{\n{}\n  def g() {{ }}\n}}\n"),
+    "ma0": ("a.ma0", ["main.ml0", "a.ma0"], "aspect P {{\n{}\n}}\n"),
+    "cool": (
+        "demo_stack/a.cool",
+        ["demo_stack/stack.ml0", "demo_stack/a.cool"],
+        "coordinator BoundedStack {{\n{}\n}}\n",
+    ),
+    "audit": ("demo/a.audit", ["main.ml0", "demo/a.audit", "--dsals", "demo/dsals.txt"], "\n{}\n"),
+    "catalog": (
+        "m.txt",
+        ["main.ml0", "demo/jobs.audit", "--dsals", "demo/dsals.txt", "--messages", "m.txt"],
+        "A = a\n{}\n",
+    ),
 }
+_LIST_MAIN = "class Main {\n  var n = 0;\n  def main() { }\n}\n"
 _EXPR = "expected an expression"
 
 # Each list form with a trailing separator, a doubled separator, a missing
@@ -761,15 +793,80 @@ _LIST_CASES = [
     ("ma0", "  before(): call(A.f) && call(B.g) }", "expected '{', found '}'"),
 ]
 
+# The other parse and check errors of each front end, one line each.
+_ADVISE_MAIN = "before(): execution(Main.main) { }"
+_FRONT_END_CASES = [
+    ("ma0", f"  @order(1) @order(2) {_ADVISE_MAIN}", "duplicate @order"),
+    (
+        "ma0",
+        f'  @loc(file="x", line=1, module="m") @loc(file="x", line=1, module="m") {_ADVISE_MAIN}',
+        "duplicate @loc",
+    ),
+    ("ma0", f"  @order {_ADVISE_MAIN}", "@order expects a single numeric value"),
+    ("ma0", f'  @loc("x") {_ADVISE_MAIN}', "@loc expects file=, line=, module="),
+    (
+        "ma0",
+        f'  @loc(file=1, line=1, module="m") {_ADVISE_MAIN}',
+        "@loc file= and module= must be strings",
+    ),
+    (
+        "ma0",
+        f'  @loc(file="x", line=0, module="m") {_ADVISE_MAIN}',
+        "@loc line= must be a positive integer",
+    ),
+    ("ma0", "  before(): nope(A.f) { }", "unknown pointcut primitive 'nope'"),
+    ("ma0", "  before(): call(*.f) && args(0, x) { }", "expected a literal or * in args()"),
+    ("ml0", "  constructor() { } constructor() { }", "duplicate constructor"),
+    ("ml0", "  static { } static { }", "duplicate static block"),
+    ("ml0", "  def if() { }", "'if' is a reserved word"),
+    ("ml0", "  def f(a, a) { }", "duplicate parameter name"),
+    ("ml0", "  def f() { 1 = 2; }", "cannot assign to this expression"),
+    ("ml0", "  def f() { print(1.5); }", "float literals are not part of the language"),
+    ("ml0", "  def f() { spawn 1; }", "spawn expects a method call"),
+    ("ml0", "} var x;", "expected 'class'"),
+    ("ml0", "  @hideMethod(call=-x) def f() { }", "expected a number after '-'"),
+    (
+        "cool",
+        "  push: requires (true); push: requires (true);",
+        "duplicate addition for method 'push'",
+    ),
+    ("cool", "  ;", "expected a coordinator clause"),
+    ("cool", "} extra", "unexpected text after coordinator"),
+    ("cool", "  var st = 0;", "'st' is reserved in coordinator code"),
+    ("cool", "  push: on_entry { var t = 1; }", "'t' is reserved in coordinator code"),
+    ("cool", "  nope: requires (true);", "method 'nope' does not exist on BoundedStack"),
+    ("cool", "  push: on_entry { buffer[0] = 1; }", "coordinator code can only assign to names"),
+    (
+        "audit",
+        "logs for Main: case start log MKDIR_STARTED with;",
+        "'with' needs at least one field name",
+    ),
+    ("audit", "logs for Nope: case start log MKDIR_STARTED;", "audited type 'Nope' not found"),
+    (
+        "audit",
+        "logs for Main: case start log MKDIR_STARTED with nope;",
+        "value field 'nope' does not exist on Main",
+    ),
+    (
+        "audit",
+        "logs for Main: case finish log MKDIR_STARTED with n;",
+        """finish cases need a 'state' field on Main (checked against "FINISHED")""",
+    ),
+    ("catalog", "1A = b", "bad message id '1A'"),
+    ("catalog", "A = c", "duplicate message id 'A'"),
+]
+
 
 @pytest.mark.parametrize(
-    "kind, line, message", _LIST_CASES, ids=[line.strip() for _, line, _ in _LIST_CASES]
+    "kind, line, message",
+    _LIST_CASES + _FRONT_END_CASES,
+    ids=[line.strip() for _, line, _ in _LIST_CASES + _FRONT_END_CASES],
 )
 def test_list_forms(workdir, capsys, kind, line, message):
-    path, base, text = _LIST_FILES[kind]
-    (workdir / "main.ml0").write_text("class Main { def main() { } }\n")
+    path, args, text = _LIST_FILES[kind]
+    (workdir / "main.ml0").write_text(_LIST_MAIN)
     (workdir / path).write_text(text.format(line))
-    code = main(["compile", base, path])
+    code = main(["compile", *args])
     err = capsys.readouterr().err
     if message is None:
         assert (code, err) == (0, "")

@@ -100,6 +100,12 @@ class TestExtraction:
         assert "B.g/0" in calls  # var o = new B()
         assert "?.g/0" in calls  # field and param receivers stay unknown
 
+    def test_call_receiver_declared_as_this(self):
+        # `var me = this`, declared once and never assigned, has the class
+        _, table = shadows_of("class C { def f() { } def g() { var me = this; me.f(); } }")
+        (call,) = [s for s in table if s.kind is ShadowKind.METHOD_CALL]
+        assert (call.cls, call.signature) == ("C", "C.f/0")
+
     def test_static_and_ctor_enclosures(self):
         _, table = shadows_of(
             """

@@ -31,7 +31,6 @@ from miniweave.matching import (
     build_match_table,
     match,
     number_scopes,
-    render_residue,
     scope_membership,
 )
 
@@ -152,7 +151,7 @@ class TestMatch:
         )
         residue = match(pc, s)
         assert residue == PcBinding("this", "CopyJob")
-        assert render_residue(residue) == "this(CopyJob)"
+        assert str(residue) == "this(CopyJob)"
 
     def test_cflow_collects_into_residue_and_within_is_static(self):
         aspect_src = """
@@ -199,7 +198,7 @@ class TestMatch:
         src = r'aspect Spy { before(): execution(A.f) && args(0, "a\"b") && args(1, "c\\d") { } }'
         unit = build_unit("class A { def f(x, y) { } }", src)
         [(_, entry)] = list(unit.match_table.pairs())
-        assert render_residue(entry.residue) == r'args(0, "a\"b") && args(1, "c\\d")'
+        assert str(entry.residue) == r'args(0, "a\"b") && args(1, "c\\d")'
         assert entry.residue == PcAnd((PcArgs(0, 'a"b'), PcArgs(1, "c\\d")))
 
 
@@ -402,7 +401,7 @@ def test_pointcut_text_round_trips(seed):
             assert parse_pointcut_text(str(adv.pointcut)) == adv.pointcut
     for _, entry in build_match_table(aspects, visible, precedence).pairs():
         if entry.residue is not TRUE:
-            assert parse_pointcut_text(render_residue(entry.residue)) == entry.residue
+            assert parse_pointcut_text(str(entry.residue)) == entry.residue
 
 
 def class_index_skips(advice, shadow) -> bool:
@@ -439,9 +438,9 @@ def test_random_weaves_cover_the_pointcut_features():
                 two_classes = two_classes or len(classes) >= 2
         skipped = skipped or any(class_index_skips(adv, s) for s in visible for adv in all_advice)
         for s, entry in mt.pairs():
-            residues.add(render_residue(entry.residue))
+            residues.add(str(entry.residue))
             kinds.add(s.kind)
-            unresolved = unresolved or (s.cls is None and "target(" in render_residue(entry.residue))
+            unresolved = unresolved or (s.cls is None and "target(" in str(entry.residue))
         for es in mt.entries.values():
             orders = [e.advice.order for e in es]
             tied = tied or len(orders) != len(set(orders))
