@@ -31,7 +31,7 @@ from . import minilang as ml
 from .diagnostics import CompileError, Loc, ParseError
 from .joinpoints import ShadowKind
 from .lexer import EOF, INT, NAME, PUNCT, STRING
-from .render import escape_string
+from .render import render_literal
 
 ADVICE_BINDINGS = ("thisObject", "targetObject", "args", "jp")
 
@@ -89,16 +89,7 @@ class PcArgs:
         return self.value is _WILDCARD
 
     def __str__(self) -> str:
-        if self.is_wildcard:
-            return f"args({self.position}, *)"
-        if isinstance(self.value, bool):
-            lit = "true" if self.value else "false"
-        elif isinstance(self.value, str):
-            lit = f'"{escape_string(self.value)}"'
-        elif self.value is None:
-            lit = "null"
-        else:
-            lit = str(self.value)
+        lit = "*" if self.is_wildcard else render_literal(self.value)
         return f"args({self.position}, {lit})"
 
 
@@ -200,7 +191,7 @@ class AdviceDecl(ml.MethodDecl):
         return f"{self.aspect_name}#{self.index}"
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class AspectDecl(ml.ClassDecl):
     """An aspect is a class with advice: its helpers are its `methods`, and
     it has no constructor or static block."""

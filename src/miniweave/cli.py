@@ -71,18 +71,16 @@ def _default_dsals(args) -> str | None:
         return beside
     return None
 
-def _options(args, relationships_path=None) -> pipeline.CompileOptions:
-    return pipeline.CompileOptions(
+
+def _compile(args, relationships_path=None) -> pipeline.CompileArtifacts:
+    options = pipeline.CompileOptions(
         dsals_path=_default_dsals(args),
         gen_dir=args.gen_dir,
         strip_hide=args.strip_hide,
         messages_path=args.messages,
         relationships_path=relationships_path,
     )
-
-
-def _compile(args, relationships_path=None) -> pipeline.CompileArtifacts:
-    artifacts = pipeline.compile(args.inputs, _options(args, relationships_path))
+    artifacts = pipeline.compile(args.inputs, options)
     if args.explain_hides:
         for line in artifacts.unit.visible.diagnostics():
             print(line)

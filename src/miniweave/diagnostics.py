@@ -24,26 +24,26 @@ class Loc:
         return f"{self.path}:{self.line}"
 
 
-class CompileError(Exception):
-    """Any error raised between reading sources and producing a woven unit."""
+class LocatedError(Exception):
+    """An error message with the source position it is reported at, if any;
+    `str` gives `path:line: msg`, or `msg` alone."""
 
     def __init__(self, msg: str, loc: Loc | None = None):
         self.msg = msg
         self.loc = loc
         super().__init__(f"{loc}: {msg}" if loc is not None else msg)
+
+
+class CompileError(LocatedError):
+    """Any error raised between reading sources and producing a woven unit."""
 
 
 class ParseError(CompileError):
     """Syntax or annotation-placement error with a line/column position."""
 
 
-class MiniRuntimeError(Exception):
+class MiniRuntimeError(LocatedError):
     """Raised by the interpreter; aborts the run with a runtime-error status."""
-
-    def __init__(self, msg: str, loc: Loc | None = None):
-        self.msg = msg
-        self.loc = loc
-        super().__init__(f"{loc}: {msg}" if loc is not None else msg)
 
 
 def read_source(path: str) -> str:

@@ -29,20 +29,18 @@ from .lexer import EOF, NAME, PUNCT
 from .render import escape_string
 from .values import _PLACEHOLDER, placeholder_index
 
-TRANSITIONS = ("start", "finish", "interrupt", "pause", "resume")
-
 STATE_FIELD = "state"
 FINISHED_VALUE = "FINISHED"
 
-_TRANSITION_METHOD = {
-    "start": "start",
-    "finish": "run",
-    "interrupt": "interrupt",
-    "pause": "setPaused",
-    "resume": "setPaused",
+# each transition: the method whose execution it follows, and the value its
+# first argument must have, or None
+_TRANSITIONS = {
+    "start": ("start", None),
+    "finish": ("run", None),
+    "interrupt": ("interrupt", None),
+    "pause": ("setPaused", "true"),
+    "resume": ("setPaused", "false"),
 }
-
-_PAUSE_ARG = {"pause": "true", "resume": "false"}
 
 
 @dataclass
@@ -90,7 +88,7 @@ class AuditParser(ml.MiniParser):
         self.ts.expect(NAME, "case")
         tloc = self.ts.loc()
         transition = self.ts.expect(NAME)
-        if transition not in TRANSITIONS:
+        if transition not in _TRANSITIONS:
             raise ParseError(f"unknown transition {transition!r}", tloc)
         guards: list[str] = []
         while self.ts.accept(PUNCT, "&"):
@@ -117,9 +115,10 @@ def parse_audit(text: str, path: str) -> AuditModel:
 
 
 def parse_catalog(text: str, path: str) -> dict[str, str]:
-    """Parse `ID = template` lines; `#` starts a full-line comment."""
+    """Parse `ID = template` lines; `#` starts a full-line comment. Only
+    `\\n` ends a line, as in every other input."""
     catalog: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -213,10 +212,10 @@ def gen_audit_aspect(model: AuditModel, catalog: dict[str, str]) -> str:
         for case in cmd.cases:
             groups.setdefault(case.transition, []).append(case)
         for transition, cases in groups.items():
-            method = _TRANSITION_METHOD[transition]
+            method, first_arg = _TRANSITIONS[transition]
             pointcut = f"execution({method}) && this({cmd.target})"
-            if transition in _PAUSE_ARG:
-                pointcut += f" && args(0, {_PAUSE_ARG[transition]})"
+            if first_arg is not None:
+                pointcut += f" && args(0, {first_arg})"
             first_line = cases[0].loc.line
             out.append("")
             out.append(f'  @loc(file="{path}", line={first_line}, module="{module}")')

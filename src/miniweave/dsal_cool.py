@@ -2,8 +2,11 @@
 
 A `.cool` file declares one coordinator for a target class: selfex/mutex
 method sets, condition variables, coordinator fields, and per-method
-requires/on_entry/on_exit additions. The transformer emits one MiniAspect
-whose helpers implement a monitor protocol per target object:
+requires/on_entry/on_exit additions. The conditions and coordinator fields
+are one state list, the conditions first whatever the source order; that
+list numbers their slots in each target object's state row, after one busy
+count per coordinated method. The transformer emits one MiniAspect whose
+helpers implement a monitor protocol per target object:
 
     enter: acquire; while not canEnter: wait; busy+=1; on_entry; release
     exit:  acquire; busy-=1; on_exit; notify_all; release
@@ -52,26 +55,15 @@ class CoordinatorDecl:
     target: str
     selfex: list[tuple[list[str], Loc]]
     mutex: list[tuple[list[str], Loc]]
-    conditions: list[tuple[str, object, Loc]]
-    fields: list[tuple[str, object, Loc]]
+    # the conditions, then the coordinator fields: (name, initializer, loc)
+    state: list[tuple[str, object, Loc]]
     additions: dict[str, MethodAddition]
     loc: Loc
 
     def coordinated_methods(self) -> list[str]:
         """Union of selfex/mutex/addition methods in first-appearance order."""
-        seen: dict[str, None] = {}
-        for group, _ in self.selfex:
-            for name in group:
-                seen.setdefault(name)
-        for group, _ in self.mutex:
-            for name in group:
-                seen.setdefault(name)
-        for name in self.additions:
-            seen.setdefault(name)
-        return list(seen)
-
-    def state_names(self) -> list[str]:
-        return [name for name, _, _ in self.conditions] + [name for name, _, _ in self.fields]
+        named = [name for group, _ in self.selfex + self.mutex for name in group]
+        return list(dict.fromkeys([*named, *self.additions]))
 
 
 class CoolParser(ml.MiniParser):
@@ -109,14 +101,15 @@ class CoolParser(ml.MiniParser):
                 raise self.ts.error("expected a coordinator clause")
         if not self.ts.at(EOF):
             raise self.ts.error("unexpected text after coordinator")
+        state = conditions + fields
         seen: set[str] = set()
-        for name, _, nloc in conditions + fields:
+        for name, _, nloc in state:
             if name in seen:
                 raise ParseError(f"duplicate condition/field name {name!r}", nloc)
             if name in _RESERVED_COOL:
                 raise ParseError(f"{name!r} is reserved in coordinator code", nloc)
             seen.add(name)
-        return CoordinatorDecl(target, selfex, mutex, conditions, fields, additions, loc)
+        return CoordinatorDecl(target, selfex, mutex, state, additions, loc)
 
     def parse_state_decl(self) -> tuple[str, object, Loc]:
         """`name = expr` of a condition or coordinator field, with its loc."""
@@ -153,20 +146,14 @@ def validate_cool(coord: CoordinatorDecl, program: ml.Program) -> None:
     cls = program.by_name().get(coord.target)
     if cls is None:
         raise CompileError(f"coordinator target class {coord.target!r} not found", coord.loc)
-    for group, gloc in coord.selfex + coord.mutex:
-        for name in group:
-            if cls.method(name) is None:
-                raise CompileError(
-                    f"method {name!r} does not exist on {coord.target}", gloc
-                )
-    for add in coord.additions.values():
-        if cls.method(add.name) is None:
-            raise CompileError(
-                f"method {add.name!r} does not exist on {coord.target}", add.loc
-            )
+    named = [(name, gloc) for group, gloc in coord.selfex + coord.mutex for name in group]
+    named += [(add.name, add.loc) for add in coord.additions.values()]
+    for name, nloc in named:
+        if cls.method(name) is None:
+            raise CompileError(f"method {name!r} does not exist on {coord.target}", nloc)
     target_fields = cls.field_names()
-    state = set(coord.state_names())
-    for name, init, nloc in coord.conditions + coord.fields:
+    state = {name for name, _, _ in coord.state}
+    for _, init, _ in coord.state:
         _check_cool(init, set(), set(), target_fields)
     for add in coord.additions.values():
         if add.requires is not None:
@@ -229,9 +216,9 @@ def _check_cool(roots, scope, state, target_fields) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _mutates_state(block, state: set[str]) -> bool:
+def _mutates_state(block, index: dict[str, int]) -> bool:
     return any(
-        type(node) is ml.Assign and type(node.target) is ml.LocalRef and node.target.name in state
+        type(node) is ml.Assign and type(node.target) is ml.LocalRef and node.target.name in index
         for node in ml.walk(block)
     )
 
@@ -269,25 +256,15 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
     fields...] are created lazily under that monitor, which keeps the lookup
     race-free."""
     methods = coord.coordinated_methods()
-    state = set(coord.state_names())
     busy_index = {m: i for i, m in enumerate(methods)}
-    index: dict[str, int] = {}
-    slot = len(methods)
-    for name, _, _ in coord.conditions:
-        index[name] = slot
-        slot += 1
-    for name, _, _ in coord.fields:
-        index[name] = slot
-        slot += 1
+    index = {name: slot for slot, (name, _, _) in enumerate(coord.state, len(methods))}
     on_state = _renaming(index, ())
     aspect_name = f"Coord_{coord.target}"
     # escaped: both go into string literals, and the path into a one-line comment
     path = escape_string(coord.loc.path)
     module = escape_string(os.path.basename(coord.loc.path))
 
-    init_exprs = ["0"] * len(methods)
-    for _, init, _ in coord.conditions + coord.fields:
-        init_exprs.append(render_expr(init, on_state))
+    init_exprs = ["0"] * len(methods) + [render_expr(init, on_state) for _, init, _ in coord.state]
 
     def emit_state_lookup(out: list[str]) -> None:
         out.append("    var st = null;")
@@ -319,17 +296,14 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
         out.append("")
         out.append("  @hideMethod")
         out.append(f"  def canEnter_{m}(t, st) {{")
-        if any(m in group for group, _ in coord.selfex):
-            out.append(f"    if (st[{busy_index[m]}] != 0) {{")
+        # m itself when a selfex set names it, then each other member of
+        # each mutex set holding m, repeats kept
+        blockers = [m] if any(m in group for group, _ in coord.selfex) else []
+        blockers += [o for group, _ in coord.mutex if m in group for o in group if o != m]
+        for blocker in blockers:
+            out.append(f"    if (st[{busy_index[blocker]}] != 0) {{")
             out.append("      return false;")
             out.append("    }")
-        for group, _ in coord.mutex:
-            if m in group:
-                for other in group:
-                    if other != m:
-                        out.append(f"    if (st[{busy_index[other]}] != 0) {{")
-                        out.append("      return false;")
-                        out.append("    }")
         if add is not None and add.requires is not None:
             out.append(f"    return {render_expr(add.requires, on_state)};")
         else:
@@ -351,7 +325,7 @@ def gen_cool_aspect(coord: CoordinatorDecl) -> str:
         out.append("    }")
         out.append(f"    st[{busy_index[m]}] = st[{busy_index[m]}] + 1;")
         out.extend(render_block(on_entry, "    ", _renaming(index, entry_scope)))
-        if _mutates_state(on_entry, state):
+        if _mutates_state(on_entry, index):
             out.append("    monitor_notify_all(this.mon);")
         out.append("    monitor_release(this.mon);")
         out.append("  }")

@@ -307,6 +307,8 @@ class _Env:
 
 
 class _Thread:
+    __slots__ = ("tid", "gen", "status", "monitor", "frames", "cflow")
+
     def __init__(self, tid: int, gen, cflow: CflowState | None = None):
         self.tid = tid
         self.gen = gen

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from . import minilang as ml
 from .diagnostics import CompileError, Loc
-from .render import escape_string
+from .render import render_literal
 
 
 class ShadowKind(enum.Enum):
@@ -135,9 +135,7 @@ def _shown_hide_arg(arg) -> str:
     if not isinstance(arg, tuple):
         return repr(arg)
     name, value = arg
-    if isinstance(value, str):
-        return f'{name}="{escape_string(value)}"'
-    return f"{name}={value}"
+    return f"{name}={render_literal(value)}"
 
 
 def hide_spec_of(target: str, annotations, cls: str, member: str | None = None) -> HideSpec | None:

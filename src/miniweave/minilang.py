@@ -274,7 +274,7 @@ class MethodDecl:
     names_jp: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassDecl:
     name: str
     fields: list[VarDecl]

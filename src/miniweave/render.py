@@ -6,7 +6,9 @@ function from a bare name (a `LocalRef`) to the text written for it, so a
 transformer renames while it renders and never builds a rewritten copy of
 the tree; the default writes every name as it stands. A renamed name must
 render as a primary or postfix expression (`st[2]`, `t.top`), which no
-operator around it needs to parenthesize.
+operator around it needs to parenthesize. `render_literal` is the one
+spelling of a literal value; pointcut text and hide-argument error text use
+it too.
 
 A binary chain is rendered the way `interp.eval_expr` evaluates one: a loop
 down the left spine to the leftmost operand, then each operator on the way
@@ -25,6 +27,17 @@ from . import minilang as ml
 def escape_string(s: str) -> str:
     """Escape `s` for a MiniLang string literal."""
     return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
+
+
+def render_literal(value) -> str:
+    """`null`, `true`/`false`, a quoted and escaped string, or a number as `str` writes it."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return f'"{escape_string(value)}"'
+    return str(value)
 
 
 def _as_written(name: str) -> str:
@@ -54,14 +67,8 @@ def render_expr(e, rename=_as_written) -> str:
         return text
     if isinstance(e, ml.LocalRef):
         return rename(e.name)
-    if isinstance(e, ml.IntLit):
-        return str(e.value)
-    if isinstance(e, ml.BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, ml.StrLit):
-        return f'"{escape_string(e.value)}"'
-    if isinstance(e, ml.NullLit):
-        return "null"
+    if isinstance(e, (ml.IntLit, ml.BoolLit, ml.StrLit, ml.NullLit)):
+        return render_literal(e.value)
     if isinstance(e, ml.ListLit):
         return "[" + ", ".join(render_expr(x, rename) for x in e.items) + "]"
     if isinstance(e, ml.ThisRef):

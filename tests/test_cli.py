@@ -605,6 +605,23 @@ def test_catalog_placeholder_too_long_is_compile_error_exit_one(workdir, capsys)
     assert code == 1
 
 
+def test_catalog_lines_end_only_at_newlines(workdir, capsys):
+    # U+2028 and a form feed inside a template are template text, not line
+    # breaks: the template runs as written, and a later fault keeps its line
+    catalog = workdir / "demo" / "messages.txt"
+    text = catalog.read_text(encoding="utf-8").replace(
+        "COPY_STARTED = start copying", "COPY_STARTED = start\u2028copy\x0cing"
+    )
+    catalog.write_text(text, encoding="utf-8")
+    code = main(["run", "demo/jobs.ml0", "demo/jobs.audit"])
+    assert code == 0
+    assert "start\u2028copy\x0cing 2 files from /home/ to /tmp/" in capsys.readouterr().out
+    catalog.write_text(text.replace("COPY_FINISHED = ", "COPY_FINISHED "), encoding="utf-8")
+    code = main(["compile", "demo/jobs.ml0", "demo/jobs.audit"])
+    assert capsys.readouterr() == ("", "error: demo/messages.txt:4: expected 'ID = template'\n")
+    assert code == 1
+
+
 @pytest.mark.parametrize(
     "second", ["b/stack.cool", "a/stack.cool"], ids=["two-files", "same-file"]
 )

@@ -142,6 +142,33 @@ class TestGeneratedAspect:
             "9f09a352d9355b785cdb82d1cb303df0c37c6bc5ada8a2f211e0c8024264c38c"
         )
 
+    def test_all_transitions_output_is_pinned(self):
+        # every transition, guards, a case with no values, and a template
+        # that needs escaping
+        model = parse_audit(
+            "logs for CopyJob:\n"
+            "  case start & verbose log A with nbFiles baseSourceFolder\n"
+            "  case start log B\n"
+            "  case finish & verbose & quiet log C with nbFiles\n"
+            "  case finish log B\n"
+            "  case interrupt log D with baseDestFolder\n"
+            "  case pause log E with nbProcessedFiles\n"
+            "  case resume & quiet log B;\n"
+            "logs for MkdirJob:\n"
+            "  case resume log B\n"
+            "  case pause log A with files mkfileMode;\n",
+            "p/all.audit",
+        )
+        catalog = parse_catalog(
+            "A = a {0} and {1}\nB = plain \"quoted\" \\ text\nC = c {0}\n"
+            "D = d\t{0}\nE = e {0}\n",
+            "p/m.txt",
+        )
+        src = gen_audit_aspect(model, catalog)
+        assert hashlib.sha256(src.encode("utf-8")).hexdigest() == (
+            "25f2df88b1b89f90ad40f26c3ee68a5b493dce0a2a33e4ebf68ce12aa8e673e8"
+        )
+
     def test_loc_lines_are_case_lines_within_source(self):
         srcs = demo_sources()
         model = parse_audit(srcs["jobs.audit"], "demo/jobs.audit")

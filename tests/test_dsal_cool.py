@@ -36,11 +36,11 @@ class TestParseCool:
         assert coord.target == "BoundedStack"
         assert coord.selfex[0][0] == ["push", "pop"]
         assert coord.mutex[0][0] == ["push", "pop"]
-        assert [(n, i.value) for n, i, _ in coord.conditions] == [
+        assert [(n, i.value) for n, i, _ in coord.state] == [
             ("full", False),
             ("empty", True),
+            ("top", 0),
         ]
-        assert [(n, i.value) for n, i, _ in coord.fields] == [("top", 0)]
         assert set(coord.additions) == {"push", "pop"}
         assert coord.additions["push"].requires is not None
 
@@ -292,6 +292,40 @@ class TestGeneratedAspect:
         src = gen_cool_aspect(parse_cool(cool, "demo_stack/stack.cool"))
         assert hashlib.sha256(src.encode("utf-8")).hexdigest() == (
             "b4d168ec84fa885185e95c610dca490983ec086bab05cb0040ae3fd957a3f703"
+        )
+
+    def test_interleaved_state_and_overlapping_sets_output_is_pinned(self):
+        # slots number the conditions, then the fields, whatever their
+        # source order; a method in several selfex and mutex sets, and a
+        # mutex set naming a method twice, keep every blocker test, repeats
+        # included, in source order
+        base = (
+            "class Buf {\n  var tag = \"\";\n  def put() { }\n  def get() { }\n"
+            "  def drain() { }\n  def peek() { }\n}\n"
+        )
+        cool = (
+            "coordinator Buf {\n"
+            "  var top = 0;\n"
+            "  condition full = false, empty = true;\n"
+            "  var count = 0;\n"
+            "  condition ready = null;\n"
+            "  selfex {put, get};\n"
+            "  selfex {put};\n"
+            "  mutex {put, get};\n"
+            "  mutex {drain, put, drain};\n"
+            "  put: requires (!full && count < 10 && ready != null)\n"
+            "    on_entry { full = true; }\n"
+            "    on_exit { top = top + 1; count = count - 1; }\n"
+            "  get: requires (tag == \"a\\\"b\" || ready == true)\n"
+            "    on_entry { var k = 1; k = k + 2; }\n"
+            "  peek: requires (empty);\n"
+            "}\n"
+        )
+        coord = parse_cool(cool, "p/buf.cool")
+        validate_cool(coord, mw.parse_base(base, "buf.ml0"))
+        src = gen_cool_aspect(coord)
+        assert hashlib.sha256(src.encode("utf-8")).hexdigest() == (
+            "35aaeffaa844582962da8371ad051df7fde81baac524d75cd9c362db141f3b06"
         )
 
     def test_transform_is_pure(self):
